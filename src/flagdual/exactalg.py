@@ -953,6 +953,8 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         gterms.append(g.terms)
         add_pairs(len(G) - 1)
         if ring.mono_deg(lts[-1]) == 0:
+            stats.basis_size = 1
+            groebner_basis.last_stats = stats
             return [ring.one()]
 
     while pairs:
@@ -986,6 +988,8 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         if not r:
             continue
         if ring.mono_deg(r.leading_monomial()) == 0:
+            stats.basis_size = 1
+            groebner_basis.last_stats = stats
             return [ring.one()]
         G.append(_monic(r))
         lts.append(r.leading_monomial())

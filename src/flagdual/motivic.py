@@ -4,7 +4,13 @@ and exact point counting over small prime fields.
 
 Counting is exact integer arithmetic throughout: enumeration runs over
 Schubert-cell echelon representatives as int64 numpy arrays with explicit
-reductions mod p (no floating point is involved anywhere).
+reductions mod p (no floating point is involved anywhere).  The kernels
+stream over chunks of ``CHUNK_ROWS`` representatives, so their temporaries
+do not grow with q.  Every operand is reduced to [0, q) before it enters a
+product, and every intermediate stays below about 100 q^3; the largest is
+the quadratic form x^T C x of ``count_X``, a sum of 100 products of three
+residues.  100 q^3 < 2^63 holds for q < 4.5 * 10^5, far beyond any q whose
+Grassmannian (about q^6 points) can be enumerated, so int64 never wraps.
 """
 from __future__ import annotations
 
@@ -237,41 +243,59 @@ def degree_check() -> int:
 
 _ENUM_CACHE: dict = {}
 
+# Rows of an enumerated Grassmannian that a counting kernel processes at
+# once; the kernels' temporaries have at most this many rows.
+CHUNK_ROWS = 4096
 
-def enumerate_grassmannian(q: int, k: int) -> np.ndarray:
-    """All points of G(k,5)(F_q) as reduced column-echelon representatives,
-    one per point; int64 array of shape (N, 5, k)."""
-    key = (q, k)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
-    reps = []
+
+def _schubert_cells(k: int):
+    """The Schubert cells of G(k,5) in enumeration order, as (pivot rows,
+    free (row, column) entries); the pivots run in itertools.combinations
+    order."""
     for pivots in itertools.combinations(range(5), k):
         free = [(r, i) for i in range(k) for r in range(5)
                 if r > pivots[i] and r not in pivots]
-        base = np.zeros((5, k), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            base[p, i] = 1
-        if not free:
-            reps.append(base[None, :, :])
-            continue
-        grids = np.array(list(itertools.product(range(q), repeat=len(free))),
-                         dtype=np.int64)
-        block = np.repeat(base[None, :, :], len(grids), axis=0)
-        for n, (r, i) in enumerate(free):
-            block[:, r, i] = grids[:, n]
-        reps.append(block)
-    out = np.concatenate(reps, axis=0)
+        yield pivots, free
+
+
+def enumerate_grassmannian(q: int, k: int) -> np.ndarray:
+    """All points of G(k,5)(F_q) as reduced column-echelon representatives,
+    one per point; int64 array of shape (N, 5, k).  Cells follow
+    ``_schubert_cells``; within a cell the free entries run through F_q^n in
+    lexicographic order."""
+    key = (q, k)
+    if key in _ENUM_CACHE:
+        return _ENUM_CACHE[key]
+    cells = list(_schubert_cells(k))
+    out = np.zeros((sum(q ** len(free) for _, free in cells), 5, k),
+                   dtype=np.int64)
+    lo = 0
+    for pivots, free in cells:
+        n = len(free)
+        block = out[lo:lo + q ** n]                # a view: filled in place
+        block[:, list(pivots), np.arange(k)] = 1
+        grid = np.indices((q,) * n).reshape(n, q ** n)
+        for (r, i), column in zip(free, grid):
+            block[:, r, i] = column
+        lo += q ** n
     _ENUM_CACHE[key] = out
     return out
 
 
+def wedge2_batch(M: np.ndarray, q: int) -> np.ndarray:
+    """(N,r,k) -> (N, C(r,2), C(k,2)): every 2x2 minor mod q, row pairs and
+    column pairs in lex order.  For r = 5 the row pairs are ``PAIRS``, so the
+    single column of an (N,5,2) batch holds its Pluecker coordinates."""
+    rows = np.array(list(itertools.combinations(range(M.shape[1]), 2))).T
+    top, bot = M[:, rows[0], :], M[:, rows[1], :]
+    return np.stack([top[:, :, c] * bot[:, :, d] - top[:, :, d] * bot[:, :, c]
+                     for c, d in itertools.combinations(range(M.shape[2]), 2)],
+                    axis=2) % q
+
+
 def minors2_batch(A: np.ndarray, q: int) -> np.ndarray:
     """(N,5,2) -> (N,10) Pluecker coordinates mod q, lex pair order."""
-    out = np.empty((A.shape[0], 10), dtype=np.int64)
-    for n, (i, j) in enumerate(PAIRS):
-        out[:, n] = (A[:, i - 1, 0] * A[:, j - 1, 1]
-                     - A[:, i - 1, 1] * A[:, j - 1, 0]) % q
-    return out
+    return wedge2_batch(A, q)[:, :, 0]
 
 
 def minors3_batch(B: np.ndarray, q: int) -> np.ndarray:
@@ -323,13 +347,15 @@ def _quadric_arrays(S: SectionMatrix, q: int):
 
 def count_X(S: SectionMatrix, q: int) -> int:
     A = enumerate_grassmannian(q, 2)
-    x = minors2_batch(A, q)
     mats = _quadric_arrays(S, q)
-    ok = np.ones(len(A), dtype=bool)
-    for C in mats:
-        vals = np.einsum("ni,ij,nj->n", x, C, x) % q
-        ok &= vals == 0
-    return int(ok.sum())
+    total = 0
+    for lo in range(0, len(A), CHUNK_ROWS):
+        x = minors2_batch(A[lo:lo + CHUNK_ROWS], q)
+        ok = np.ones(len(x), dtype=bool)
+        for C in mats:
+            ok &= np.einsum("ni,ij,nj->n", x, C, x) % q == 0
+        total += int(ok.sum())
+    return total
 
 
 _VPT = []  # (p, a) -> (sign, triple position) table for the Y-side vector
@@ -363,8 +389,12 @@ def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray
 
 def count_Y(S: SectionMatrix, q: int) -> int:
     B = enumerate_grassmannian(q, 3)
-    v = _pushforward_vectors(_section_array(S, q), B, q)
-    return int(np.all(v == 0, axis=1).sum())
+    S_arr = _section_array(S, q)
+    total = 0
+    for lo in range(0, len(B), CHUNK_ROWS):
+        v = _pushforward_vectors(S_arr, B[lo:lo + CHUNK_ROWS], q)
+        total += int(np.all(v == 0, axis=1).sum())
+    return total
 
 
 def _proj_plane_reps(q: int) -> np.ndarray:
@@ -375,83 +405,76 @@ def _proj_plane_reps(q: int) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
+# psi_t([A|w]) = w_i x_jk - w_j x_ik + w_k x_ij for t = (i,j,k), x = Pl(A):
+# per triple, (D_SIGN[t], rows i,j,k of w (0-based), positions of x_jk, x_ik,
+# x_ij, position of the dual coordinate of t).
+_TRIPLE_EXPANSION = [
+    (D_SIGN[(i, j, k)], [i - 1, j - 1, k - 1],
+     [PAIR_POS[(j, k)], PAIR_POS[(i, k)], PAIR_POS[(i, j)]],
+     PAIR_POS[complement_pair((i, j, k))])
+    for i, j, k in TRIPLES]
+
+
 def count_M_via_g25(S: SectionMatrix, q: int) -> int:
     """Honest enumeration of M(F_q) through the G(2,5)-side flags: for each
     cell representative A the complement rows give canonical coset
-    representatives of V5 / col(A)."""
+    representatives w of V5 / col(A).
+
+    Every flag (A, A+w) is evaluated on its own: the ten triple minors of
+    [A | w], each reduced mod q, are paired with z = S x(A).  The route stays
+    a per-flag evaluation, not a per-A test, because it is the cross-check of
+    the G(3,5)-side count: factoring it through the quadrics of X would make
+    the fibration identity for X true by construction."""
     S_arr = _section_array(S, q)
+    lamT = np.ascontiguousarray(_proj_plane_reps(q).T)   # (3, P)
+    G = enumerate_grassmannian(q, 2)
     total = 0
-    lam = _proj_plane_reps(q)                      # (P, 3)
-    for pivots in itertools.combinations(range(5), 2):
+    lo = 0
+    for pivots, free in _schubert_cells(2):
+        hi = lo + q ** len(free)
+        # w_p = sum_s lamT[s, p] e_comp[s] vanishes off the rows comp, so
+        # the triple minor R @ w_p needs only the columns comp of R
         comp = [r for r in range(5) if r not in pivots]
-        A = _cell_block(q, 2, pivots)
-        x = minors2_batch(A, q)                    # (N,10)
-        N = len(A)
-        # w = lam . e_comp : (P, 5)
-        W = np.zeros((len(lam), 5), dtype=np.int64)
-        for t in range(3):
-            W[:, comp[t]] = lam[:, t]
-        # B[n,p] = [A_n | w_p] -> triple minors are linear in w
-        # psi_t(B) = sum_pos (+-) w_row * pair-minor of A
-        # build y-coordinates for all (n,p)
-        vals = np.zeros((N, len(lam)), dtype=np.int64)
-        z = (x @ S_arr.T) % q                      # z[n,row_q] = (S x)_q
-        for tpos, t in enumerate(TRIPLES):
-            # psi_t([A|w]) with w in the third column:
-            # w_i psi_jk - w_j psi_ik + w_k psi_ij
-            i, j, k = t
-            contrib = (np.outer(x[:, PAIR_POS[tuple(sorted((j, k)))]], W[:, i - 1])
-                       - np.outer(x[:, PAIR_POS[tuple(sorted((i, k)))]], W[:, j - 1])
-                       + np.outer(x[:, PAIR_POS[tuple(sorted((i, j)))]], W[:, k - 1]))
-            ycoord = PAIR_POS[complement_pair(t)]
-            vals += D_SIGN[t] * contrib % q * z[:, ycoord][:, None]
-            vals %= q
-        total += int((vals % q == 0).sum())
+        for c in range(lo, hi, CHUNK_ROWS):
+            x = minors2_batch(G[c:min(c + CHUNK_ROWS, hi)], q)   # (n,10)
+            z = (x @ S_arr.T) % q                  # z[n, row] = (S x)_row
+            vals = np.zeros((len(x), lamT.shape[1]), dtype=np.int64)
+            for sign, wrows, xpos, ycoord in _TRIPLE_EXPANSION:
+                R = np.zeros((len(x), 5), dtype=np.int64)
+                R[:, wrows] = x[:, xpos] * [1, -1, 1]
+                minor = R[:, comp] @ lamT          # psi_t([A_n | w_p])
+                minor %= q
+                minor *= sign * z[:, ycoord, None]
+                vals += minor
+            total += int((vals % q == 0).sum())
+        lo = hi
     return total
 
 
 def count_M_via_g35(S: SectionMatrix, q: int) -> int:
     """Honest enumeration of M(F_q) through the G(3,5)-side flags: points of
-    the fiber over [B] are kernels of functionals on the column space."""
+    the fiber over [B] are kernels of functionals on the column space.
+
+    For the functional lambda_p with kernel basis K_p (3x2), the fiber point
+    is col(B K_p), and by Cauchy-Binet wedge^2(B K_p) = wedge^2(B) wedge^2(K_p),
+    with wedge^2(B) the 10x3 matrix of 2x2 minors of B and wedge^2(K_p) the
+    3 minors of K_p.  The section there is z . wedge^2(B K_p) with
+    z = dual(wedge^3 B) S, so it equals u(B) . wedge^2(K_p) for the one
+    vector u(B) = z wedge^2(B) per point of G(3,5)."""
     S_arr = _section_array(S, q)
     f = GF(q)
-    lam = _proj_plane_reps(q)
-    kernels = []
-    for l in lam:
-        m = Mat(f, [list(int(v) for v in l)])
-        kernels.append(np.array(m.kernel(), dtype=np.int64).T)   # (3,2)
-    K = np.stack(kernels)                                        # (P,3,2)
+    K = np.stack([np.array(Mat(f, [[int(v) for v in l]]).kernel(),
+                           dtype=np.int64).T
+                  for l in _proj_plane_reps(q)])                 # (P,3,2)
+    CK = wedge2_batch(K, q)[:, :, 0]                             # (P,3)
     B = enumerate_grassmannian(q, 3)
-    pl3 = minors3_batch(B, q)
-    y = dual_batch(pl3, q)
-    z = (y @ S_arr) % q                                          # (N,10)
     total = 0
-    chunk = 4096
-    for lo in range(0, len(B), chunk):
-        Bc = B[lo:lo + chunk]
-        zc = z[lo:lo + chunk]
-        A = np.einsum("nij,pjk->npik", Bc, K) % q                # (n,P,5,2)
-        n_, P_ = A.shape[0], A.shape[1]
-        x = minors2_batch(A.reshape(-1, 5, 2), q).reshape(n_, P_, 10)
-        vals = np.einsum("npa,na->np", x, zc) % q
-        total += int((vals == 0).sum())
+    for lo in range(0, len(B), CHUNK_ROWS):
+        Bc = B[lo:lo + CHUNK_ROWS]
+        z = (dual_batch(minors3_batch(Bc, q), q) @ S_arr) % q   # (n,10)
+        u = np.einsum("na,nac->nc", z, wedge2_batch(Bc, q)) % q  # (n,3)
+        total += int(((u @ CK.T) % q == 0).sum())
     return total
-
-
-def _cell_block(q: int, k: int, pivots) -> np.ndarray:
-    free = [(r, i) for i in range(k) for r in range(5)
-            if r > pivots[i] and r not in pivots]
-    base = np.zeros((5, k), dtype=np.int64)
-    for i, p in enumerate(pivots):
-        base[p, i] = 1
-    if not free:
-        return base[None, :, :]
-    grids = np.array(list(itertools.product(range(q), repeat=len(free))),
-                     dtype=np.int64)
-    block = np.repeat(base[None, :, :], len(grids), axis=0)
-    for n, (r, i) in enumerate(free):
-        block[:, r, i] = grids[:, n]
-    return block
 
 
 def point_count(S: SectionMatrix, q: int, which: str) -> int:

@@ -83,6 +83,19 @@ def test_motivic_commands(runner, tmp_path):
     assert runner.invoke(main, ["motivic", "l-relation"]).exit_code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["motivic", "count", "--q", "4"],
+    ["motivic", "count", "--q", "x"],
+    ["verify-paper", "--qs", "2,x"],
+    ["verify-paper", "--qs", "4"],
+    ["verify-paper", "--qs", "2,1"],
+])
+def test_field_sizes_must_be_prime(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+
+
 def test_glsm_stability_sampling(runner, tmp_path):
     out = tmp_path / "glsm.json"
     res = runner.invoke(main, ["glsm", "stability", "--chamber", "minus",

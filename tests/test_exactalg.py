@@ -185,6 +185,17 @@ def test_groebner_unit_ideal():
     assert is_unit_ideal(basis)
 
 
+def test_groebner_last_stats_follow_unit_ideals():
+    groebner_basis(Ideal(R2, [X * Y - 1, Y * Y - 1]))
+    assert groebner_basis.last_stats.basis_size == 2
+    groebner_basis(Ideal(R2, [X * X, X * Y + 1]))     # 1 found by an S-pair
+    stats = groebner_basis.last_stats
+    assert stats.basis_size == 1 and stats.reductions > 0
+    groebner_basis(Ideal(R2, [X, R2.one()]))          # 1 among the generators
+    stats = groebner_basis.last_stats
+    assert stats.basis_size == 1 and stats.reductions == 0
+
+
 def test_groebner_hand_example():
     basis = groebner_basis(Ideal(R2, [X * Y - 1, Y * Y - 1]))
     assert basis == [X - Y, Y * Y - 1]

@@ -4,9 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from flagdual import motivic
 from flagdual.exactalg import GF, Mat
-from flagdual.duality import pushforward_to_g25, pushforward_vector
-from flagdual.grassflag import GrassPoint, SectionMatrix, random_hf_section
+from flagdual.duality import (pushforward_to_g25, pushforward_vector,
+                              section_of_fiber_point)
+from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLES,
+                                GrassPoint, SectionMatrix, complement_pair,
+                                random_hf_section)
 from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               count_X, count_Y, degree_check,
                               derive_l_relation, enumerate_grassmannian,
@@ -161,3 +165,124 @@ def test_hf_section_counting():
     s = random_hf_section(GF(q), rng)
     rep = fibration_report(s, q)
     assert rep["identity_X"] and rep["identity_Y"] and rep["X_equals_Y"]
+
+
+# --- reference counting routes ----------------------------------------------
+#
+# The same flags evaluated with loops, outer products and one unchunked
+# einsum: no Cauchy-Binet, no matrix-product triple minors, no chunks.
+
+def _ref_cell_block(q, k, pivots):
+    free = [(r, i) for i in range(k) for r in range(5)
+            if r > pivots[i] and r not in pivots]
+    base = np.zeros((5, k), dtype=np.int64)
+    for i, p in enumerate(pivots):
+        base[p, i] = 1
+    if not free:
+        return base[None, :, :]
+    grids = np.array(list(itertools.product(range(q), repeat=len(free))),
+                     dtype=np.int64)
+    block = np.repeat(base[None, :, :], len(grids), axis=0)
+    for n, (r, i) in enumerate(free):
+        block[:, r, i] = grids[:, n]
+    return block
+
+
+def _ref_minors2(A, q):
+    out = np.empty((A.shape[0], 10), dtype=np.int64)
+    for n, (i, j) in enumerate(PAIRS):
+        out[:, n] = (A[:, i - 1, 0] * A[:, j - 1, 1]
+                     - A[:, i - 1, 1] * A[:, j - 1, 0]) % q
+    return out
+
+
+def _ref_count_M_via_g25(S, q):
+    S_arr = motivic._section_array(S, q)
+    total = 0
+    lam = motivic._proj_plane_reps(q)
+    for pivots in itertools.combinations(range(5), 2):
+        comp = [r for r in range(5) if r not in pivots]
+        x = _ref_minors2(_ref_cell_block(q, 2, pivots), q)
+        W = np.zeros((len(lam), 5), dtype=np.int64)
+        for t in range(3):
+            W[:, comp[t]] = lam[:, t]
+        vals = np.zeros((len(x), len(lam)), dtype=np.int64)
+        z = (x @ S_arr.T) % q
+        for t in TRIPLES:
+            i, j, k = t
+            contrib = (np.outer(x[:, PAIR_POS[(j, k)]], W[:, i - 1])
+                       - np.outer(x[:, PAIR_POS[(i, k)]], W[:, j - 1])
+                       + np.outer(x[:, PAIR_POS[(i, j)]], W[:, k - 1]))
+            ycoord = PAIR_POS[complement_pair(t)]
+            vals += D_SIGN[t] * contrib % q * z[:, ycoord][:, None]
+            vals %= q
+        total += int((vals % q == 0).sum())
+    return total
+
+
+def _ref_count_M_via_g35(S, q):
+    S_arr = motivic._section_array(S, q)
+    f = GF(q)
+    K = np.stack([np.array(Mat(f, [[int(v) for v in l]]).kernel(),
+                           dtype=np.int64).T
+                  for l in motivic._proj_plane_reps(q)])        # (P,3,2)
+    B = enumerate_grassmannian(q, 3)
+    z = (motivic.dual_batch(motivic.minors3_batch(B, q), q) @ S_arr) % q
+    A = np.einsum("nij,pjk->npik", B, K) % q                     # (N,P,5,2)
+    x = _ref_minors2(A.reshape(-1, 5, 2), q).reshape(len(B), len(K), 10)
+    return int((np.einsum("npa,na->np", x, z) % q == 0).sum())
+
+
+def _section(kind, q, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        return SectionMatrix(Mat.random(GF(q), 10, 10, rng))
+    return random_hf_section(GF(q), rng)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumeration_order_matches_cell_reference(q, k):
+    ref = np.concatenate([_ref_cell_block(q, k, piv)
+                          for piv in itertools.combinations(range(5), k)])
+    assert np.array_equal(enumerate_grassmannian(q, k), ref)
+
+
+# random_hf_section needs the invariant complement, which characteristic 3
+# lacks (see grassflag.flag_ideal_space), so its sections stop at q = 2, 5.
+@pytest.mark.parametrize("q,kind", [(2, "random"), (3, "random"), (5, "random"),
+                                    (2, "hf"), (5, "hf")])
+def test_M_counts_match_reference_routes(q, kind):
+    s = _section(kind, q, 41 + q)
+    assert count_M_via_g25(s, q) == _ref_count_M_via_g25(s, q)
+    assert count_M_via_g35(s, q) == _ref_count_M_via_g35(s, q)
+
+
+def test_M_count_matches_brute_force_over_gf2():
+    # every flag (A, A+w) of F_2^5, found as the vectors w outside col(A):
+    # each 3-space A+w arises from q^3 - q^2 of them, all giving the same
+    # value of the section up to a nonzero scalar
+    q = 2
+    f = GF(q)
+    s = SectionMatrix(Mat.random(f, 10, 10, random.Random(43)))
+    hits = 0
+    for rep in enumerate_grassmannian(q, 2):
+        A = Mat(f, rep.tolist())
+        for w in itertools.product(range(q), repeat=5):
+            if Mat(f, [list(r) + [w[n]] for n, r in enumerate(A.data)]).rank() < 3:
+                continue
+            if f.is_zero(section_of_fiber_point(s, A, list(w))):
+                hits += 1
+    assert hits % (q ** 3 - q ** 2) == 0
+    brute = hits // (q ** 3 - q ** 2)
+    assert count_M_via_g25(s, q) == brute
+    assert count_M_via_g35(s, q) == brute
+
+
+@pytest.mark.parametrize("q,kind", [(3, "random"), (5, "hf")])
+def test_counts_do_not_depend_on_chunk_size(q, kind, monkeypatch):
+    # 37 is odd and prime, so chunk boundaries fall inside Schubert cells
+    s = _section(kind, q, 47 + q)
+    rep = fibration_report(s, q)
+    monkeypatch.setattr(motivic, "CHUNK_ROWS", 37)
+    assert fibration_report(s, q) == rep
