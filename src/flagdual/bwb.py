@@ -81,7 +81,8 @@ class BlockedWeight:
 
 @lru_cache(maxsize=None)
 def weyl_dim(mu: tuple) -> int:
-    """Dimension of the GL(5) irrep with highest weight mu (non-increasing)."""
+    """Dimension of the GL(len(mu)) irrep with highest weight mu
+    (non-increasing), by the Weyl product formula."""
     num = den = 1
     n = len(mu)
     for i in range(n):
@@ -91,18 +92,6 @@ def weyl_dim(mu: tuple) -> int:
     q, r = divmod(num, den)
     assert r == 0
     return q
-
-
-@lru_cache(maxsize=None)
-def gl_dim(mu: tuple) -> int:
-    """Dimension for GL(len(mu)) by the same product formula."""
-    num = den = 1
-    n = len(mu)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= mu[i] - mu[j] + j - i
-            den *= j - i
-    return num // den
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +161,7 @@ class BundleExpr:
         for w, m in self.terms.items():
             r = 1
             for seg in w.block_parts():
-                r *= gl_dim(seg)
+                r *= weyl_dim(seg)
             total += m * r
         return total
 
@@ -266,7 +255,7 @@ def _tensor_block(lam: tuple, mu: tuple) -> tuple:
     if len(mu) != r:
         raise ValueError("rank mismatch")
     # enumerate weights of the smaller-dimensional factor
-    if gl_dim(mu) > gl_dim(lam):
+    if weyl_dim(mu) > weyl_dim(lam):
         lam, mu = mu, lam
     rho = tuple(range(r - 1, -1, -1))
     out: dict = {}
@@ -321,9 +310,6 @@ def cohomology_table(e: BundleExpr) -> dict:
 def ext_on_F(a: BundleExpr, b: BundleExpr) -> dict:
     """Ext^*(a, b) computed as H^*(a^dual (x) b), graded-piece-wise."""
     return cohomology_table(tensor_decompose(a.dual(), b))
-
-
-ext_table = ext_on_F        # same computation on any space
 
 
 def ext_on_M_vanishing_certificate(a: BundleExpr, b: BundleExpr) -> str:
@@ -426,10 +412,6 @@ def vanishing_QO(a: int, b: int) -> bool:
 def vanishing_OO(a: int, b: int) -> bool:
     """Ext^*(O(1,b), O(2,2+a)) = 0?"""
     return not ext_on_F(O_on_F(1, b), O_on_F(2, 2 + a))
-
-
-def serre_dual_table(table: dict, dim: int = 8) -> dict:
-    return {dim - d: v for d, v in table.items()}
 
 
 def canonical_weight_F() -> BlockedWeight:

@@ -26,9 +26,8 @@ from .duality import (nonbirational_certificate, pushforward_to_g25,
                       pushforward_to_g35, section_of_fiber_point,
                       selfdual_test)
 from .grassflag import (D_SIGN, PAIRS, DualityMap, SectionMatrix,
-                        flag_ideal_space, hf_space, iota_action,
-                        random_grass_point, random_hf_section, script_matrix,
-                        script_section)
+                        flag_ideal_space, hf_project, hf_space, iota_action,
+                        random_grass_point, random_hf_section, script_matrix)
 
 SCHEMA = "flagdual-report/1"
 
@@ -46,9 +45,7 @@ class RunConfig:
     section: str | None = None       # path; None = published script matrix
 
     def budget_obj(self) -> Budget:
-        env = os.environ.get("FLAGDUAL_BUDGET")
-        cap = int(env) if env else self.budget
-        return Budget(max_reductions=cap, max_seconds=1800)
+        return Budget(max_reductions=self.budget, max_seconds=1800)
 
 
 def conventions_block() -> dict:
@@ -123,9 +120,7 @@ def duality_selfdual(section, field_spec, samples, seed, report):
     """Scan random duality maps for the self-duality identity."""
     f = field_from_spec(field_spec)
     cfg = RunConfig(field=field_spec, section=section)
-    s = load_section(cfg, f)
-    if not hf_space(f).contains_section(s):
-        s = __import__("flagdual.grassflag", fromlist=["hf_project"]).hf_project(s)
+    s = hf_project(load_section(cfg, f))
     rng = random.Random(seed)
     hits = []
     for n in range(samples):
@@ -405,7 +400,7 @@ def _stage_build(cfg: RunConfig, rng) -> dict:
 
 def _stage_selfdual(cfg: RunConfig, rng) -> dict:
     f = GF(17)
-    s = script_section(f)
+    s = hf_project(load_section(cfg, f))
     hits = sum(1 for _ in range(100)
                if selfdual_test(s, DualityMap.random(f, rng)))
     return {"ok": hits == 0, "details": {"selfdual_hits": hits}}

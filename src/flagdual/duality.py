@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .exactalg import (GF, QQ, Budget, BudgetExceeded, Field, Ideal, Mat,
-                       Poly, PolyRing, exterior_square, exterior_square_grid,
+                       Poly, PolyRing, exterior_square_grid,
                        groebner_basis, is_unit_ideal, normal_form, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,

@@ -373,27 +373,12 @@ def _dot(f, a, b):
     return acc
 
 
-# (i, j) pairs of {1..5} in lexicographic order; shared by every module.
-PAIRS5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
-
-
 def exterior_square(T: Mat) -> Mat:
     """Second exterior power: entry at (pair (i,j), pair (k,l)) is the 2x2
     minor of T on rows {i,j}, columns {k,l}; pairs in lexicographic order."""
     if T.rows != T.cols:
         raise ValueError("exterior_square needs a square matrix")
-    n = T.rows
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    f = T.field
-    out = []
-    for (i, j) in pairs:
-        row = []
-        for (k, l) in pairs:
-            a = f.mul(T.data[i - 1][k - 1], T.data[j - 1][l - 1])
-            b = f.mul(T.data[i - 1][l - 1], T.data[j - 1][k - 1])
-            row.append(f.sub(a, b))
-        out.append(row)
-    return Mat(f, out)
+    return Mat(T.field, exterior_square_grid(T.data))
 
 
 def exterior_square_grid(grid):
@@ -402,11 +387,6 @@ def exterior_square_grid(grid):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return [[grid[i - 1][k - 1] * grid[j - 1][l - 1] - grid[i - 1][l - 1] * grid[j - 1][k - 1]
              for (k, l) in pairs] for (i, j) in pairs]
-
-
-def kernel(M: Mat):
-    """Right kernel basis of M (module-level alias)."""
-    return M.kernel()
 
 
 # -- matrix file format -----------------------------------------------------
@@ -885,6 +865,26 @@ def interreduce(polys: Sequence[Poly]) -> list:
     return sorted((_monic(g) for g in G), key=lambda g: g.leading_monomial())
 
 
+def _spolynomial(ring: PolyRing, l: int, i: int, j: int,
+                 lts: list, lcinvs: list, gterms: list) -> Poly:
+    """S-polynomial of basis elements i and j (parallel lists as in
+    _normal_form), with l the lcm of their leading monomials."""
+    f = ring.field
+    sh_i = l - lts[i]
+    sh_j = l - lts[j]
+    s: dict = {}
+    for m, c in gterms[i].items():
+        s[m + sh_i] = f.mul(c, lcinvs[i])
+    for m, c in gterms[j].items():
+        key = m + sh_j
+        v = f.sub(s.get(key, f.zero), f.mul(c, lcinvs[j]))
+        if f.is_zero(v):
+            s.pop(key, None)
+        else:
+            s[key] = v
+    return Poly(ring, s)
+
+
 def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
     """Reduced Groebner basis by Buchberger with Gebauer-Moeller pruning.
 
@@ -963,23 +963,8 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         if budget.max_degree is not None and d > budget.max_degree:
             stats.truncated_at = budget.max_degree
             break
-        # S-polynomial
-        mi, mj = lts[i], lts[j]
-        sh_i = l - mi
-        sh_j = l - mj
-        s: dict = {}
-        ci = lcinvs[i]
-        for m, c in gterms[i].items():
-            s[m + sh_i] = f.mul(c, ci)
-        cj = lcinvs[j]
-        for m, c in gterms[j].items():
-            key = m + sh_j
-            v = f.sub(s.get(key, f.zero), f.mul(c, cj))
-            if f.is_zero(v):
-                s.pop(key, None)
-            else:
-                s[key] = v
-        r = _normal_form(Poly(ring, s), lts, lcinvs, gterms)
+        r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
+                         lts, lcinvs, gterms)
         stats.reductions += 1
         if stats.reductions > budget.max_reductions:
             raise BudgetExceeded("reduction budget exceeded", stats)
@@ -1026,18 +1011,8 @@ def spolynomials_reduce_to_zero(basis: Sequence[Poly]) -> bool:
             l = ring.mono_lcm(lts[i], lts[j])
             if l == ring.mono_mul(lts[i], lts[j]):
                 continue
-            sh_i, sh_j = l - lts[i], l - lts[j]
-            s: dict = {}
-            for m, c in gterms[i].items():
-                s[m + sh_i] = f.mul(c, lcinvs[i])
-            for m, c in gterms[j].items():
-                key = m + sh_j
-                v = f.sub(s.get(key, f.zero), f.mul(c, lcinvs[j]))
-                if f.is_zero(v):
-                    s.pop(key, None)
-                else:
-                    s[key] = v
-            if _normal_form(Poly(ring, s), lts, lcinvs, gterms):
+            if _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
+                            lts, lcinvs, gterms):
                 return False
     return True
 

@@ -333,38 +333,40 @@ def okonek_scan(S: SectionMatrix, p: int, samples: int, rng: random.Random) -> d
 
 
 def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
-    """Count gauge classes of minus-chamber critical points over F_q by
-    enumerating the G(2,5)-side threefold and verifying, for each of its
-    points, that the stabilizer of the normal form acts simply transitively
-    on the admissible omegas.  The result must biject with X(F_q)."""
+    """Count gauge classes of minus-chamber critical points over F_q.
+
+    Every such class has a normal form B0 = (0 | A) with [A] a point of the
+    G(2,5)-side threefold X, and the admissible omegas over B0 (omega_1 != 0)
+    are the same set at every point of X.  The function checks that they form
+    one free orbit of the stabilizer of B0, so each point of X carries exactly
+    one gauge class and the number of classes equals |X(F_q)|; it then counts
+    X by enumeration and compares with count_X."""
     from .motivic import enumerate_grassmannian, count_X
     f = GF(q)
     Sq = S.to_field(f)
     m = model_for(Sq)
+    # The stabilizer of B0 is g^{-1} = [[a,b,c],[0,1,0],[0,0,1]], a != 0,
+    # acting by omega -> det(g)^2 omega g^{-1}
+    #                  = a^{-2} (a w1, b w1 + w2, c w1 + w3).
+    admissible = set((w1, w2, w3) for w1 in range(1, q)
+                     for w2 in range(q) for w3 in range(q))
+    orbit = set()
+    for a in range(1, q):
+        ainv2 = pow(a, -2, q)
+        for b in range(q):
+            for c in range(q):
+                orbit.add(((ainv2 * a) % q, (ainv2 * b) % q, (ainv2 * c) % q))
+    # the orbit of (1,0,0) must exhaust the admissible set, and the
+    # stabilizer order (q-1)q^2 must equal its size (free action)
+    free_orbit = orbit == admissible and len(orbit) == (q - 1) * q * q
     classes = 0
-    checked = 0
     for rep in enumerate_grassmannian(q, 2):
-        A = Mat(f, rep.tolist())
-        pt = GrassPoint(A)
+        pt = GrassPoint(Mat(f, rep.tolist()))
         if not m.quadrics.vanishes_at(pt):
             continue
-        checked += 1
-        # normal form B0 = (0 | A); admissible omegas have omega_1 != 0.
-        # The stabilizer of B0 is g^{-1} = [[a,b,c],[0,1,0],[0,0,1]], a != 0,
-        # acting by omega -> det(g)^2 omega g^{-1}
-        #                  = a^{-2} (a w1, b w1 + w2, c w1 + w3).
-        admissible = set((w1, w2, w3) for w1 in range(1, q)
-                         for w2 in range(q) for w3 in range(q))
-        orbit = set()
-        for a in range(1, q):
-            ainv2 = pow(a, -2, q)
-            for b in range(q):
-                for c in range(q):
-                    orbit.add(((ainv2 * a) % q, (ainv2 * b) % q, (ainv2 * c) % q))
-        # the orbit of (1,0,0) must exhaust the admissible set, and the
-        # stabilizer order (q-1)q^2 must equal its size (free action)
-        if orbit != admissible or len(orbit) != (q - 1) * q * q:
+        if not free_orbit:
             return {"q": q, "ok": False, "failed_at": pt.pluecker}
         classes += 1
-    return {"q": q, "gauge_classes": classes, "X_count": count_X(Sq, q),
-            "bijective": classes == count_X(Sq, q), "ok": True}
+    x_count = count_X(Sq, q)
+    return {"q": q, "gauge_classes": classes, "X_count": x_count,
+            "bijective": classes == x_count, "ok": True}

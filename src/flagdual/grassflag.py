@@ -305,9 +305,7 @@ class MatrixSubspace:
         return self.contains(s.mat)
 
     def intersect_dim(self, other: "MatrixSubspace") -> int:
-        stacked = Mat(self.field, [m.flatten() for m in self.basis] +
-                      [m.flatten() for m in other.basis])
-        return self.dim + other.dim - stacked.rank()
+        return self.dim + other.dim - self.sum_rank(other)
 
     def sum_rank(self, other: "MatrixSubspace") -> int:
         stacked = Mat(self.field, [m.flatten() for m in self.basis] +
@@ -320,8 +318,6 @@ class MatrixSubspace:
 
     @classmethod
     def read(cls, text: str, field: Field) -> "MatrixSubspace":
-        blocks = [b for b in text.split("\n\n") if b.strip() and
-                  not b.strip().startswith("#")]
         first = text.strip().splitlines()
         mats = []
         chunk = []
@@ -342,14 +338,16 @@ class MatrixSubspace:
 _BASIS_CACHE: dict = {}
 
 
-def flag_ideal_space(field: Field) -> MatrixSubspace:
-    """The 25-dimensional space of section matrices vanishing on the flag.
-
-    Characteristic 3 collapses the trace part of the ideal (rank drops to
-    24) and the 25 + 75 splitting fails; rejected explicitly.
-    """
+def _check_split(field: Field):
+    """Characteristic 3 collapses the trace part of the ideal (rank drops to
+    24) and the 25 + 75 splitting fails; rejected explicitly."""
     if isinstance(field, GF) and field.p == 3:
         raise ValueError("the ideal/complement split degenerates in characteristic 3")
+
+
+def flag_ideal_space(field: Field) -> MatrixSubspace:
+    """The 25-dimensional space of section matrices vanishing on the flag."""
+    _check_split(field)
     key = ("ideal", id(field))
     if key not in _BASIS_CACHE:
         eis = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
@@ -372,6 +370,7 @@ def dual_ideal_space(field: Field) -> MatrixSubspace:
 def hf_space(field: Field) -> MatrixSubspace:
     """The invariant complement of the flag ideal: matrices S with
     tr(S K) = 0 for every K in the dual flag ideal.  Dimension 75."""
+    _check_split(field)
     key = ("hf", id(field))
     if key not in _BASIS_CACHE:
         dual = dual_ideal_space(field)

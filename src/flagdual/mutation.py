@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import bwb
-from .bwb import (BundleExpr, ext_on_M_table, ext_on_M_vanishing_certificate,
-                  ext_table)
+from .bwb import (BundleExpr, ext_on_F, ext_on_M_table,
+                  ext_on_M_vanishing_certificate)
 
 
 class CertificateError(RuntimeError):
@@ -141,14 +141,32 @@ class MutationWord:
 # rewrite rules
 # ---------------------------------------------------------------------------
 #
-# Each rule is a pattern on an adjacent pair.  "left" rewrites the pair as
-# displayed; "right" is the inverse rewrite.  The certificate computes one
-# Ext on M (through the Koszul restriction) and demands an exact expected
+# Each rule rewrites an adjacent pair.  With t the twist of the P or Q entry,
+# "left" rewrites <O(t + shift), P(t)> as <Q(t), O(t + shift)>; "right" is
+# the inverse rewrite.  The certificate computes one Ext on M (through the
+# Koszul restriction) between two of O, P, Q and demands an exact expected
 # table; the replacement itself is justified by the universal/extension
 # sequences on the flag.
+#
+# name: (shift of O against t, ((P, Q), ...), certified pair, expected Ext_M)
+RULES = {
+    # mutation of U through O; Hom(U, O) = C^5 in degree 0 drives the cone
+    "mutationUQ": ((0, 0), (("U2", "Q2"), ("U3", "Q3")), ("P", "O"), {0: 5}),
+    # cone of the universal surjection O -> Q2
+    "cone_Q2": ((0, 0), (("Q2", "U2"),), ("O", "P"), {0: 5}),
+    # dual universal sequence
+    "dual_mutationUQ": ((0, 0), (("U3d", "Q3d"),), ("Q", "O"), {0: 5}),
+    # extension 0 -> O(a+1,b-1) -> Q2(a,b) -> Q3(a,b) -> 0
+    "extension_Q": ((1, -1), (("Q2", "Q3"),), ("Q", "O"), {1: 1}),
+    # sequence 0 -> U2 -> U3 -> O(1,-1) -> 0
+    "extension_U": ((1, -1), (("U2", "U3"),), ("Q", "O"), {0: 1}),
+    # dualized sequence 0 -> O(a-1,b+1) -> U3d(a,b) -> U2d(a,b) -> 0
+    "dual_extension_U": ((-1, 1), (("U3d", "U2d"),), ("O", "P"), {0: 1}),
+}
 
-def _certify(pair_from, pair_to, expected: dict, what: str):
-    a, b = pair_from
+
+def _certify(pair, expected: dict, what: str):
+    a, b = pair
     table, exact = ext_on_M_table(a.bundle(), b.bundle())
     if not exact or table != expected:
         raise CertificateError(
@@ -158,175 +176,21 @@ def _certify(pair_from, pair_to, expected: dict, what: str):
             "expected": {str(k): v for k, v in expected.items()}}
 
 
-@dataclass
-class Rule:
-    name: str
-    # patterns are functions pair -> replacement pair or None
-    left: callable
-    right: callable
-    # certificate: pair (in the matched orientation) -> (pair_to_compute, expected table)
-    certificate: callable
-
-
-def _mk_rules():
-    rules = {}
-
-    # mutation of U through O: <O(a,b), U(a,b)> <-> <Q(a,b), O(a,b)>
-    def uq_left(p):
-        x, y = p
-        if x.kind == "O" and y.kind in ("U2", "U3") and x.twist == y.twist:
-            q = "Q2" if y.kind == "U2" else "Q3"
-            return (Symbol(q, y.twist), x)
+def _apply_rule(name: str, direction: str, pair):
+    """(replacement pair, certificate record) for rule ``name`` rewriting
+    ``pair`` in ``direction`` ("left" or "right"); None when it does not match."""
+    shift, kinds, certified, expected = RULES[name]
+    o, other = pair if direction == "left" else pair[::-1]
+    t = other.twist
+    if o.kind != "O" or o.twist != (t[0] + shift[0], t[1] + shift[1]):
         return None
+    for p, q in kinds:
+        if other.kind == (p if direction == "left" else q):
+            syms = {"O": o, "P": Symbol(p, t), "Q": Symbol(q, t)}
+            repl = (syms["Q"], o) if direction == "left" else (o, syms["P"])
+            return repl, _certify([syms[k] for k in certified], expected, name)
+    return None
 
-    def uq_right(p):
-        x, y = p
-        if x.kind in ("Q2", "Q3") and y.kind == "O" and x.twist == y.twist:
-            u = "U2" if x.kind == "Q2" else "U3"
-            return (y, Symbol(u, x.twist))
-        return None
-
-    def uq_cert(pair, direction):
-        # Hom(U, O) = C^5 in degree 0 drives the cone
-        if direction == "left":
-            o, u = pair
-        else:
-            q, o = pair
-            u = Symbol("U2" if q.kind == "Q2" else "U3", q.twist)
-        return _certify((u, o), None, {0: 5}, "mutationUQ")
-
-    rules["mutationUQ"] = Rule("mutationUQ", uq_left, uq_right, uq_cert)
-
-    # cone of the universal surjection: <O(a,b), Q2(a,b)> <-> <U2(a,b), O(a,b)>
-    def cone_left(p):
-        x, y = p
-        if x.kind == "O" and y.kind == "Q2" and x.twist == y.twist:
-            return (Symbol("U2", y.twist), x)
-        return None
-
-    def cone_right(p):
-        x, y = p
-        if x.kind == "U2" and y.kind == "O" and x.twist == y.twist:
-            return (y, Symbol("Q2", x.twist))
-        return None
-
-    def cone_cert(pair, direction):
-        if direction == "left":
-            o, q = pair
-        else:
-            u, o = pair
-            q = Symbol("Q2", u.twist)
-        return _certify((o, q), None, {0: 5}, "cone_Q2")
-
-    rules["cone_Q2"] = Rule("cone_Q2", cone_left, cone_right, cone_cert)
-
-    # dual universal sequence: <Q3d(a,b), O(a,b)> -> <O(a,b), U3d(a,b)>
-    def dualcone_right(p):
-        x, y = p
-        if x.kind == "Q3d" and y.kind == "O" and x.twist == y.twist:
-            return (y, Symbol("U3d", x.twist))
-        return None
-
-    def dualcone_left(p):
-        x, y = p
-        if x.kind == "O" and y.kind == "U3d" and x.twist == y.twist:
-            return (Symbol("Q3d", y.twist), x)
-        return None
-
-    def dualcone_cert(pair, direction):
-        if direction == "right":
-            q, o = pair
-        else:
-            o, u = pair
-            q = Symbol("Q3d", u.twist)
-        return _certify((q, o), None, {0: 5}, "dual_mutationUQ")
-
-    rules["dual_mutationUQ"] = Rule("dual_mutationUQ", dualcone_left,
-                                    dualcone_right, dualcone_cert)
-
-    # extension 0 -> O(a+1,b-1) -> Q2(a,b) -> Q3(a,b) -> 0:
-    # <Q3(a,b), O(a+1,b-1)> -> <O(a+1,b-1), Q2(a,b)>
-    def ext_right(p):
-        x, y = p
-        if (x.kind == "Q3" and y.kind == "O"
-                and y.twist == (x.twist[0] + 1, x.twist[1] - 1)):
-            return (y, Symbol("Q2", x.twist))
-        return None
-
-    def ext_left(p):
-        x, y = p
-        if (x.kind == "O" and y.kind == "Q2"
-                and x.twist == (y.twist[0] + 1, y.twist[1] - 1)):
-            return (Symbol("Q3", y.twist), x)
-        return None
-
-    def ext_cert(pair, direction):
-        if direction == "right":
-            q3, o = pair
-        else:
-            o, q2 = pair
-            q3 = Symbol("Q3", q2.twist)
-        return _certify((q3, o), None, {1: 1}, "extension_Q")
-
-    rules["extension_Q"] = Rule("extension_Q", ext_left, ext_right, ext_cert)
-
-    # sequence 0 -> U2 -> U3 -> O(1,-1) -> 0:
-    # <U3(a,b), O(a+1,b-1)> -> <O(a+1,b-1), U2(a,b)>
-    def extu_right(p):
-        x, y = p
-        if (x.kind == "U3" and y.kind == "O"
-                and y.twist == (x.twist[0] + 1, x.twist[1] - 1)):
-            return (y, Symbol("U2", x.twist))
-        return None
-
-    def extu_left(p):
-        x, y = p
-        if (x.kind == "O" and y.kind == "U2"
-                and x.twist == (y.twist[0] + 1, y.twist[1] - 1)):
-            return (Symbol("U3", y.twist), x)
-        return None
-
-    def extu_cert(pair, direction):
-        if direction == "right":
-            u3, o = pair
-        else:
-            o, u2 = pair
-            u3 = Symbol("U3", u2.twist)
-        return _certify((u3, o), None, {0: 1}, "extension_U")
-
-    rules["extension_U"] = Rule("extension_U", extu_left, extu_right, extu_cert)
-
-    # dualized sequence 0 -> O(a-1,b+1) -> U3d(a,b) -> U2d(a,b) -> 0:
-    # <O(a-1,b+1), U3d(a,b)> -> <U2d(a,b), O(a-1,b+1)>
-    def dextu_left(p):
-        x, y = p
-        if (x.kind == "O" and y.kind == "U3d"
-                and x.twist == (y.twist[0] - 1, y.twist[1] + 1)):
-            return (Symbol("U2d", y.twist), x)
-        return None
-
-    def dextu_right(p):
-        x, y = p
-        if (x.kind == "U2d" and y.kind == "O"
-                and y.twist == (x.twist[0] - 1, x.twist[1] + 1)):
-            return (y, Symbol("U3d", x.twist))
-        return None
-
-    def dextu_cert(pair, direction):
-        if direction == "left":
-            o, u3 = pair
-        else:
-            u2, o = pair
-            u3 = Symbol("U3d", u2.twist)
-        return _certify((o, u3), None, {0: 1}, "dual_extension_U")
-
-    rules["dual_extension_U"] = Rule("dual_extension_U", dextu_left,
-                                     dextu_right, dextu_cert)
-
-    return rules
-
-
-RULES = _mk_rules()
 
 # determinant-twist identifications, applied by `normalize` moves
 _NORMALIZE = {
@@ -432,18 +296,15 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
 
     elif kind in ("left", "right"):
         i = move["pos"]
-        rule = RULES[move["rule"]]
         pair = (col.symbols[i], col.symbols[i + 1])
         if pair[0].is_block or pair[1].is_block:
             raise ValueError("rules do not apply to blocks")
         expect_check(i, 2)
-        matcher = rule.left if kind == "left" else rule.right
-        repl = matcher(pair)
-        if repl is None:
-            raise ValueError(f"rule {rule.name} ({kind}) does not match "
+        applied = _apply_rule(move["rule"], kind, pair)
+        if applied is None:
+            raise ValueError(f"rule {move['rule']} ({kind}) does not match "
                              f"({pair[0].label()}, {pair[1].label()}) at {i}")
-        record["certificates"] = rule.certificate(pair, kind)
-        col.symbols[i], col.symbols[i + 1] = repl
+        (col.symbols[i], col.symbols[i + 1]), record["certificates"] = applied
 
     elif kind == "normalize":
         i = move["pos"]
@@ -550,12 +411,12 @@ def certify_grassmannian_collection(name: str) -> dict:
     report = {"name": name, "space": space, "length": len(bundles),
               "self_ext_ok": True, "orthogonality_ok": True, "failures": []}
     for i, e in enumerate(bundles):
-        if ext_table(e, e) != {0: 1}:
+        if ext_on_F(e, e) != {0: 1}:
             report["self_ext_ok"] = False
             report["failures"].append(("self", i))
     for i in range(len(bundles)):
         for j in range(i):
-            if ext_table(bundles[i], bundles[j]):
+            if ext_on_F(bundles[i], bundles[j]):
                 report["orthogonality_ok"] = False
                 report["failures"].append(("pair", i, j))
     return report

@@ -8,7 +8,7 @@ from flagdual.bwb import (BLOCKS, BlockedWeight, BundleExpr, O_on_F, Q2_on_F,
                           U3dual_on_F, bott, canonical_weight_F,
                           cohomology_table, ext_on_F,
                           ext_on_M_vanishing_certificate, ext_on_M_table,
-                          gl_dim, gl_dim_branching, koszul_euler, koszul_h0,
+                          gl_dim_branching, koszul_euler, koszul_h0,
                           tensor_decompose, vanishing_OO, vanishing_QO,
                           weyl_dim)
 
@@ -85,7 +85,7 @@ def test_tensor_q2_with_dual():
     q2 = BundleExpr.from_weight("G25", (0, 0, 0, 0, -1))
     q2d = BundleExpr.from_weight("G25", (0, 0, 1, 0, 0))
     prod = tensor_decompose(q2, q2d)
-    ranks = sorted((gl_dim(w.block_parts()[0]) * gl_dim(w.block_parts()[1]), m)
+    ranks = sorted((weyl_dim(w.block_parts()[0]) * weyl_dim(w.block_parts()[1]), m)
                    for w, m in prod.terms.items())
     assert prod.rank() == 9
     assert ranks == [(1, 1), (8, 1)]

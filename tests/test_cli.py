@@ -1,11 +1,14 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from flagdual.cli import main
+from flagdual.cli import STAGES, RunConfig, main
 from flagdual.exactalg import GF, Mat, format_matrix
 from flagdual.grassflag import random_hf_section
 
@@ -136,3 +139,34 @@ def test_verify_paper_matches_golden(runner, tmp_path):
     got = json.loads(out.read_text())
     expected = json.loads(GOLDEN.read_text())
     assert got == expected
+
+
+def test_budget_ignores_environment(monkeypatch):
+    monkeypatch.setenv("FLAGDUAL_BUDGET", "5")
+    cfg = RunConfig(budget=1234)
+    assert cfg.budget_obj().max_reductions == cfg.budget
+
+
+def test_selfdual_stage_scans_given_section(tmp_path):
+    # a symmetric section (and its symmetric projection) is self-dual under
+    # every duality map, unlike the published one
+    m = Mat.random(GF(17), 10, 10, random.Random(13))
+    path = tmp_path / "symmetric.txt"
+    path.write_text(format_matrix(m + m.transpose()))
+    stage = dict(STAGES)["selfdual_scan"]
+    rep = stage(RunConfig(section=str(path)), random.Random(0))
+    assert rep == {"ok": False, "details": {"selfdual_hits": 100}}
+    assert stage(RunConfig(), random.Random(0))["ok"]
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/tracer.py wraps flagdual functions by name; installing it
+    # fails on any hooked name that no longer exists
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+            "tracer.install(tracer.Tracer())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

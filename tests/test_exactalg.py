@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from flagdual.exactalg import (GF, QQ, Budget, BudgetExceeded, Ideal, Mat,
                                Poly, PolyRing, exterior_square, format_matrix,
-                               groebner_basis, is_unit_ideal, kernel,
+                               groebner_basis, is_unit_ideal,
                                normal_form, parse_matrix, saturate,
                                spolynomials_reduce_to_zero)
 
@@ -60,7 +60,7 @@ def test_kernel_examples():
         if rest.rank() == 2:
             break
     b = Mat(F17, [[0] + list(row) for row in rest.data])
-    ker = kernel(b)
+    ker = b.kernel()
     assert len(ker) == 1
     v = ker[0]
     assert v[0] != 0 and v[1] == 0 and v[2] == 0
@@ -213,6 +213,35 @@ def test_groebner_spolys_reduce_and_membership():
         assert spolynomials_reduce_to_zero(basis)
         for g in gens:
             assert normal_form(g, basis).is_zero()
+    # S(xy - 1, y^2 - 1) = x - y does not reduce: not a Groebner basis
+    assert not spolynomials_reduce_to_zero([X * Y - 1, Y * Y - 1])
+
+
+@pytest.mark.parametrize("p", [7, 17])
+def test_groebner_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x y z")
+    R3 = PolyRing(GF(p), ("x", "y", "z"))
+    rng = random.Random(37 + p)
+
+    def canonical(terms):
+        # reduced bases agree up to scaling; fix the scale by one chosen term
+        inv = pow(terms[max(terms)], -1, p)
+        return frozenset((e, c * inv % p) for e, c in terms.items())
+
+    for _ in range(8):
+        gens = [g for g in (rand_poly(R3, rng) for _ in range(3)) if g]
+        if not gens:
+            continue
+        ours = {canonical({R3.decode(m): c for m, c in g.terms.items()})
+                for g in groebner_basis(Ideal(R3, gens))}
+        exprs = [sum(c * sympy.prod([v ** k for v, k in zip(syms, R3.decode(m))])
+                     for m, c in g.terms.items()) for g in gens]
+        oracle = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
+        theirs = {canonical({e: int(c) % p for e, c in
+                             sympy.Poly(g, *syms, modulus=p).terms()})
+                  for g in oracle.exprs}
+        assert ours == theirs
 
 
 def test_groebner_budget():

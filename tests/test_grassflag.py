@@ -124,6 +124,11 @@ def test_script_matrix_canonical_representative():
         assert not hf_space(field).contains_section(raw)
 
 
+def test_hf_space_rejects_characteristic_3():
+    with pytest.raises(ValueError, match="characteristic 3"):
+        random_hf_section(GF(3), random.Random(0))
+
+
 def test_hf_projection_fixes_hf():
     rng = random.Random(31)
     s = random_hf_section(F17, rng)

@@ -1,6 +1,6 @@
 import pytest
 
-from flagdual.mutation import (CertificateError, ExceptionalCollection,
+from flagdual.mutation import (RULES, CertificateError, ExceptionalCollection,
                                MutationWord, Symbol, apply_move, apply_rule,
                                certify_grassmannian_collection,
                                expected_final_labels, load_move_script,
@@ -35,14 +35,19 @@ def test_rule_extension_q():
 
 
 def test_left_then_right_is_identity_everywhere():
-    pairs = [("O(1,2)", "U2(1,2)", "mutationUQ"),
-             ("O(0,3)", "Q2(0,3)", "cone_Q2"),
-             ("O(0,3)", "U3d(1,2)", "dual_extension_U")]
-    for a, b, rule in pairs:
-        c = col_of(a, b)
-        c2 = apply_rule(c, {"move": "left", "rule": rule, "pos": 0})
-        c3 = apply_rule(c2, {"move": "right", "rule": rule, "pos": 0})
-        assert c3.labels() == [a, b]
+    a, b = 1, 2
+    for rule, (shift, kinds, _certified, expected) in RULES.items():
+        o = f"O({a + shift[0]},{b + shift[1]})"
+        for p, q in kinds:
+            c = col_of(o, f"{p}({a},{b})")
+            c2 = apply_rule(c, {"move": "left", "rule": rule, "pos": 0})
+            assert c2.labels() == [f"{q}({a},{b})", o]
+            c3 = apply_rule(c2, {"move": "right", "rule": rule, "pos": 0})
+            assert c3.labels() == c.labels()
+            for record in c3.log:
+                cert = record["certificates"]
+                assert cert["table"] == cert["expected"]
+                assert cert["expected"] == {str(k): v for k, v in expected.items()}
 
 
 def test_rule_pattern_mismatch():
