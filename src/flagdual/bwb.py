@@ -417,3 +417,30 @@ def vanishing_OO(a: int, b: int) -> bool:
 def canonical_weight_F() -> BlockedWeight:
     """omega_F = O(-3,-3)."""
     return BlockedWeight((-6, -6, -3, 0, 0), BLOCKS["F"])
+
+# (a, b) where each vanishing lemma says its Ext groups vanish
+VANISHING_BANDS = {
+    "vanishingQO": lambda a, b: 2 + a <= b <= 7 + a and b != 3 + a,
+    "vanishingOO": lambda a, b: 3 + a <= b <= 7 + a,
+}
+
+
+def lemma_grid(name: str, a_values, b_values) -> list:
+    """Rows over a, columns over b: does the computed vanishing match the band?"""
+    lemma = vanishing_QO if name == "vanishingQO" else vanishing_OO
+    band = VANISHING_BANDS[name]
+    return [[lemma(a, b) == band(a, b) for b in b_values] for a in a_values]
+
+
+def verify_lemmas() -> dict:
+    """Both vanishing lemmas on their grids, Ext(Q2, Q2) = C, h0(F, O(1,1)) = 75."""
+    grids = (lemma_grid("vanishingQO", range(8), range(16))
+             + lemma_grid("vanishingOO", range(11), range(11)))
+    grid_ok = all(all(row) for row in grids)
+    q2 = BundleExpr.from_weight("G25", (0, 0, 0, 0, -1))
+    anchors = {
+        "ext_q2_q2": ext_on_F(q2, q2) == {0: 1},
+        "h0_O11_on_F": cohomology_table(BundleExpr.line("F", 1, 1)) == {0: 75},
+    }
+    return {"ok": grid_ok and all(anchors.values()),
+            "details": {"grids": grid_ok, **anchors}}

@@ -12,22 +12,19 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import click
 
 from . import bwb as bwb_mod
+from . import duality as duality_mod
 from . import glsm as glsm_mod
+from . import grassflag
 from . import motivic as motivic_mod
 from . import mutation as mutation_mod
-from .exactalg import (GF, QQ, Budget, Mat, field_from_spec, format_matrix,
-                       parse_matrix)
-from .duality import (nonbirational_certificate, pushforward_to_g25,
-                      pushforward_to_g35, section_of_fiber_point,
-                      selfdual_test)
-from .grassflag import (D_SIGN, PAIRS, DualityMap, SectionMatrix,
-                        flag_ideal_space, hf_project, hf_space, iota_action,
-                        random_grass_point, random_hf_section, script_matrix)
+from .exactalg import GF, Budget, Mat, field_from_spec, parse_matrix
+from .duality import pushforward_to_g25, pushforward_to_g35
+from .grassflag import D_SIGN, PAIRS, SectionMatrix, script_matrix
 
 SCHEMA = "flagdual-report/1"
 
@@ -59,10 +56,42 @@ def conventions_block() -> dict:
 
 
 def load_section(cfg: RunConfig, field) -> SectionMatrix:
-    if cfg.section:
+    """The ``--section`` file (10x10, numeric) over ``field``, or the published matrix."""
+    if not cfg.section:
+        return script_matrix(field)
+    try:
         with open(cfg.section) as fh:
             return SectionMatrix(parse_matrix(fh.read(), field))
-    return script_matrix(field)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"{cfg.section}: {exc}",
+                                 param_hint="'--section'") from None
+
+
+def section_rows(s: SectionMatrix) -> list:
+    """The entries of a section matrix as report strings."""
+    return [[str(x) for x in row] for row in s.mat.data]
+
+
+def _prime(q: int) -> int:
+    """q itself if it is prime; counts and certificates run over prime fields."""
+    try:
+        GF(q)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+    return q
+
+
+def _prime_option(_ctx, _param, value: int) -> int:
+    return _prime(value)
+
+
+def _prime_list_option(_ctx, _param, value: str) -> tuple:
+    try:
+        qs = [int(q) for q in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not a comma-separated list of primes") from None
+    return tuple(_prime(q) for q in qs)
 
 
 def emit_report(report: dict, path: str | None):
@@ -118,26 +147,19 @@ def duality_build(section, field_spec, out):
 @click.option("--report", type=click.Path(), default=None)
 def duality_selfdual(section, field_spec, samples, seed, report):
     """Scan random duality maps for the self-duality identity."""
-    f = field_from_spec(field_spec)
     cfg = RunConfig(field=field_spec, section=section)
-    s = hf_project(load_section(cfg, f))
-    rng = random.Random(seed)
-    hits = []
-    for n in range(samples):
-        dm = DualityMap.random(f, rng)
-        if selfdual_test(s, dm):
-            hits.append(n)
-    rep = {"schema": SCHEMA, "selfdual_hits": hits, "samples": samples,
-           "all_non_selfdual": not hits,
-           "matrix": [[str(x) for x in row] for row in s.mat.data],
+    s = load_section(cfg, field_from_spec(field_spec))
+    scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
+    rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
+           "all_non_selfdual": scan["ok"], "matrix": section_rows(s),
            "conventions": conventions_block()}
     emit_report(rep, report)
-    sys.exit(0 if not hits else 1)
+    sys.exit(0 if scan["ok"] else 1)
 
 
 @duality.command("nonbirational")
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--prime", default=17)
+@click.option("--prime", default=17, callback=_prime_option)
 @click.option("--budget", default=2_000_000)
 @click.option("--route", default="auto",
               type=click.Choice(["auto", "reduced", "full", "rabinowitsch"]))
@@ -145,14 +167,15 @@ def duality_selfdual(section, field_spec, samples, seed, report):
 def duality_nonbirational(section, prime, budget, route, report):
     """Emptiness certificate for the linear-isomorphism equation."""
     cfg = RunConfig(field=str(prime), section=section, budget=budget)
-    f = GF(prime)
-    s = load_section(cfg, f)
-    rep = nonbirational_certificate(s, prime, cfg.budget_obj(), route=route)
-    out = {"schema": SCHEMA, **rep.as_dict(),
-           "matrix": [[str(x) for x in row] for row in s.mat.data],
+    s = load_section(cfg, GF(prime))
+    try:
+        cert = duality_mod.verify_nonbirational(s, prime, cfg.budget_obj(), route)
+    except ValueError as exc:         # characteristic 3, or a route that does not apply
+        raise click.BadParameter(str(exc)) from None
+    out = {"schema": SCHEMA, **cert["details"], "matrix": section_rows(s),
            "conventions": conventions_block()}
     emit_report(out, report)
-    sys.exit(0 if rep.status == "certified_empty" else 1)
+    sys.exit(0 if cert["ok"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +206,10 @@ def bwb_cohomology(space, weight):
 def bwb_lemma(name, arange):
     """Print the pass/fail grid of a vanishing lemma over the stated band."""
     lo, hi = (int(x) for x in arange.split(".."))
-    ok = True
-    for a in range(lo, hi + 1):
-        row = []
-        for b in range(0, 16):
-            if name == "vanishingQO":
-                expected = (2 + a <= b <= 7 + a) and b != 3 + a
-                got = bwb_mod.vanishing_QO(a, b)
-            else:
-                expected = 3 + a <= b <= 7 + a
-                got = bwb_mod.vanishing_OO(a, b)
-            row.append("." if got == expected else "X")
-            ok &= got == expected
-        click.echo(f"a={a:2d}  " + "".join(row))
+    grid = bwb_mod.lemma_grid(name, range(lo, hi + 1), range(16))
+    for a, row in zip(range(lo, hi + 1), grid):
+        click.echo(f"a={a:2d}  " + "".join("." if good else "X" for good in row))
+    ok = all(all(row) for row in grid)
     click.echo("PASS" if ok else "FAIL")
     sys.exit(0 if ok else 1)
 
@@ -214,12 +228,11 @@ def mutations():
 def mutations_replay(log_path):
     """Replay the decomposition transport; emit the certified step log."""
     rep = mutation_mod.replay_proof()
-    out = {"schema": SCHEMA, **rep}
     if log_path:
         with open(log_path, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-    summary = {k: v for k, v in rep.items() if k != "log"}
-    click.echo(json.dumps(summary, indent=2, sort_keys=True, default=str))
+            json.dump({"schema": SCHEMA, **rep}, fh, indent=2, sort_keys=True)
+    click.echo(json.dumps(mutation_mod.replay_summary(rep), indent=2,
+                          sort_keys=True, default=str))
     sys.exit(0 if rep["ok"] else 1)
 
 
@@ -236,28 +249,6 @@ def mutations_check(name):
 # motivic
 # ---------------------------------------------------------------------------
 
-def _prime(q: int) -> int:
-    """q itself if it is prime; point counts run over prime fields only."""
-    try:
-        GF(q)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    return q
-
-
-def _prime_option(_ctx, _param, value: int) -> int:
-    return _prime(value)
-
-
-def _prime_list_option(_ctx, _param, value: str) -> tuple:
-    try:
-        qs = [int(q) for q in value.split(",")]
-    except ValueError:
-        raise click.BadParameter(
-            f"{value!r} is not a comma-separated list of primes") from None
-    return tuple(_prime(q) for q in qs)
-
-
 @main.group()
 def motivic():
     """Point counting, degree check, the L-relation."""
@@ -271,26 +262,22 @@ def motivic_count(section, q, report):
     cfg = RunConfig(field=str(q), section=section)
     s = load_section(cfg, GF(q))
     rep = motivic_mod.fibration_report(s, q)
-    out = {"schema": SCHEMA, **rep,
-           "matrix": [[str(x) for x in row] for row in s.mat.data]}
-    emit_report(out, report)
-    sys.exit(0 if rep["identity_X"] and rep["identity_Y"] and rep["X_equals_Y"] else 1)
+    emit_report({"schema": SCHEMA, **rep, "matrix": section_rows(s)}, report)
+    sys.exit(0 if motivic_mod.fibration_ok(rep) else 1)
 
 
 @motivic.command("degree")
 def motivic_degree():
-    d = motivic_mod.degree_check()
-    click.echo(json.dumps({"degree": d, "expected": 25, "ok": d == 25}))
-    sys.exit(0 if d == 25 else 1)
+    verdict = motivic_mod.degree_verdict()
+    click.echo(json.dumps(verdict))
+    sys.exit(0 if verdict["ok"] else 1)
 
 
 @motivic.command("l-relation")
 def motivic_l_relation():
-    rel = motivic_mod.derive_l_relation()
-    ok = rel == motivic_mod.l_relation_expected()
-    click.echo(json.dumps({"relation": repr(rel),
-                           "equals_([X]-[Y])L^2": ok}))
-    sys.exit(0 if ok else 1)
+    verdict = motivic_mod.l_relation_verdict()
+    click.echo(json.dumps(verdict))
+    sys.exit(0 if verdict["equals_([X]-[Y])L^2"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,151 +337,22 @@ def glsm_stability(section, field_spec, chamber, samples, seed, point_path, repo
 # verify-paper
 # ---------------------------------------------------------------------------
 
-def _stage_spaces(cfg: RunConfig, rng) -> dict:
-    results = {}
-    for field in (QQ, GF(17)):
-        ideal = flag_ideal_space(field)
-        hf = hf_space(field)
-        results[repr(field)] = {
-            "ideal_dim": ideal.dim, "hf_dim": hf.dim,
-            "direct_sum_rank": ideal.sum_rank(hf),
-        }
-    f17 = GF(17)
-    ideal, hf = flag_ideal_space(f17), hf_space(f17)
-    inv = True
-    for _ in range(50):
-        dm = DualityMap.random(f17, rng)
-        inv &= ideal.contains(iota_action(SectionMatrix(ideal.basis[3]), dm).mat)
-        inv &= hf.contains(iota_action(SectionMatrix(hf.basis[17]), dm).mat)
-    results["iota_invariance_50_maps"] = inv
-    ok = inv and all(r["ideal_dim"] == 25 and r["hf_dim"] == 75
-                     and r["direct_sum_rank"] == 100
-                     for k, r in results.items() if isinstance(r, dict))
-    return {"ok": ok, "details": results}
-
-
-def _stage_build(cfg: RunConfig, rng) -> dict:
-    f = GF(11)
-    s = random_hf_section(f, rng)
-    qs = pushforward_to_g25(s)
-    ok = True
-    for _ in range(min(cfg.samples, 200)):
-        a = random_grass_point(f, 2, rng)
-        w = [f.rand(rng) for _ in range(5)]
-        lhs = section_of_fiber_point(s, a.rep, w)
-        qvals = qs.evaluate(a.pluecker)
-        rhs = f.zero
-        for r in range(5):
-            rhs = f.add(rhs, f.mul(w[r], qvals[r]))
-        ok &= lhs == rhs
-    st = pushforward_to_g35(s)
-    for _ in range(min(cfg.samples, 100)):
-        B = Mat.random(f, 5, 3, rng)
-        g = Mat.random_invertible(f, 3, rng)
-        lhs = st.evaluate(B * g.inverse())
-        d2 = f.inv(f.mul(g.det(), g.det()))
-        rhs = tuple(f.mul(d2, x) for x in g.apply(st.evaluate(B)))
-        ok &= lhs == rhs
-    return {"ok": ok, "details": {"contraction_and_gauge_checks": ok}}
-
-
-def _stage_selfdual(cfg: RunConfig, rng) -> dict:
-    f = GF(17)
-    s = hf_project(load_section(cfg, f))
-    hits = sum(1 for _ in range(100)
-               if selfdual_test(s, DualityMap.random(f, rng)))
-    return {"ok": hits == 0, "details": {"selfdual_hits": hits}}
-
-
-def _stage_nonbirational(cfg: RunConfig, rng) -> dict:
-    f = GF(17)
-    s = load_section(cfg, f)
-    rep = nonbirational_certificate(s, 17, cfg.budget_obj())
-    return {"ok": rep.status == "certified_empty", "details": rep.as_dict()}
-
-
-def _stage_counts(cfg: RunConfig, rng) -> dict:
-    details = {}
-    ok = True
-    for q in cfg.qs:
-        s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
-        rep = motivic_mod.fibration_report(s, q)
-        details[f"q={q}"] = rep
-        ok &= rep["identity_X"] and rep["identity_Y"] and rep["X_equals_Y"] \
-            and rep["M_counts_agree"]
-    rel = motivic_mod.derive_l_relation()
-    details["degree"] = motivic_mod.degree_check()
-    details["l_relation"] = repr(rel)
-    ok &= details["degree"] == 25
-    ok &= rel == motivic_mod.l_relation_expected()
-    return {"ok": ok, "details": details}
-
-
-def _stage_bwb(cfg: RunConfig, rng) -> dict:
-    grid_ok = True
-    for a in range(8):
-        for b in range(16):
-            expected = (2 + a <= b <= 7 + a) and b != 3 + a
-            grid_ok &= bwb_mod.vanishing_QO(a, b) == expected
-    for a in range(11):
-        for b in range(11):
-            grid_ok &= bwb_mod.vanishing_OO(a, b) == (3 + a <= b <= 7 + a)
-    q2 = bwb_mod.BundleExpr.from_weight("G25", (0, 0, 0, 0, -1))
-    anchors = {
-        "ext_q2_q2": bwb_mod.ext_on_F(q2, q2) == {0: 1},
-        "h0_O11_on_F": bwb_mod.cohomology_table(
-            bwb_mod.BundleExpr.line("F", 1, 1)) == {0: 75},
-    }
-    return {"ok": grid_ok and all(anchors.values()),
-            "details": {"grids": grid_ok, **anchors}}
-
-
-def _stage_mutation(cfg: RunConfig, rng) -> dict:
-    rep = mutation_mod.replay_proof()
-    summary = {k: v for k, v in rep.items() if k not in ("log",)}
-    return {"ok": rep["ok"], "details": summary}
-
-
-def _stage_glsm(cfg: RunConfig, rng) -> dict:
-    f = GF(13)
-    s = load_section(cfg, f)
-    inv_ok = True
-    for _ in range(min(cfg.samples, 200)):
-        pt = glsm_mod.random_point(f, rng)
-        g = Mat.random_invertible(f, 3, rng)
-        moved = glsm_mod.gauge_transform(pt, g)
-        for chamber in ("plus", "minus"):
-            inv_ok &= glsm_mod.semistable(pt, chamber) == glsm_mod.semistable(moved, chamber)
-    cert_ok = True
-    for chamber in ("plus", "minus"):
-        for _ in range(min(cfg.samples, 100)):
-            pt = glsm_mod.random_unstable(f, chamber, rng)
-            cert = glsm_mod.instability_certificate(pt, chamber)
-            cert_ok &= glsm_mod.verify_certificate(pt, cert, chamber)["valid"]
-    bij = glsm_mod.critical_gauge_class_count(SectionMatrix(
-        Mat.random(GF(3), 10, 10, rng)), 3)
-    # Okonek's identification needs a regular section; regularity is
-    # sampled-verified, which a generic draw passes.  The published sparse
-    # matrix is not regular mod 13 (degenerate Jacobian at most of its
-    # zero locus); its scan is reported as data, not gated on.
-    okonek = glsm_mod.okonek_scan(random_hf_section(f, rng), 13, 50, rng)
-    okonek_script = glsm_mod.okonek_scan(s, 13, 20, rng)
-    ok = inv_ok and cert_ok and bij.get("bijective", False) and okonek["all_rank3"]
-    return {"ok": ok, "details": {"gauge_invariance": inv_ok,
-                                  "certificates": cert_ok,
-                                  "bijection": bij, "okonek_generic": okonek,
-                                  "okonek_script_matrix": okonek_script}}
-
-
+# Each stage calls the claim's check in the module that owns its maths; they
+# draw from one shared rng in this order, so the seed fixes the whole report.
 STAGES = [
-    ("spaces", _stage_spaces),
-    ("duality_build", _stage_build),
-    ("selfdual_scan", _stage_selfdual),
-    ("nonbirational", _stage_nonbirational),
-    ("l_equivalence_counts", _stage_counts),
-    ("bwb_lemmas", _stage_bwb),
-    ("mutation_replay", _stage_mutation),
-    ("glsm", _stage_glsm),
+    ("spaces", lambda cfg, rng: grassflag.verify_spaces(rng)),
+    ("duality_build",
+     lambda cfg, rng: duality_mod.verify_pushforwards(rng, cfg.samples)),
+    ("selfdual_scan",
+     lambda cfg, rng: duality_mod.selfdual_scan(load_section(cfg, GF(17)), rng)),
+    ("nonbirational", lambda cfg, rng: duality_mod.verify_nonbirational(
+        load_section(cfg, GF(17)), 17, cfg.budget_obj())),
+    ("l_equivalence_counts",
+     lambda cfg, rng: motivic_mod.verify_l_equivalence(cfg.qs, rng)),
+    ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
+    ("mutation_replay", lambda cfg, rng: mutation_mod.verify_replay()),
+    ("glsm", lambda cfg, rng: glsm_mod.verify_phases(
+        load_section(cfg, GF(13)), rng, cfg.samples)),
 ]
 
 
@@ -502,15 +360,14 @@ def verify_paper(cfg: RunConfig) -> dict:
     """Run every verification stage in order; failures do not stop later
     independent stages."""
     rng = random.Random(cfg.seed)
-    f = GF(17)
-    s = load_section(cfg, f)
+    s = load_section(cfg, GF(17))
     cfg_dict = asdict(cfg)
     cfg_dict.pop("report", None)        # output path is not part of the run
     report = {
         "schema": SCHEMA,
         "config": cfg_dict,
         "conventions": conventions_block(),
-        "input_matrix": [[str(x) for x in row] for row in s.mat.data],
+        "input_matrix": section_rows(s),
         "stages": {},
     }
     for name, fn in STAGES:

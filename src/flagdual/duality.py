@@ -12,25 +12,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, QQ, Budget, BudgetExceeded, Field, Ideal, Mat,
-                       Poly, PolyRing, exterior_square_grid,
+                       Poly, PolyRing, _dot, exterior_square_grid,
                        groebner_basis, is_unit_ideal, normal_form, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,
-                        complement_pair, hf_space, perm_sign)
+                        complement_pair, hf_project, hf_space, perm_sign,
+                        random_grass_point, random_hf_section)
 
 QUADRIC_VARS = tuple(f"p{i}{j}" for (i, j) in PAIRS)
 QUINTIC_VARS = tuple(f"b{r}{c}" for r in range(1, 6) for c in range(1, 4))
-
-
-def _quadric_ring(field: Field) -> PolyRing:
-    return PolyRing(field, QUADRIC_VARS)
-
-
-def _quintic_ring(field: Field) -> PolyRing:
-    return PolyRing(field, QUINTIC_VARS)
 
 
 class QuadricSystem:
@@ -68,7 +61,7 @@ class QuinticTriple:
         return self.ring.field
 
     def evaluate(self, B: Mat):
-        flat = [B.data[r][c] for r in range(5) for c in range(3)]
+        flat = B.flatten()
         return tuple(s.evaluate(flat) for s in self.components)
 
     def jacobian(self):
@@ -80,7 +73,7 @@ def pushforward_to_g25(S: SectionMatrix) -> QuadricSystem:
     """Quadric vector of the pushforward to G(2,5): component r is the
     w_r-coefficient of s([A], [A|w])."""
     f = S.field
-    ring = _quadric_ring(f)
+    ring = PolyRing(f, QUADRIC_VARS)
     psi = ring.gens()
     Sx = []  # (S x)_q as linear polys
     for q in range(10):
@@ -111,7 +104,7 @@ def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
     """Quintic triple of the pushforward to G(3,5), defined so that
     sum_c shat_c(B) b_{pc} = v_p(B) holds identically."""
     f = S.field
-    ring = _quintic_ring(f)
+    ring = PolyRing(f, QUINTIC_VARS)
     b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
 
     def triple_minor(i, j, k):
@@ -299,7 +292,7 @@ def is_symmetric(m: Mat) -> bool:
 
 @dataclass
 class CertificateReport:
-    status: str                      # certified_empty | counterexample | budget_exceeded
+    status: str      # certified_empty | counterexample | inconclusive | budget_exceeded
     route: str
     dim_commutant: int
     symmetric: bool                  # every commutant basis matrix symmetric
@@ -311,18 +304,7 @@ class CertificateReport:
     notes: list = dc_field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "status": self.status,
-            "route": self.route,
-            "dim_commutant": self.dim_commutant,
-            "symmetric": self.symmetric,
-            "saturation_result": self.saturation_result,
-            "hf_member": self.hf_member,
-            "charpoly_squarefree": self.charpoly_squarefree,
-            "det_power": self.det_power,
-            "counterexample": self.counterexample,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _commutant_facts(S: SectionMatrix):
@@ -355,7 +337,8 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
         the full det-power route as the budget fallback.
 
     The commutant dimension/symmetry facts are computed unconditionally (the
-    always-available fallback evidence).
+    always-available fallback evidence).  ``budget_exceeded``: every route tried
+    ran out of budget.  A ``route`` that does not apply to S raises ValueError.
     """
     field = GF(p)
     S = S.to_field(field)
@@ -381,6 +364,10 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     reduced_ok = sqfree and dimW == 10 and sym
     if route == "auto":
         plan = ["reduced", "rabinowitsch"] if reduced_ok else ["rabinowitsch", "full"]
+    elif route == "reduced" and not reduced_ok:
+        raise ValueError(
+            f"route 'reduced' does not apply: commutant dimension {dimW} (needs 10), "
+            f"symmetric: {sym}, squarefree charpoly: {sqfree}")
     else:
         plan = [route]
 
@@ -389,9 +376,6 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     for r in plan:
         try:
             if r == "reduced":
-                if not reduced_ok:
-                    report.notes.append("reduced route skipped: commutant not 10-dim symmetric")
-                    continue
                 names = tuple(f"n{i}{j}" for i in range(1, 6) for j in range(i, 6))
                 ring = PolyRing(field, names)
                 idx = {}
@@ -467,3 +451,42 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     report.route = "fallback-commutant"
     report.notes.append("all routes exhausted budget; commutant facts stand")
     return report
+
+def verify_pushforwards(rng: random.Random, samples: int) -> dict:
+    """On a random GF(11) section, the quadrics are its fiber coefficients
+    and the quintics transform with det^-2 under the gauge group."""
+    f = GF(11)
+    s = random_hf_section(f, rng)
+    qs = pushforward_to_g25(s)
+    ok = True
+    for _ in range(min(samples, 200)):
+        a = random_grass_point(f, 2, rng)
+        w = [f.rand(rng) for _ in range(5)]
+        lhs = section_of_fiber_point(s, a.rep, w)
+        rhs = _dot(f, w, qs.evaluate(a.pluecker))
+        ok &= lhs == rhs
+    st = pushforward_to_g35(s)
+    for _ in range(min(samples, 100)):
+        B = Mat.random(f, 5, 3, rng)
+        g = Mat.random_invertible(f, 3, rng)
+        lhs = st.evaluate(B * g.inverse())
+        d2 = f.inv(f.mul(g.det(), g.det()))
+        rhs = tuple(f.mul(d2, x) for x in g.apply(st.evaluate(B)))
+        ok &= lhs == rhs
+    return {"ok": ok, "details": {"contraction_and_gauge_checks": ok}}
+
+
+def selfdual_scan(S: SectionMatrix, rng: random.Random, samples: int = 100) -> dict:
+    """No random duality map makes the invariant-complement part of S self-dual."""
+    S = hf_project(S)
+    hits = sum(1 for _ in range(samples)
+               if selfdual_test(S, DualityMap.random(S.field, rng)))
+    return {"ok": hits == 0, "details": {"selfdual_hits": hits}}
+
+
+def verify_nonbirational(S: SectionMatrix, p: int, budget: Budget | None = None,
+                         route: str = "auto") -> dict:
+    """X and Y admit no linear isomorphism: the certificate over GF(p) is
+    ``certified_empty``.  Raises ValueError where ``route`` does not apply."""
+    rep = nonbirational_certificate(S, p, budget, route=route)
+    return {"ok": rep.status == "certified_empty", "details": rep.as_dict()}

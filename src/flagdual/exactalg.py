@@ -11,7 +11,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +362,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows}x{self.cols})"
 
-    def pretty(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
-
 
 def _dot(f, a, b):
     acc = f.zero
@@ -479,10 +476,6 @@ class PolyRing:
     def mono_mul(self, a: int, b: int) -> int:
         return a + b - self._offset
 
-    def mono_div(self, a: int, b: int) -> int:
-        """a / b; caller must know b divides a."""
-        return a - b + self._offset
-
     def mono_divides(self, b: int, a: int) -> bool:
         """Does monomial b divide monomial a?
 
@@ -529,18 +522,6 @@ class PolyRing:
     def monomial(self, exps, coeff=1):
         c = self.field.coerce(coeff)
         return Poly(self, {} if self.field.is_zero(c) else {self.encode(exps): c})
-
-    def from_terms(self, terms: Iterable[tuple[Sequence[int], object]]):
-        d = {}
-        f = self.field
-        for exps, c in terms:
-            m = self.encode(exps)
-            v = f.add(d.get(m, f.zero), f.coerce(c))
-            if f.is_zero(v):
-                d.pop(m, None)
-            else:
-                d[m] = v
-        return Poly(self, d)
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, {self.names})"
@@ -707,19 +688,6 @@ class Poly:
             acc = f.add(acc, v)
         return acc
 
-    def map_coeffs(self, target_ring: PolyRing) -> "Poly":
-        """Reinterpret in another ring with the same variable names."""
-        if target_ring.names != self.ring.names:
-            raise ValueError("variable mismatch")
-        tf = target_ring.field
-        out = {}
-        for m, c in self.terms.items():
-            exps = self.ring.decode(m)
-            c2 = tf.coerce(c)
-            if not tf.is_zero(c2):
-                out[target_ring.encode(exps)] = c2
-        return Poly(target_ring, out)
-
     # -- display -------------------------------------------------------------
     def __repr__(self):
         return self.format()
@@ -751,7 +719,6 @@ class Budget:
     """Hard caps for Groebner runs; exceeding one raises BudgetExceeded."""
     max_basis: int = 20000
     max_reductions: int = 2_000_000
-    max_degree: int | None = None       # degree-capped (truncated) run
     max_seconds: float | None = None
 
 
@@ -760,7 +727,6 @@ class GroebnerStats:
     basis_size: int = 0
     reductions: int = 0
     max_degree_seen: int = 0
-    truncated_at: int | None = None
 
 
 class BudgetExceeded(RuntimeError):
@@ -890,9 +856,6 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
 
     Monomial order is the ring's (degrevlex, or 1-variable elimination block).
     Pair selection: lowest lcm degree first (normal strategy), ties by lcm.
-    With ``budget.max_degree`` set, S-pairs above the cap are skipped and the
-    result is a degree-truncated basis (complete for membership tests up to
-    that degree); the truncation is recorded in ``stats``.
     Raises BudgetExceeded when a hard cap is hit.
     """
     import time as _time
@@ -960,9 +923,6 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
     while pairs:
         d, l, i, j = heapq.heappop(pairs)
         stats.max_degree_seen = max(stats.max_degree_seen, d)
-        if budget.max_degree is not None and d > budget.max_degree:
-            stats.truncated_at = budget.max_degree
-            break
         r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
                          lts, lcinvs, gterms)
         stats.reductions += 1

@@ -222,6 +222,9 @@ class SectionMatrix:
     def __eq__(self, other):
         return isinstance(other, SectionMatrix) and self.mat == other.mat
 
+    def __hash__(self):
+        return hash(self.mat)
+
     def __repr__(self):
         return f"SectionMatrix({self.field!r})"
 
@@ -264,12 +267,6 @@ def flag_equation(xstar: Sequence, y: Sequence, field: Field | None = None) -> S
                     val = sgn_d * s1 * s2 * s3
                     data[q][p] = f.add(data[q][p], f.mul(c_ij, f.coerce(val)))
     return SectionMatrix(Mat(f, data))
-
-
-def dual_flag_equation(x: Sequence, ystar: Sequence, field: Field | None = None) -> SectionMatrix:
-    """Equations of the dual flag (flags in V5*) on the dual product, written
-    with respect to the dual basis.  Same combinatorics as flag_equation."""
-    return flag_equation(x, ystar, field)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +354,14 @@ def flag_ideal_space(field: Field) -> MatrixSubspace:
     return _BASIS_CACHE[key]
 
 
-def dual_ideal_space(field: Field) -> MatrixSubspace:
-    key = ("dual", id(field))
-    if key not in _BASIS_CACHE:
-        eis = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
-        basis = [dual_flag_equation(eis[i], eis[j], field).mat
-                 for i in range(5) for j in range(5)]
-        _BASIS_CACHE[key] = MatrixSubspace(field, basis)
-    return _BASIS_CACHE[key]
-
-
 def hf_space(field: Field) -> MatrixSubspace:
     """The invariant complement of the flag ideal: matrices S with
-    tr(S K) = 0 for every K in the dual flag ideal.  Dimension 75."""
+    tr(S K) = 0 for every K in the dual flag ideal, which in the dual basis
+    has the matrices of the flag ideal.  Dimension 75."""
     _check_split(field)
     key = ("hf", id(field))
     if key not in _BASIS_CACHE:
-        dual = dual_ideal_space(field)
-        rows = [k.transpose().flatten() for k in dual.basis]
+        rows = [k.transpose().flatten() for k in flag_ideal_space(field).basis]
         conds = Mat(field, rows)
         basis = [Mat(field, [v[10 * i:10 * i + 10] for i in range(10)])
                  for v in conds.kernel()]
@@ -390,8 +377,7 @@ def hf_project(s: SectionMatrix) -> SectionMatrix:
     threefolds cut out by the pushforwards are identical before and after.
     """
     f = s.field
-    ideal = flag_ideal_space(f)
-    dual = dual_ideal_space(f)
+    ideal = flag_ideal_space(f)      # also the basis of the dual flag ideal
 
     def pair(a: Mat, b: Mat):
         acc = f.zero
@@ -401,9 +387,9 @@ def hf_project(s: SectionMatrix) -> SectionMatrix:
         return acc
 
     n = ideal.dim
-    gram = Mat(f, [[pair(ideal.basis[k], dual.basis[j]) for k in range(n)]
+    gram = Mat(f, [[pair(ideal.basis[k], ideal.basis[j]) for k in range(n)]
                    for j in range(n)])
-    rhs = tuple(pair(s.mat, dual.basis[j]) for j in range(n))
+    rhs = tuple(pair(s.mat, ideal.basis[j]) for j in range(n))
     coeffs = gram.solve(rhs)
     if coeffs is None:
         raise ZeroDivisionError("projection Gram matrix is singular over this field")
@@ -484,3 +470,27 @@ def script_section(field: Field) -> SectionMatrix:
     if isinstance(field, GF) and field.p == 3:
         raise ValueError("representative needs 3 invertible")
     return hf_project(script_matrix(field))
+
+def verify_spaces(rng: random.Random) -> dict:
+    """Flag ideal (25) + invariant complement (75) = all 100 section matrices
+    over QQ and GF(17); both are invariant under 50 random GF(17) duality maps."""
+    results = {}
+    for field in (QQ, GF(17)):
+        ideal = flag_ideal_space(field)
+        hf = hf_space(field)
+        results[repr(field)] = {
+            "ideal_dim": ideal.dim, "hf_dim": hf.dim,
+            "direct_sum_rank": ideal.sum_rank(hf),
+        }
+    f17 = GF(17)
+    ideal, hf = flag_ideal_space(f17), hf_space(f17)
+    inv = True
+    for _ in range(50):
+        dm = DualityMap.random(f17, rng)
+        inv &= ideal.contains(iota_action(SectionMatrix(ideal.basis[3]), dm).mat)
+        inv &= hf.contains(iota_action(SectionMatrix(hf.basis[17]), dm).mat)
+    results["iota_invariance_50_maps"] = inv
+    ok = inv and all(r["ideal_dim"] == 25 and r["hf_dim"] == 75
+                     and r["direct_sum_rank"] == 100
+                     for k, r in results.items() if isinstance(r, dict))
+    return {"ok": ok, "details": results}

@@ -44,11 +44,6 @@ class MotivicClass:
             raise ValueError(f"unknown generator {name}")
         return cls({name: {0: 1}})
 
-    @classmethod
-    def projective_space(cls, n):
-        """[P^n] = 1 + L + ... + L^n."""
-        return cls({"1": {k: 1 for k in range(n + 1)}})
-
     def __add__(self, other):
         out = {g: dict(p) for g, p in self.data.items()}
         for g, poly in other.data.items():
@@ -122,6 +117,12 @@ def l_relation_expected() -> MotivicClass:
     X = MotivicClass.generator("[X]")
     Y = MotivicClass.generator("[Y]")
     return (X - Y).times_L_poly({2: 1})
+
+
+def l_relation_verdict() -> dict:
+    """The derived relation and whether it is ([X] - [Y]) L^2."""
+    rel = derive_l_relation()
+    return {"relation": repr(rel), "equals_([X]-[Y])L^2": rel == l_relation_expected()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,12 @@ def degree_check() -> int:
     for _ in range(3):
         total = pieri(total, 1)
     return integral(total)
+
+
+def degree_verdict() -> dict:
+    """deg X and whether it is 25, the degree of the G(2,5)-side threefold."""
+    d = degree_check()
+    return {"degree": d, "expected": 25, "ok": d == 25}
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +522,24 @@ def fibration_report(S: SectionMatrix, q: int) -> dict:
         "identity_Y": nM2 == nY * p2 + (nG - nY) * p1,
         "X_equals_Y": nX == nY,
     }
+
+
+def fibration_ok(rep: dict) -> bool:
+    """A fibration_report's two identities, |X| = |Y| and equal M counts."""
+    return (rep["identity_X"] and rep["identity_Y"] and rep["X_equals_Y"]
+            and rep["M_counts_agree"])
+
+
+def verify_l_equivalence(qs, rng) -> dict:
+    """Count identities on a random section for each q in qs, deg X, the L-relation."""
+    details = {}
+    ok = True
+    for q in qs:
+        rep = fibration_report(SectionMatrix(Mat.random(GF(q), 10, 10, rng)), q)
+        details[f"q={q}"] = rep
+        ok &= fibration_ok(rep)
+    degree, relation = degree_verdict(), l_relation_verdict()
+    details["degree"] = degree["degree"]
+    details["l_relation"] = relation["relation"]
+    ok &= degree["ok"] and relation["equals_([X]-[Y])L^2"]
+    return {"ok": ok, "details": details}

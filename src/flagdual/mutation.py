@@ -179,6 +179,8 @@ def _certify(pair, expected: dict, what: str):
 def _apply_rule(name: str, direction: str, pair):
     """(replacement pair, certificate record) for rule ``name`` rewriting
     ``pair`` in ``direction`` ("left" or "right"); None when it does not match."""
+    if name not in RULES:
+        raise ValueError(f"unknown rule {name!r}")
     shift, kinds, certified, expected = RULES[name]
     o, other = pair if direction == "left" else pair[::-1]
     t = other.twist
@@ -258,24 +260,28 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
 
     Moves: swap / left / right (rule) / normalize / rotate / rotate_back /
     twist_all.  Raises CertificateError when a certificate fails and
-    ValueError on pattern mismatch.
+    ValueError on a mismatch, an unknown rule or an out-of-range position.
     """
     col = col.copy()
     kind = move["move"]
     record = {"move": dict(move)}
 
-    def expect_check(pos, count):
+    def position(count):
+        pos = move["pos"]
+        if not 0 <= pos <= len(col.symbols) - count:
+            raise ValueError(f"position {pos} out of range for a collection "
+                             f"of {len(col.symbols)}")
         if "expect" in move:
             got = [s.label() for s in col.symbols[pos:pos + count]]
             if got != list(move["expect"]):
                 raise ValueError(f"expect mismatch at {pos}: {got} != {move['expect']}")
+        return pos
 
     if kind == "swap":
-        i = move["pos"]
+        i = position(2)
         a, b = col.symbols[i], col.symbols[i + 1]
         if a.is_block or b.is_block:
             raise ValueError("cannot swap through a block")
-        expect_check(i, 2)
         # Transposing <A, B> -> <B, A> is the zero mutation L_A B = B, valid
         # iff Ext(A, B) = 0; this direction must be certified outright.
         # Ext(B, A) = 0 is the exceptionality of the current collection
@@ -295,11 +301,10 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
                                   "reverse": rev_status}
 
     elif kind in ("left", "right"):
-        i = move["pos"]
+        i = position(2)
         pair = (col.symbols[i], col.symbols[i + 1])
         if pair[0].is_block or pair[1].is_block:
             raise ValueError("rules do not apply to blocks")
-        expect_check(i, 2)
         applied = _apply_rule(move["rule"], kind, pair)
         if applied is None:
             raise ValueError(f"rule {move['rule']} ({kind}) does not match "
@@ -307,9 +312,8 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
         (col.symbols[i], col.symbols[i + 1]), record["certificates"] = applied
 
     elif kind == "normalize":
-        i = move["pos"]
+        i = position(1)
         s = col.symbols[i]
-        expect_check(i, 1)
         target = Symbol.parse(move["to"])
         candidate = _NORMALIZE.get(s.kind)
         if candidate is None or candidate(s) != target:
@@ -505,3 +509,14 @@ def replay_proof(moves: list | None = None) -> dict:
         "log_size": len(col.log),
         "log": col.log,
     }
+
+
+def replay_summary(rep: dict) -> dict:
+    """A ``replay_proof`` report without its step log."""
+    return {k: v for k, v in rep.items() if k != "log"}
+
+
+def verify_replay() -> dict:
+    """The shipped move script replays with every step certified."""
+    rep = replay_proof()
+    return {"ok": rep["ok"], "details": replay_summary(rep)}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -92,11 +93,32 @@ def test_motivic_commands(runner, tmp_path):
     ["verify-paper", "--qs", "2,x"],
     ["verify-paper", "--qs", "4"],
     ["verify-paper", "--qs", "2,1"],
+    ["duality", "nonbirational", "--prime", "4"],
+    ["duality", "nonbirational", "--prime", "3"],       # no invariant complement
+    ["duality", "nonbirational", "--route", "reduced"],  # route does not apply
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "Invalid value" in res.output
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 3\n4 5 6\n",
+    "\n".join(" ".join(["1"] * (9 if r == 4 else 10)) for r in range(10)),
+    "\n".join(" ".join(["x"] + ["1"] * 9) for _ in range(10)),
+    "\n".join(" ".join(["1/0"] + ["1"] * 9) for _ in range(10)),
+], ids=["2x3", "ragged", "non-numeric", "zero-denominator"])
+@pytest.mark.parametrize("command", [
+    ["duality", "nonbirational"], ["motivic", "count", "--q", "2"],
+    ["verify-paper"],
+])
+def test_bad_section_file_is_a_usage_error(runner, tmp_path, text, command):
+    path = tmp_path / "S.mat"
+    path.write_text(text)
+    res = runner.invoke(main, command + ["--section", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--section'" in res.output
 
 
 def test_glsm_stability_sampling(runner, tmp_path):
@@ -170,3 +192,14 @@ def test_benchmark_tracer_hooks_resolve():
     res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_stage_names_match_benchmark_tracer():
+    # perfbench/tracer.py reports per-stage times under these names; a
+    # renamed or reordered stage would read 0 s there
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "STAGE_NAMES")
+    assert [n for n, _ in STAGES] == list(names)

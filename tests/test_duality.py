@@ -260,6 +260,13 @@ def test_certificate_script_matrix():
     assert not rep.hf_member
 
 
+def test_certificate_route_must_apply():
+    # the script matrix has a 28-dimensional, non-symmetric commutant, so the
+    # reduced route is not applicable: an error, not "budget_exceeded"
+    with pytest.raises(ValueError, match="commutant dimension 28 .*symmetric: False"):
+        nonbirational_certificate(script_matrix(F17), 17, route="reduced")
+
+
 def test_certificate_random_hf():
     rng = random.Random(101)
     s = random_hf_section(F17, rng)

@@ -6,7 +6,7 @@ from flagdual.exactalg import GF, Mat
 from flagdual.duality import pushforward_to_g25
 from flagdual.glsm import (GLSMPoint, critical_gauge_class_count,
                            critical_member, gauge_reduce, gauge_transform,
-                           instability_certificate, okonek_scan,
+                           instability_certificate, model_for, okonek_scan,
                            random_semistable, random_unstable, rank2_point_over,
                            random_grass_rep, reduced_quartics, semistable,
                            superpotential, verify_certificate)
@@ -180,3 +180,14 @@ def test_critical_gauge_classes_biject_with_X():
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
     rep = critical_gauge_class_count(s, q)
     assert rep["ok"] and rep["bijective"], rep
+
+
+def test_model_cache_is_bounded():
+    rng = random.Random(3)
+    sections = [SectionMatrix(Mat.random(GF(3), 10, 10, rng)) for _ in range(12)]
+    for s in sections:
+        model_for(s)
+    assert model_for.cache_info().currsize < len(sections)
+    # equal sections share one model
+    copy = SectionMatrix(Mat(GF(3), sections[-1].mat.data))
+    assert model_for(copy) is model_for(sections[-1])

@@ -5,7 +5,7 @@ import pytest
 from flagdual.exactalg import GF, QQ, Mat
 from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, FlagPoint,
                                 GrassPoint, MatrixSubspace, SectionMatrix,
-                                dual_ideal_space, flag_equation,
+                                flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, pluecker, random_flag_point,
                                 random_grass_point, random_hf_section,

@@ -147,3 +147,20 @@ def test_replay_aborts_on_corrupted_script():
     rep = replay_proof(bad)
     assert not rep["ok"]
     assert rep["failed_at"] == 1
+
+
+def test_replay_reports_unknown_rule():
+    moves = load_move_script()
+    n = next(k for k, mv in enumerate(moves) if "rule" in mv)
+    moves[n] = dict(moves[n], rule="extension_QQ")
+    rep = replay_proof(moves)
+    assert not rep["ok"]
+    assert rep["failed_at"] == n and "unknown rule" in rep["error"]
+
+
+@pytest.mark.parametrize("pos", [40, 20, -1])
+def test_replay_reports_position_out_of_range(pos):
+    # the start collection has 21 entries; a swap needs pos and pos + 1
+    rep = replay_proof([{"move": "swap", "pos": pos}])
+    assert not rep["ok"]
+    assert rep["failed_at"] == 0 and "out of range" in rep["error"]
