@@ -33,12 +33,10 @@ SCHEMA = "flagdual-report/1"
 class RunConfig:
     """Everything that determines a verification run; equal configs give
     byte-identical reports."""
-    field: str = "17"
     seed: int = 0
     samples: int = 200
     budget: int = 2_000_000          # Groebner reduction cap
     qs: tuple = (2, 3)
-    report: str | None = None
     section: str | None = None       # path; None = published script matrix
 
     def budget_obj(self) -> Budget:
@@ -94,6 +92,18 @@ def _prime_list_option(_ctx, _param, value: str) -> tuple:
     return tuple(_prime(q) for q in qs)
 
 
+def _range_option(_ctx, _param, value: str) -> range:
+    """``LO..HI`` with integers LO <= HI, as the range LO, ..., HI."""
+    lo, _, hi = value.partition("..")
+    try:
+        band = range(int(lo), int(hi) + 1)
+    except ValueError:
+        band = range(0)
+    if not band:
+        raise click.BadParameter(f"{value!r} is not LO..HI with integers LO <= HI")
+    return band
+
+
 def emit_report(report: dict, path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if path:
@@ -123,8 +133,7 @@ def duality():
 def duality_build(section, field_spec, out):
     """Emit the five quadrics and three quintics as polynomial text files."""
     f = field_from_spec(field_spec)
-    cfg = RunConfig(field=field_spec, section=section)
-    s = load_section(cfg, f)
+    s = load_section(RunConfig(section=section), f)
     qs = pushforward_to_g25(s)
     st = pushforward_to_g35(s)
     os.makedirs(out, exist_ok=True)
@@ -147,8 +156,7 @@ def duality_build(section, field_spec, out):
 @click.option("--report", type=click.Path(), default=None)
 def duality_selfdual(section, field_spec, samples, seed, report):
     """Scan random duality maps for the self-duality identity."""
-    cfg = RunConfig(field=field_spec, section=section)
-    s = load_section(cfg, field_from_spec(field_spec))
+    s = load_section(RunConfig(section=section), field_from_spec(field_spec))
     scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
     rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
            "all_non_selfdual": scan["ok"], "matrix": section_rows(s),
@@ -166,7 +174,7 @@ def duality_selfdual(section, field_spec, samples, seed, report):
 @click.option("--report", type=click.Path(), default=None)
 def duality_nonbirational(section, prime, budget, route, report):
     """Emptiness certificate for the linear-isomorphism equation."""
-    cfg = RunConfig(field=str(prime), section=section, budget=budget)
+    cfg = RunConfig(section=section, budget=budget)
     s = load_section(cfg, GF(prime))
     try:
         cert = duality_mod.verify_nonbirational(s, prime, cfg.budget_obj(), route)
@@ -191,23 +199,23 @@ def bwb():
 @click.option("--space", type=click.Choice(["G25", "G35", "F"]), required=True)
 @click.option("--weight", required=True, help='e.g. "2,2|1|0,0"')
 def bwb_cohomology(space, weight):
-    entries = []
-    for seg in weight.split("|"):
-        entries.extend(int(x) for x in seg.split(","))
-    table = bwb_mod.cohomology_table(
-        bwb_mod.BundleExpr.from_weight(space, tuple(entries)))
+    try:
+        entries = tuple(int(x) for x in weight.replace("|", ",").split(","))
+        bundle = bwb_mod.BundleExpr.from_weight(space, entries)
+    except ValueError as exc:         # not an integer, wrong length, not dominant
+        raise click.BadParameter(str(exc), param_hint="'--weight'") from None
+    table = bwb_mod.cohomology_table(bundle)
     click.echo(json.dumps({str(k): v for k, v in sorted(table.items())}) or "{}")
 
 
 @bwb.command("lemma")
 @click.option("--name", type=click.Choice(["vanishingQO", "vanishingOO"]),
               required=True)
-@click.option("--range", "arange", default="0..7")
+@click.option("--range", "arange", default="0..7", callback=_range_option)
 def bwb_lemma(name, arange):
     """Print the pass/fail grid of a vanishing lemma over the stated band."""
-    lo, hi = (int(x) for x in arange.split(".."))
-    grid = bwb_mod.lemma_grid(name, range(lo, hi + 1), range(16))
-    for a, row in zip(range(lo, hi + 1), grid):
+    grid = bwb_mod.lemma_grid(name, arange, range(16))
+    for a, row in zip(arange, grid):
         click.echo(f"a={a:2d}  " + "".join("." if good else "X" for good in row))
     ok = all(all(row) for row in grid)
     click.echo("PASS" if ok else "FAIL")
@@ -259,8 +267,7 @@ def motivic():
 @click.option("--q", default=3, callback=_prime_option)
 @click.option("--report", type=click.Path(), default=None)
 def motivic_count(section, q, report):
-    cfg = RunConfig(field=str(q), section=section)
-    s = load_section(cfg, GF(q))
+    s = load_section(RunConfig(section=section), GF(q))
     rep = motivic_mod.fibration_report(s, q)
     emit_report({"schema": SCHEMA, **rep, "matrix": section_rows(s)}, report)
     sys.exit(0 if motivic_mod.fibration_ok(rep) else 1)
@@ -300,8 +307,7 @@ def glsm():
 @click.option("--report", type=click.Path(), default=None)
 def glsm_stability(section, field_spec, chamber, samples, seed, point_path, report):
     f = field_from_spec(field_spec)
-    cfg = RunConfig(field=field_spec, section=section)
-    s = load_section(cfg, f)
+    s = load_section(RunConfig(section=section), f)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "samples": samples,
            "seed": seed, "conventions": conventions_block()}
@@ -361,11 +367,9 @@ def verify_paper(cfg: RunConfig) -> dict:
     independent stages."""
     rng = random.Random(cfg.seed)
     s = load_section(cfg, GF(17))
-    cfg_dict = asdict(cfg)
-    cfg_dict.pop("report", None)        # output path is not part of the run
     report = {
         "schema": SCHEMA,
-        "config": cfg_dict,
+        "config": asdict(cfg),
         "conventions": conventions_block(),
         "input_matrix": section_rows(s),
         "stages": {},
@@ -380,18 +384,16 @@ def verify_paper(cfg: RunConfig) -> dict:
 
 
 @main.command("verify-paper")
-@click.option("--field", "field_spec", default="17")
 @click.option("--seed", default=0)
 @click.option("--samples", default=200)
 @click.option("--budget", default=2_000_000)
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--report", type=click.Path(), default=None)
-def verify_paper_cmd(field_spec, seed, samples, budget, qs, section, report):
+def verify_paper_cmd(seed, samples, budget, qs, section, report):
     """Chain every pipeline on one section matrix; exit 0 iff all pass."""
-    cfg = RunConfig(field=field_spec, seed=seed, samples=samples,
-                    budget=budget, qs=qs,
-                    section=section, report=report)
+    cfg = RunConfig(seed=seed, samples=samples, budget=budget, qs=qs,
+                    section=section)
     rep = verify_paper(cfg)
     emit_report(rep, report)
     sys.exit(0 if rep["ok"] else 1)

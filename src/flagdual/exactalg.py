@@ -562,9 +562,6 @@ class Poly:
     def leading_coeff(self):
         return self.terms[max(self.terms)]
 
-    def coefficient(self, exps):
-        return self.terms.get(self.ring.encode(exps), self.ring.field.zero)
-
     # -- arithmetic ----------------------------------------------------------
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

@@ -329,45 +329,32 @@ def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
     """Count gauge classes of minus-chamber critical points over F_q.
 
     Every such class has a normal form B0 = (0 | A) with [A] a point of the
-    G(2,5)-side threefold X, and the admissible omegas over B0 (omega_1 != 0)
-    are the same set at every point of X.  The function checks that they form
-    one free orbit of the stabilizer of B0, so each point of X carries exactly
-    one gauge class and the number of classes equals |X(F_q)|; it then counts
-    X by enumeration and compares with count_X."""
+    G(2,5)-side threefold X.  The stabilizer of B0 is
+    g^{-1} = [[a,b,c],[0,1,0],[0,0,1]], a != 0, acting on omega by
+    omega -> det(g)^2 omega g^{-1} = a^{-2} (a w1, b w1 + w2, c w1 + w3).
+    The orbit of (1,0,0) is every admissible omega (omega_1 != 0), and its
+    (q-1)q^2 elements equal the stabilizer order, so the action is free: each
+    point of X carries exactly one gauge class, and the number of classes is
+    |X(F_q)|.  This counts X twice, by testing the quadrics on every point of
+    G(2,5)(F_q) and by count_X, and reports whether the two routes agree."""
     from .motivic import enumerate_grassmannian, count_X
     f = GF(q)
     Sq = S.to_field(f)
     m = model_for(Sq)
-    # The stabilizer of B0 is g^{-1} = [[a,b,c],[0,1,0],[0,0,1]], a != 0,
-    # acting by omega -> det(g)^2 omega g^{-1}
-    #                  = a^{-2} (a w1, b w1 + w2, c w1 + w3).
-    admissible = set((w1, w2, w3) for w1 in range(1, q)
-                     for w2 in range(q) for w3 in range(q))
-    orbit = set()
-    for a in range(1, q):
-        ainv2 = pow(a, -2, q)
-        for b in range(q):
-            for c in range(q):
-                orbit.add(((ainv2 * a) % q, (ainv2 * b) % q, (ainv2 * c) % q))
-    # the orbit of (1,0,0) must exhaust the admissible set, and the
-    # stabilizer order (q-1)q^2 must equal its size (free action)
-    free_orbit = orbit == admissible and len(orbit) == (q - 1) * q * q
-    classes = 0
+    enumerated = 0
     for rep in enumerate_grassmannian(q, 2):
         pt = GrassPoint(Mat(f, rep.tolist()))
-        if not m.quadrics.vanishes_at(pt):
-            continue
-        if not free_orbit:
-            return {"q": q, "ok": False, "failed_at": pt.pluecker}
-        classes += 1
+        if m.quadrics.vanishes_at(pt):
+            enumerated += 1
     x_count = count_X(Sq, q)
-    return {"q": q, "gauge_classes": classes, "X_count": x_count,
-            "bijective": classes == x_count, "ok": True}
+    return {"q": q, "X_enumerated": enumerated, "X_count": x_count,
+            "agree": enumerated == x_count}
 
 
 def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
     """Gauge-invariant semistability and valid instability certificates over GF(13),
-    critical gauge classes = X over GF(3), rank-3 Jacobian on a generic Y."""
+    two counts of X (= critical gauge classes) over GF(3), rank-3 Jacobian on
+    a generic Y."""
     f = GF(13)
     inv_ok = True
     for _ in range(min(samples, 200)):
@@ -382,7 +369,7 @@ def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
             pt = random_unstable(f, chamber, rng)
             cert = instability_certificate(pt, chamber)
             cert_ok &= verify_certificate(pt, cert, chamber)["valid"]
-    bij = critical_gauge_class_count(SectionMatrix(
+    two_routes = critical_gauge_class_count(SectionMatrix(
         Mat.random(GF(3), 10, 10, rng)), 3)
     # Okonek's identification needs a regular section; regularity is
     # sampled-verified, which a generic draw passes.  The published sparse
@@ -390,8 +377,9 @@ def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
     # zero locus); its scan is reported as data, not gated on.
     okonek = okonek_scan(random_hf_section(f, rng), 13, 50, rng)
     okonek_script = okonek_scan(S, 13, 20, rng)
-    ok = inv_ok and cert_ok and bij.get("bijective", False) and okonek["all_rank3"]
+    ok = inv_ok and cert_ok and two_routes["agree"] and okonek["all_rank3"]
     return {"ok": ok, "details": {"gauge_invariance": inv_ok,
                                   "certificates": cert_ok,
-                                  "bijection": bij, "okonek_generic": okonek,
+                                  "x_two_routes": two_routes,
+                                  "okonek_generic": okonek,
                                   "okonek_script_matrix": okonek_script}}

@@ -82,62 +82,6 @@ class Symbol:
 
 
 # ---------------------------------------------------------------------------
-# mutation word (block bookkeeping)
-# ---------------------------------------------------------------------------
-
-class MutationWord:
-    """Sequence of ('R', labels) / ('L', labels) / ('T', (a, b)) moves."""
-
-    def __init__(self, moves=()):
-        self.moves = list(moves)
-
-    def append(self, op):
-        self.moves.append(op)
-
-    def inverse(self) -> "MutationWord":
-        out = []
-        for op, arg in reversed(self.moves):
-            if op == "R":
-                out.append(("L", arg))
-            elif op == "L":
-                out.append(("R", arg))
-            else:
-                out.append(("T", (-arg[0], -arg[1])))
-        return MutationWord(out)
-
-    def compose(self, other: "MutationWord") -> "MutationWord":
-        return MutationWord(self.moves + other.moves)
-
-    def simplify(self) -> "MutationWord":
-        moves = list(self.moves)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(moves) - 1):
-                (op1, a1), (op2, a2) = moves[i], moves[i + 1]
-                cancels = (
-                    ({op1, op2} == {"R", "L"} and a1 == a2)
-                    or (op1 == "T" and op2 == "T"
-                        and a1[0] + a2[0] == 0 and a1[1] + a2[1] == 0)
-                )
-                if cancels:
-                    del moves[i:i + 2]
-                    changed = True
-                    break
-        return MutationWord(moves)
-
-    def is_identity(self):
-        return not self.simplify().moves
-
-    def as_list(self):
-        return [[op, list(arg) if isinstance(arg, (list, tuple)) else arg]
-                for op, arg in self.moves]
-
-    def __repr__(self):
-        return f"MutationWord({self.moves})"
-
-
-# ---------------------------------------------------------------------------
 # rewrite rules
 # ---------------------------------------------------------------------------
 #
@@ -226,14 +170,17 @@ ANTICANONICAL = (2, 2)      # -K_M
 
 
 class ExceptionalCollection:
-    """Ordered list of symbols on M; at most one opaque block, kept last."""
+    """Ordered list of symbols on M; at most one opaque block, kept last.
 
-    def __init__(self, symbols, block_word: MutationWord | None = None):
+    ``block_word`` records the moves of the block as ("R" | "L", labels) and
+    ("T", (a, b)) tuples."""
+
+    def __init__(self, symbols, block_word=()):
         self.symbols = list(symbols)
         blocks = [s for s in self.symbols if s.is_block]
         if len(blocks) > 1 or (blocks and not self.symbols[-1].is_block):
             raise ValueError("at most one block, and it must sit last")
-        self.block_word = block_word or MutationWord()
+        self.block_word = list(block_word)
         self.log: list = []
 
     @property
@@ -244,7 +191,7 @@ class ExceptionalCollection:
         return [s.label() for s in self.symbols]
 
     def copy(self):
-        c = ExceptionalCollection(self.symbols, MutationWord(self.block_word.moves))
+        c = ExceptionalCollection(self.symbols, self.block_word)
         c.log = list(self.log)
         return c
 
@@ -255,13 +202,41 @@ class ExceptionalCollection:
         return "<" + ", ".join(self.labels()) + ">"
 
 
+# the fields each kind of move needs, with their types
+_MOVE_FIELDS = {
+    "swap": {"pos": int},
+    "left": {"pos": int, "rule": str},
+    "right": {"pos": int, "rule": str},
+    "normalize": {"pos": int, "to": str},
+    "rotate": {"count": int},
+    "rotate_back": {"count": int},
+    "twist_all": {"a": int, "b": int},
+}
+
+
+def _check_move(col: ExceptionalCollection, move):
+    """ValueError unless ``move`` is a dict naming a known move, with every
+    field that move needs, and a count between 1 and the number of bundles."""
+    kind = move.get("move") if isinstance(move, dict) else None
+    if not isinstance(kind, str) or kind not in _MOVE_FIELDS:
+        raise ValueError(f"unknown move {move!r}")
+    for name, typ in _MOVE_FIELDS[kind].items():
+        if type(move.get(name)) is not typ:
+            raise ValueError(f"{kind} needs {typ.__name__} {name!r}, got {move!r}")
+    n = len(col.bundle_symbols)
+    if "count" in _MOVE_FIELDS[kind] and not 1 <= move["count"] <= n:
+        raise ValueError(f"count {move['count']} out of range 1..{n}")
+
+
 def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
     """Apply one elementary move, appending a certificate record to the log.
 
     Moves: swap / left / right (rule) / normalize / rotate / rotate_back /
     twist_all.  Raises CertificateError when a certificate fails and
-    ValueError on a mismatch, an unknown rule or an out-of-range position.
+    ValueError on a malformed move, a mismatch, an unknown rule or an
+    out-of-range position or count.
     """
+    _check_move(col, move)
     col = col.copy()
     kind = move["move"]
     record = {"move": dict(move)}
@@ -323,57 +298,34 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
 
     elif kind == "rotate":
         k = move["count"]
-        head = col.symbols[:k]
-        if any(s.is_block for s in head):
-            raise ValueError("cannot rotate a block")
-        twisted = [s.twisted(*ANTICANONICAL) for s in head]
-        col.symbols = col.symbols[k:] + twisted
+        bundles, blocks = col.bundle_symbols, col.symbols[len(col.bundle_symbols):]
+        twisted = [s.twisted(*ANTICANONICAL) for s in bundles[:k]]
+        col.symbols = bundles[k:] + twisted + blocks
         # keep the block last: right-mutate it through the newcomers
-        if any(s.is_block for s in col.symbols):
-            bi = next(n for n, s in enumerate(col.symbols) if s.is_block)
-            blk = col.symbols.pop(bi)
-            col.symbols.append(blk)
+        if blocks:
             col.block_word.append(("R", tuple(s.label() for s in twisted)))
             record["block"] = ["R", [s.label() for s in twisted]]
         record["certificates"] = {"serre_twist": list(ANTICANONICAL)}
 
     elif kind == "rotate_back":
         k = move["count"]
-        tail = [s for s in col.symbols if not s.is_block][-k:]
-        first_tail = col.symbols.index(tail[0])
+        bundles, blocks = col.bundle_symbols, col.symbols[len(col.bundle_symbols):]
+        tail = bundles[-k:]
         twisted = [s.twisted(-ANTICANONICAL[0], -ANTICANONICAL[1]) for s in tail]
-        rest = col.symbols[:first_tail] + col.symbols[first_tail + k:]
-        col.symbols = twisted + rest
-        if any(s.is_block for s in col.symbols):
+        col.symbols = twisted + bundles[:-k] + blocks
+        if blocks:
             col.block_word.append(("L", tuple(s.label() for s in tail)))
             record["block"] = ["L", [s.label() for s in tail]]
         record["certificates"] = {"serre_twist": [-ANTICANONICAL[0], -ANTICANONICAL[1]]}
 
-    elif kind == "twist_all":
+    else:       # twist_all
         a, b = move["a"], move["b"]
         col.symbols = [s.twisted(a, b) for s in col.symbols]
         col.block_word.append(("T", (a, b)))
         record["certificates"] = {"twist": [a, b]}
 
-    else:
-        raise ValueError(f"unknown move {kind!r}")
-
     col.log.append(record)
     return col
-
-
-# convenience wrappers matching the operation surface -------------------------
-
-def apply_rule(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
-    return apply_move(col, move)
-
-
-def serre_rotate(col: ExceptionalCollection, count: int) -> ExceptionalCollection:
-    return apply_move(col, {"move": "rotate", "count": count})
-
-
-def serre_rotate_back(col: ExceptionalCollection, count: int) -> ExceptionalCollection:
-    return apply_move(col, {"move": "rotate_back", "count": count})
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +358,31 @@ _G_BUILDERS = {
 }
 
 
+def _exceptionality(items, self_ext_ok, ext_vanishes) -> dict:
+    """Self-Ext = C[0] for each (tag, bundle) of ``items`` and Ext(E_i, E_j) = 0
+    for i > j; a failure is recorded by the tags it involves."""
+    report = {"length": len(items), "self_ext_ok": True,
+              "orthogonality_ok": True, "failures": []}
+    for tag, e in items:
+        if not self_ext_ok(e):
+            report["self_ext_ok"] = False
+            report["failures"].append(("self", tag))
+    for i, (tag_i, e_i) in enumerate(items):
+        for tag_j, e_j in items[:i]:
+            if not ext_vanishes(e_i, e_j):
+                report["orthogonality_ok"] = False
+                report["failures"].append(("pair", tag_i, tag_j))
+    return report
+
+
 def certify_grassmannian_collection(name: str) -> dict:
-    """Full exceptionality certification of (5.1)/(5.2) on the Grassmannian:
-    self-Ext = C[0] and Ext(E_i, E_j) = 0 for i > j."""
+    """Full exceptionality certification of (5.1)/(5.2) on the Grassmannian."""
     space, items = (("G25", kuznetsov_g25()) if name == "kuznetsov25"
                     else ("G35", kuznetsov_g35()))
     bundles = [_G_BUILDERS[space][k](t) for k, t in items]
-    report = {"name": name, "space": space, "length": len(bundles),
-              "self_ext_ok": True, "orthogonality_ok": True, "failures": []}
-    for i, e in enumerate(bundles):
-        if ext_on_F(e, e) != {0: 1}:
-            report["self_ext_ok"] = False
-            report["failures"].append(("self", i))
-    for i in range(len(bundles)):
-        for j in range(i):
-            if ext_on_F(bundles[i], bundles[j]):
-                report["orthogonality_ok"] = False
-                report["failures"].append(("pair", i, j))
-    return report
+    return {"name": name, "space": space, **_exceptionality(
+        list(enumerate(bundles)), lambda e: ext_on_F(e, e) == {0: 1},
+        lambda a, b: not ext_on_F(a, b))}
 
 
 def start_collection() -> ExceptionalCollection:
@@ -453,20 +412,10 @@ def expected_final_labels():
 def certify_collection_on_M(col: ExceptionalCollection) -> dict:
     """One-directional orthogonality (i > j) plus exact self-Ext = C[0] for
     the bundle part, via the Koszul certificates."""
-    syms = col.bundle_symbols
-    report = {"length": len(syms), "self_ext_ok": True,
-              "orthogonality_ok": True, "failures": []}
-    for i, s in enumerate(syms):
-        t, exact = ext_on_M_table(s.bundle(), s.bundle())
-        if not exact or t != {0: 1}:
-            report["self_ext_ok"] = False
-            report["failures"].append(("self", s.label()))
-    for i in range(len(syms)):
-        for j in range(i):
-            if ext_on_M_vanishing_certificate(syms[i].bundle(), syms[j].bundle()) != "certified-zero":
-                report["orthogonality_ok"] = False
-                report["failures"].append(("pair", syms[i].label(), syms[j].label()))
-    return report
+    return _exceptionality(
+        [(s.label(), s.bundle()) for s in col.bundle_symbols],
+        lambda e: ext_on_M_table(e, e) == ({0: 1}, True),
+        lambda a, b: ext_on_M_vanishing_certificate(a, b) == "certified-zero")
 
 
 def load_move_script() -> list:
@@ -476,13 +425,12 @@ def load_move_script() -> list:
 
 def replay_proof(moves: list | None = None) -> dict:
     """Execute the shipped move script from the start collection; certify
-    every step; check the final display and the braid-inverse identity."""
+    every step; check the final display."""
     if moves is None:
         moves = load_move_script()
     col = start_collection()
     start_cert = certify_collection_on_M(col)
-    counts = {"swap": 0, "left": 0, "right": 0, "normalize": 0,
-              "rotate": 0, "rotate_back": 0, "twist_all": 0}
+    counts = dict.fromkeys(_MOVE_FIELDS, 0)
     for n, mv in enumerate(moves):
         try:
             col = apply_move(col, mv)
@@ -491,20 +439,17 @@ def replay_proof(moves: list | None = None) -> dict:
                     "labels": col.labels()}
         counts[mv["move"]] += 1
     final_ok = col.labels() == expected_final_labels()
-    word = col.block_word
-    inverse_ok = word.compose(word.inverse()).is_identity()
     final_cert = certify_collection_on_M(col)
     return {
-        "ok": final_ok and inverse_ok and start_cert["orthogonality_ok"]
+        "ok": final_ok and start_cert["orthogonality_ok"]
               and start_cert["self_ext_ok"] and final_cert["orthogonality_ok"]
               and final_cert["self_ext_ok"],
         "final_matches_display": final_ok,
-        "braid_inverse_identity": inverse_ok,
         "start_collection_certified": start_cert,
         "final_collection_certified": final_cert,
         "move_counts": counts,
         "moves_applied": len(moves),
-        "word": word.as_list(),
+        "word": col.block_word,
         "final_labels": col.labels(),
         "log_size": len(col.log),
         "log": col.log,

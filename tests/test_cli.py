@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -61,12 +62,36 @@ def test_bwb_lemma_grid(runner):
     assert "PASS" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["lemma", "--name", "vanishingQO", "--range", "0..x"],
+    ["lemma", "--name", "vanishingQO", "--range", "3"],
+    ["lemma", "--name", "vanishingQO", "--range", "5..2"],
+    ["lemma", "--name", "vanishingQO", "--range", "1..2..3"],
+    ["cohomology", "--space", "F", "--weight", "2,2|x|0,0"],
+    ["cohomology", "--space", "F", "--weight", "2,2|1|0"],
+    ["cohomology", "--space", "G25", "--weight", "1,0,0,0,0,0"],
+], ids=["range-non-integer", "range-no-dots", "range-empty", "range-three-parts",
+        "weight-non-integer", "weight-short", "weight-long"])
+def test_bad_bwb_arguments_are_usage_errors(runner, args):
+    res = runner.invoke(main, ["bwb"] + args)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+
+
+def test_bwb_lemma_range_is_inclusive(runner):
+    res = runner.invoke(main, ["bwb", "lemma", "--name", "vanishingOO",
+                               "--range", "-2..-2"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[0].startswith("a=-2 ")
+    assert len(res.output.splitlines()) == 2
+
+
 def test_mutations_replay(runner, tmp_path):
     out = tmp_path / "log.json"
     res = runner.invoke(main, ["mutations", "replay", "--log", str(out)])
     assert res.exit_code == 0, res.output
     rep = json.loads(out.read_text())
-    assert rep["final_matches_display"] and rep["braid_inverse_identity"]
+    assert rep["final_matches_display"]
     assert len(rep["log"]) == rep["moves_applied"]
 
 
@@ -161,6 +186,18 @@ def test_verify_paper_matches_golden(runner, tmp_path):
     got = json.loads(out.read_text())
     expected = json.loads(GOLDEN.read_text())
     assert got == expected
+
+
+def test_verify_paper_has_no_field_option(runner):
+    res = runner.invoke(main, ["verify-paper", "--field", "17"])
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
+
+
+def test_golden_config_is_the_run_config():
+    config = json.loads(GOLDEN.read_text())["config"]
+    assert sorted(config) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert config == json.loads(json.dumps(dataclasses.asdict(RunConfig())))
 
 
 def test_budget_ignores_environment(monkeypatch):

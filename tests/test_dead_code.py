@@ -1,0 +1,65 @@
+"""Every function, class and method in src/flagdual is referenced somewhere.
+
+References are read from the syntax trees of src, tests, perfbench and
+scripts, so a name that only occurs in a docstring or a comment does not
+count.  A string constant that is an identifier does count: the benchmark
+tracer wraps functions by name.
+"""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flagdual"
+SCANNED = ("src", "tests", "perfbench", "scripts")
+
+
+def _is_click_command(node) -> bool:
+    """Decorated with ``@<group>.command(...)`` or ``@<x>.group(...)``."""
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def definitions():
+    """(qualified name, bare name) of each top-level function and class of
+    the package and each method of its classes, less the exempt ones."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, defs):
+                continue
+            members = [(f"{path.stem}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{path.stem}.{node.name}.{sub.name}", sub)
+                            for sub in node.body if isinstance(sub, defs)]
+            for qualname, member in members:
+                dunder = member.name.startswith("__") and member.name.endswith("__")
+                if not dunder and not _is_click_command(member):
+                    yield qualname, member.name
+
+
+def references() -> set:
+    """Names used as a Name, an Attribute, an import alias or an identifier
+    string anywhere in the scanned trees."""
+    names = set()
+    for top in SCANNED:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    names.add(node.value)
+    return names
+
+
+def test_no_unreferenced_definitions():
+    used = references()
+    unused = [qualname for qualname, name in definitions() if name not in used]
+    assert not unused, f"defined but referenced nowhere: {unused}"

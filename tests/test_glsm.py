@@ -179,7 +179,7 @@ def test_critical_gauge_classes_biject_with_X():
     q = 3
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
     rep = critical_gauge_class_count(s, q)
-    assert rep["ok"] and rep["bijective"], rep
+    assert rep["agree"] and rep["X_enumerated"] == rep["X_count"], rep
 
 
 def test_model_cache_is_bounded():

@@ -1,11 +1,10 @@
 import pytest
 
 from flagdual.mutation import (RULES, CertificateError, ExceptionalCollection,
-                               MutationWord, Symbol, apply_move, apply_rule,
+                               Symbol, apply_move,
                                certify_grassmannian_collection,
                                expected_final_labels, load_move_script,
-                               replay_proof, serre_rotate, serre_rotate_back,
-                               start_collection)
+                               replay_proof, start_collection)
 
 
 def col_of(*labels):
@@ -19,18 +18,18 @@ def test_symbol_parse_roundtrip():
 
 def test_rule_mutation_uq():
     c = col_of("O(0,0)", "U2(0,0)")
-    c2 = apply_rule(c, {"move": "left", "rule": "mutationUQ", "pos": 0})
+    c2 = apply_move(c, {"move": "left", "rule": "mutationUQ", "pos": 0})
     assert c2.labels() == ["Q2(0,0)", "O(0,0)"]
     # and back
-    c3 = apply_rule(c2, {"move": "right", "rule": "mutationUQ", "pos": 0})
+    c3 = apply_move(c2, {"move": "right", "rule": "mutationUQ", "pos": 0})
     assert c3.labels() == c.labels()
 
 
 def test_rule_extension_q():
     c = col_of("Q3(0,2)", "O(1,1)")
-    c2 = apply_rule(c, {"move": "right", "rule": "extension_Q", "pos": 0})
+    c2 = apply_move(c, {"move": "right", "rule": "extension_Q", "pos": 0})
     assert c2.labels() == ["O(1,1)", "Q2(0,2)"]
-    c3 = apply_rule(c2, {"move": "left", "rule": "extension_Q", "pos": 0})
+    c3 = apply_move(c2, {"move": "left", "rule": "extension_Q", "pos": 0})
     assert c3.labels() == c.labels()
 
 
@@ -40,9 +39,9 @@ def test_left_then_right_is_identity_everywhere():
         o = f"O({a + shift[0]},{b + shift[1]})"
         for p, q in kinds:
             c = col_of(o, f"{p}({a},{b})")
-            c2 = apply_rule(c, {"move": "left", "rule": rule, "pos": 0})
+            c2 = apply_move(c, {"move": "left", "rule": rule, "pos": 0})
             assert c2.labels() == [f"{q}({a},{b})", o]
-            c3 = apply_rule(c2, {"move": "right", "rule": rule, "pos": 0})
+            c3 = apply_move(c2, {"move": "right", "rule": rule, "pos": 0})
             assert c3.labels() == c.labels()
             for record in c3.log:
                 cert = record["certificates"]
@@ -53,7 +52,7 @@ def test_left_then_right_is_identity_everywhere():
 def test_rule_pattern_mismatch():
     c = col_of("O(0,0)", "Q3(1,4)")
     with pytest.raises(ValueError):
-        apply_rule(c, {"move": "left", "rule": "mutationUQ", "pos": 0})
+        apply_move(c, {"move": "left", "rule": "mutationUQ", "pos": 0})
 
 
 def test_swap_requires_vanishing():
@@ -81,13 +80,14 @@ def test_normalize_certificate():
 
 def test_rotate_full_length_is_twist():
     c = col_of("O(0,0)", "Q3(0,1)", "O(1,1)")
-    c2 = serre_rotate(c, 3)
+    c2 = apply_move(c, {"move": "rotate", "count": 3})
     assert c2.labels() == ["O(2,2)", "Q3(2,3)", "O(3,3)"]
 
 
 def test_rotate_roundtrip():
     c = col_of("O(0,0)", "Q3(0,1)", "O(1,1)", "Q3(1,2)")
-    c2 = serre_rotate_back(serre_rotate(c, 2), 2)
+    c2 = apply_move(apply_move(c, {"move": "rotate", "count": 2}),
+                    {"move": "rotate_back", "count": 2})
     assert c2.labels() == c.labels()
 
 
@@ -95,25 +95,27 @@ def test_rotate_conjugates_positions():
     # rotate k then normalize at i == normalize at i+k then rotate k
     c = col_of("O(0,0)", "O(0,1)", "Q3(1,1)", "O(1,2)")
     k, i = 2, 0
-    via1 = apply_move(serre_rotate(c, k),
+    rot = {"move": "rotate", "count": k}
+    via1 = apply_move(apply_move(c, rot),
                       {"move": "normalize", "pos": i, "to": "Q3d(1,2)"})
-    via2 = serre_rotate(apply_move(c, {"move": "normalize", "pos": i + k,
-                                       "to": "Q3d(1,2)"}), k)
+    via2 = apply_move(apply_move(c, {"move": "normalize", "pos": i + k,
+                                     "to": "Q3d(1,2)"}), rot)
     assert via1.labels() == via2.labels()
+
+
+def test_rotate_back_moves_the_last_entries():
+    # a repeated entry must not be taken for the tail
+    c = col_of("O(0,0)", "O(1,1)", "O(0,0)")
+    c2 = apply_move(c, {"move": "rotate_back", "count": 1})
+    assert c2.labels() == ["O(-2,-2)", "O(0,0)", "O(1,1)"]
 
 
 def test_block_bookkeeping_on_rotate():
     c = ExceptionalCollection([Symbol.parse(x) for x in
                                ("O(0,0)", "Q3(0,0)", "BlockY")])
-    c2 = serre_rotate(c, 1)
+    c2 = apply_move(c, {"move": "rotate", "count": 1})
     assert c2.labels() == ["Q3(0,0)", "O(2,2)", "BlockY"]
-    assert c2.block_word.moves == [("R", ("O(2,2)",))]
-
-
-def test_mutation_word_inverse():
-    w = MutationWord([("R", ("a", "b")), ("T", (2, 2)), ("L", ("c",))])
-    assert w.compose(w.inverse()).is_identity()
-    assert w.inverse().inverse().moves == w.moves
+    assert c2.block_word == [("R", ("O(2,2)",))]
 
 
 def test_kuznetsov_collections_certified():
@@ -132,7 +134,6 @@ def test_replay_full_proof():
     rep = replay_proof()
     assert rep["ok"]
     assert rep["final_matches_display"]
-    assert rep["braid_inverse_identity"]
     assert rep["final_labels"] == expected_final_labels()
     assert rep["start_collection_certified"]["orthogonality_ok"]
     assert rep["final_collection_certified"]["orthogonality_ok"]
@@ -164,3 +165,45 @@ def test_replay_reports_position_out_of_range(pos):
     rep = replay_proof([{"move": "swap", "pos": pos}])
     assert not rep["ok"]
     assert rep["failed_at"] == 0 and "out of range" in rep["error"]
+
+
+MALFORMED_MOVES = {
+    "not-a-dict": "swap",
+    "list": ["swap", 0],
+    "no-kind": {"pos": 0},
+    "unknown-kind": {"move": "shuffle", "pos": 0},
+    "swap-no-pos": {"move": "swap"},
+    "swap-str-pos": {"move": "swap", "pos": "0"},
+    "left-no-rule": {"move": "left", "pos": 0},
+    "right-no-pos": {"move": "right", "rule": "mutationUQ"},
+    "normalize-no-to": {"move": "normalize", "pos": 0},
+    "rotate-no-count": {"move": "rotate"},
+    "rotate_back-no-count": {"move": "rotate_back"},
+    "twist_all-no-b": {"move": "twist_all", "a": 1},
+    "twist_all-no-a": {"move": "twist_all", "b": 1},
+    "rotate-float": {"move": "rotate", "count": 2.0},
+    "rotate-str": {"move": "rotate", "count": "2"},
+    "rotate-minus3": {"move": "rotate", "count": -3},
+    "rotate-0": {"move": "rotate", "count": 0},
+    "rotate-21": {"move": "rotate", "count": 21},
+    "rotate_back-0": {"move": "rotate_back", "count": 0},
+    "rotate_back-minus1": {"move": "rotate_back", "count": -1},
+    "rotate_back-21": {"move": "rotate_back", "count": 21},
+}
+
+
+@pytest.mark.parametrize("move", MALFORMED_MOVES.values(), ids=MALFORMED_MOVES)
+def test_replay_reports_malformed_move(move):
+    # the start collection has 20 bundles and a block; every one of these
+    # one-move scripts is rejected before anything is applied
+    rep = replay_proof([move])
+    assert not rep["ok"]
+    assert rep["failed_at"] == 0
+    assert rep["labels"] == start_collection().labels()
+
+
+def test_full_rotations_are_in_range():
+    c = start_collection()
+    for move in ({"move": "rotate", "count": 20},
+                 {"move": "rotate_back", "count": 20}):
+        assert len(apply_move(c, move).bundle_symbols) == 20
