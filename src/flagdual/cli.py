@@ -22,7 +22,7 @@ from . import glsm as glsm_mod
 from . import grassflag
 from . import motivic as motivic_mod
 from . import mutation as mutation_mod
-from .exactalg import GF, Budget, Mat, field_from_spec, parse_matrix
+from .exactalg import GF, QQ, Budget, Mat, parse_matrix
 from .duality import pushforward_to_g25, pushforward_to_g35
 from .grassflag import D_SIGN, PAIRS, SectionMatrix, script_matrix
 
@@ -53,16 +53,28 @@ def conventions_block() -> dict:
     }
 
 
+def _read_matrix(path: str, field, option: str, build):
+    """``build`` of the matrix in file ``path`` over ``field``; a usage error
+    of ``option`` when an entry is not a number or ``build`` rejects it."""
+    try:
+        with open(path) as fh:
+            return build(parse_matrix(fh.read(), field))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint=option) from None
+
+
 def load_section(cfg: RunConfig, field) -> SectionMatrix:
     """The ``--section`` file (10x10, numeric) over ``field``, or the published matrix."""
     if not cfg.section:
         return script_matrix(field)
-    try:
-        with open(cfg.section) as fh:
-            return SectionMatrix(parse_matrix(fh.read(), field))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"{cfg.section}: {exc}",
-                                 param_hint="'--section'") from None
+    return _read_matrix(cfg.section, field, "'--section'", SectionMatrix)
+
+
+def _glsm_point(m: Mat) -> glsm_mod.GLSMPoint:
+    """The ``--point`` matrix: 5 rows of B, then the row omega."""
+    if m.rows != 6:
+        raise ValueError(f"need 6 rows, got {m.rows}")
+    return glsm_mod.GLSMPoint(Mat(m.field, m.data[:5]), tuple(m.data[5]))
 
 
 def section_rows(s: SectionMatrix) -> list:
@@ -70,26 +82,25 @@ def section_rows(s: SectionMatrix) -> list:
     return [[str(x) for x in row] for row in s.mat.data]
 
 
-def _prime(q: int) -> int:
-    """q itself if it is prime; counts and certificates run over prime fields."""
+def _gf(value) -> GF:
+    """GF(value) for a prime ``value``; counts and certificates run over prime fields."""
     try:
-        GF(q)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    return q
+        return GF(int(value))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a prime") from None
 
 
 def _prime_option(_ctx, _param, value: int) -> int:
-    return _prime(value)
+    return _gf(value).p
 
 
 def _prime_list_option(_ctx, _param, value: str) -> tuple:
-    try:
-        qs = [int(q) for q in value.split(",")]
-    except ValueError:
-        raise click.BadParameter(
-            f"{value!r} is not a comma-separated list of primes") from None
-    return tuple(_prime(q) for q in qs)
+    return tuple(_gf(q).p for q in value.split(","))
+
+
+def _field_option(_ctx, _param, value: str):
+    """``q``/``QQ`` for the rationals, otherwise GF(p) for a prime p."""
+    return QQ if value.lower() in ("q", "qq", "rational", "rationals") else _gf(value)
 
 
 def _range_option(_ctx, _param, value: str) -> range:
@@ -128,12 +139,11 @@ def duality():
 
 @duality.command("build")
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--field", "field_spec", default="17")
+@click.option("--field", default="17", callback=_field_option)
 @click.option("--out", type=click.Path(), default=".")
-def duality_build(section, field_spec, out):
+def duality_build(section, field, out):
     """Emit the five quadrics and three quintics as polynomial text files."""
-    f = field_from_spec(field_spec)
-    s = load_section(RunConfig(section=section), f)
+    s = load_section(RunConfig(section=section), field)
     qs = pushforward_to_g25(s)
     st = pushforward_to_g35(s)
     os.makedirs(out, exist_ok=True)
@@ -150,14 +160,17 @@ def duality_build(section, field_spec, out):
 
 @duality.command("selfdual")
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--field", "field_spec", default="17")
+@click.option("--field", default="17", callback=_field_option)
 @click.option("--samples", default=100)
 @click.option("--seed", default=0)
 @click.option("--report", type=click.Path(), default=None)
-def duality_selfdual(section, field_spec, samples, seed, report):
+def duality_selfdual(section, field, samples, seed, report):
     """Scan random duality maps for the self-duality identity."""
-    s = load_section(RunConfig(section=section), field_from_spec(field_spec))
-    scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
+    s = load_section(RunConfig(section=section), field)
+    try:
+        scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
+    except ValueError as exc:         # characteristic 3: no invariant complement
+        raise click.BadParameter(str(exc), param_hint="'--field'") from None
     rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
            "all_non_selfdual": scan["ok"], "matrix": section_rows(s),
            "conventions": conventions_block()}
@@ -298,23 +311,20 @@ def glsm():
 
 @glsm.command("stability")
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--field", "field_spec", default="13")
+@click.option("--field", default="13", callback=_field_option)
 @click.option("--chamber", type=click.Choice(["plus", "minus"]), default="minus")
 @click.option("--samples", default=1000)
 @click.option("--seed", default=7)
 @click.option("--point", "point_path", type=click.Path(exists=True), default=None,
               help="file with 5 rows of B then one row omega")
 @click.option("--report", type=click.Path(), default=None)
-def glsm_stability(section, field_spec, chamber, samples, seed, point_path, report):
-    f = field_from_spec(field_spec)
-    s = load_section(RunConfig(section=section), f)
+def glsm_stability(section, field, chamber, samples, seed, point_path, report):
+    s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "samples": samples,
            "seed": seed, "conventions": conventions_block()}
     if point_path:
-        with open(point_path) as fh:
-            m = parse_matrix(fh.read(), f)
-        pt = glsm_mod.GLSMPoint(Mat(f, m.data[:5]), tuple(m.data[5]))
+        pt = _read_matrix(point_path, field, "'--point'", _glsm_point)
         ss = glsm_mod.semistable(pt, chamber)
         out["point"] = {"semistable": ss}
         if ss:
@@ -326,7 +336,7 @@ def glsm_stability(section, field_spec, chamber, samples, seed, point_path, repo
         return
     stats = {"semistable": 0, "critical": 0, "unstable_certified": 0}
     for _ in range(samples):
-        pt = glsm_mod.random_point(f, rng)
+        pt = glsm_mod.random_point(field, rng)
         if glsm_mod.semistable(pt, chamber):
             stats["semistable"] += 1
             if chamber == "minus" and pt.B.rank() == 2:

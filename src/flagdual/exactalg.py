@@ -146,15 +146,6 @@ class Rationals(Field):
 QQ = Rationals()
 
 
-def field_from_spec(spec) -> Field:
-    """CLI helper: 'q'/'rational' -> QQ, otherwise a prime modulus."""
-    if isinstance(spec, Field):
-        return spec
-    if isinstance(spec, str) and spec.lower() in ("q", "qq", "rational", "rationals"):
-        return QQ
-    return GF(int(spec))
-
-
 # ---------------------------------------------------------------------------
 # dense matrices
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ and exact point counting over small prime fields.
 Counting is exact integer arithmetic throughout: enumeration runs over
 Schubert-cell echelon representatives as int64 numpy arrays with explicit
 reductions mod p (no floating point is involved anywhere).  The kernels
-stream over chunks of ``CHUNK_ROWS`` representatives, so their temporaries
-do not grow with q.  Every operand is reduced to [0, q) before it enters a
+stream over ``grassmannian_chunks`` and nothing is cached, so their memory
+does not grow with q.  Every operand is reduced to [0, q) before it enters a
 product, and every intermediate stays below about 100 q^3; the largest is
 the quadratic form x^T C x of ``count_X``, a sum of 100 products of three
 residues.  100 q^3 < 2^63 holds for q < 4.5 * 10^5, far beyond any q whose
@@ -248,10 +248,8 @@ def degree_verdict() -> dict:
 # exact point counting
 # ---------------------------------------------------------------------------
 
-_ENUM_CACHE: dict = {}
-
-# Rows of an enumerated Grassmannian that a counting kernel processes at
-# once; the kernels' temporaries have at most this many rows.
+# Rows of G(k,5)(F_q) that a counting kernel processes at once; the kernels'
+# temporaries have at most this many rows.
 CHUNK_ROWS = 4096
 
 
@@ -265,28 +263,27 @@ def _schubert_cells(k: int):
         yield pivots, free
 
 
-def enumerate_grassmannian(q: int, k: int) -> np.ndarray:
+def grassmannian_chunks(q: int, k: int):
     """All points of G(k,5)(F_q) as reduced column-echelon representatives,
-    one per point; int64 array of shape (N, 5, k).  Cells follow
-    ``_schubert_cells``; within a cell the free entries run through F_q^n in
-    lexicographic order."""
-    key = (q, k)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
-    cells = list(_schubert_cells(k))
-    out = np.zeros((sum(q ** len(free) for _, free in cells), 5, k),
-                   dtype=np.int64)
-    lo = 0
-    for pivots, free in cells:
+    one per point, in blocks of at most ``CHUNK_ROWS``: yields (pivots,
+    block), block an int64 array of shape (n, 5, k) from the Schubert cell
+    with those pivot rows.  Cells follow ``_schubert_cells``; within a cell
+    the free entries run through F_q^n in lexicographic order, each block
+    built from its row indices, so no cell is held whole."""
+    for pivots, free in _schubert_cells(k):
         n = len(free)
-        block = out[lo:lo + q ** n]                # a view: filled in place
-        block[:, list(pivots), np.arange(k)] = 1
-        grid = np.indices((q,) * n).reshape(n, q ** n)
-        for (r, i), column in zip(free, grid):
-            block[:, r, i] = column
-        lo += q ** n
-    _ENUM_CACHE[key] = out
-    return out
+        for lo in range(0, q ** n, CHUNK_ROWS):
+            idx = np.arange(lo, min(lo + CHUNK_ROWS, q ** n))
+            block = np.zeros((len(idx), 5, k), dtype=np.int64)
+            block[:, list(pivots), np.arange(k)] = 1
+            for d, (r, i) in enumerate(free):
+                block[:, r, i] = idx // q ** (n - 1 - d) % q
+            yield pivots, block
+
+
+def enumerate_grassmannian(q: int, k: int) -> np.ndarray:
+    """The blocks of ``grassmannian_chunks`` in one (N, 5, k) array."""
+    return np.concatenate([block for _, block in grassmannian_chunks(q, k)])
 
 
 def wedge2_batch(M: np.ndarray, q: int) -> np.ndarray:
@@ -353,11 +350,10 @@ def _quadric_arrays(S: SectionMatrix, q: int):
 
 
 def count_X(S: SectionMatrix, q: int) -> int:
-    A = enumerate_grassmannian(q, 2)
     mats = _quadric_arrays(S, q)
     total = 0
-    for lo in range(0, len(A), CHUNK_ROWS):
-        x = minors2_batch(A[lo:lo + CHUNK_ROWS], q)
+    for _, A in grassmannian_chunks(q, 2):
+        x = minors2_batch(A, q)
         ok = np.ones(len(x), dtype=bool)
         for C in mats:
             ok &= np.einsum("ni,ij,nj->n", x, C, x) % q == 0
@@ -395,11 +391,10 @@ def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray
 
 
 def count_Y(S: SectionMatrix, q: int) -> int:
-    B = enumerate_grassmannian(q, 3)
     S_arr = _section_array(S, q)
     total = 0
-    for lo in range(0, len(B), CHUNK_ROWS):
-        v = _pushforward_vectors(S_arr, B[lo:lo + CHUNK_ROWS], q)
+    for _, B in grassmannian_chunks(q, 3):
+        v = _pushforward_vectors(S_arr, B, q)
         total += int(np.all(v == 0, axis=1).sum())
     return total
 
@@ -434,27 +429,22 @@ def count_M_via_g25(S: SectionMatrix, q: int) -> int:
     the fibration identity for X true by construction."""
     S_arr = _section_array(S, q)
     lamT = np.ascontiguousarray(_proj_plane_reps(q).T)   # (3, P)
-    G = enumerate_grassmannian(q, 2)
     total = 0
-    lo = 0
-    for pivots, free in _schubert_cells(2):
-        hi = lo + q ** len(free)
+    for pivots, A in grassmannian_chunks(q, 2):
         # w_p = sum_s lamT[s, p] e_comp[s] vanishes off the rows comp, so
         # the triple minor R @ w_p needs only the columns comp of R
         comp = [r for r in range(5) if r not in pivots]
-        for c in range(lo, hi, CHUNK_ROWS):
-            x = minors2_batch(G[c:min(c + CHUNK_ROWS, hi)], q)   # (n,10)
-            z = (x @ S_arr.T) % q                  # z[n, row] = (S x)_row
-            vals = np.zeros((len(x), lamT.shape[1]), dtype=np.int64)
-            for sign, wrows, xpos, ycoord in _TRIPLE_EXPANSION:
-                R = np.zeros((len(x), 5), dtype=np.int64)
-                R[:, wrows] = x[:, xpos] * [1, -1, 1]
-                minor = R[:, comp] @ lamT          # psi_t([A_n | w_p])
-                minor %= q
-                minor *= sign * z[:, ycoord, None]
-                vals += minor
-            total += int((vals % q == 0).sum())
-        lo = hi
+        x = minors2_batch(A, q)                    # (n,10)
+        z = (x @ S_arr.T) % q                      # z[n, row] = (S x)_row
+        vals = np.zeros((len(x), lamT.shape[1]), dtype=np.int64)
+        for sign, wrows, xpos, ycoord in _TRIPLE_EXPANSION:
+            R = np.zeros((len(x), 5), dtype=np.int64)
+            R[:, wrows] = x[:, xpos] * [1, -1, 1]
+            minor = R[:, comp] @ lamT              # psi_t([A_n | w_p])
+            minor %= q
+            minor *= sign * z[:, ycoord, None]
+            vals += minor
+        total += int((vals % q == 0).sum())
     return total
 
 
@@ -474,12 +464,10 @@ def count_M_via_g35(S: SectionMatrix, q: int) -> int:
                            dtype=np.int64).T
                   for l in _proj_plane_reps(q)])                 # (P,3,2)
     CK = wedge2_batch(K, q)[:, :, 0]                             # (P,3)
-    B = enumerate_grassmannian(q, 3)
     total = 0
-    for lo in range(0, len(B), CHUNK_ROWS):
-        Bc = B[lo:lo + CHUNK_ROWS]
-        z = (dual_batch(minors3_batch(Bc, q), q) @ S_arr) % q   # (n,10)
-        u = np.einsum("na,nac->nc", z, wedge2_batch(Bc, q)) % q  # (n,3)
+    for _, B in grassmannian_chunks(q, 3):
+        z = (dual_batch(minors3_batch(B, q), q) @ S_arr) % q    # (n,10)
+        u = np.einsum("na,nac->nc", z, wedge2_batch(B, q)) % q   # (n,3)
         total += int(((u @ CK.T) % q == 0).sum())
     return total
 
@@ -496,17 +484,17 @@ def point_count(S: SectionMatrix, q: int, which: str) -> int:
     if which == "M":
         return count_M_via_g35(S, q)
     if which == "G25":
-        return len(enumerate_grassmannian(q, 2))
+        return eval_poly(gauss_binomial(5, 2), q)
     if which == "G35":
-        return len(enumerate_grassmannian(q, 3))
+        return eval_poly(gauss_binomial(5, 3), q)
     if which == "F":
-        return len(enumerate_grassmannian(q, 2)) * (q * q + q + 1)
+        return eval_poly(gauss_binomial(5, 2), q) * (q * q + q + 1)
     raise ValueError(f"unknown variety {which!r}")
 
 
 def fibration_report(S: SectionMatrix, q: int) -> dict:
     """All counts plus the two piecewise-fibration identities and |X| = |Y|."""
-    nG = len(enumerate_grassmannian(q, 2))
+    nG = eval_poly(gauss_binomial(5, 2), q)
     nX = count_X(S, q)
     nY = count_Y(S, q)
     nM1 = count_M_via_g25(S, q)

@@ -216,7 +216,8 @@ _MOVE_FIELDS = {
 
 def _check_move(col: ExceptionalCollection, move):
     """ValueError unless ``move`` is a dict naming a known move, with every
-    field that move needs, and a count between 1 and the number of bundles."""
+    field that move needs, a count between 1 and the number of bundles, and
+    an ``expect``, if any, that is a list of str."""
     kind = move.get("move") if isinstance(move, dict) else None
     if not isinstance(kind, str) or kind not in _MOVE_FIELDS:
         raise ValueError(f"unknown move {move!r}")
@@ -226,6 +227,9 @@ def _check_move(col: ExceptionalCollection, move):
     n = len(col.bundle_symbols)
     if "count" in _MOVE_FIELDS[kind] and not 1 <= move["count"] <= n:
         raise ValueError(f"count {move['count']} out of range 1..{n}")
+    expect = move.get("expect", [])
+    if type(expect) is not list or any(type(e) is not str for e in expect):
+        raise ValueError(f"expect must be a list of str, got {move!r}")
 
 
 def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
@@ -248,7 +252,7 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
                              f"of {len(col.symbols)}")
         if "expect" in move:
             got = [s.label() for s in col.symbols[pos:pos + count]]
-            if got != list(move["expect"]):
+            if got != move["expect"]:
                 raise ValueError(f"expect mismatch at {pos}: {got} != {move['expect']}")
         return pos
 

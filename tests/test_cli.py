@@ -121,6 +121,12 @@ def test_motivic_commands(runner, tmp_path):
     ["duality", "nonbirational", "--prime", "4"],
     ["duality", "nonbirational", "--prime", "3"],       # no invariant complement
     ["duality", "nonbirational", "--route", "reduced"],  # route does not apply
+    ["duality", "build", "--field", "4"],
+    ["duality", "build", "--field", "x"],
+    ["duality", "selfdual", "--field", "x"],
+    ["duality", "selfdual", "--field", "3"],            # no invariant complement
+    ["glsm", "stability", "--field", "4"],
+    ["glsm", "stability", "--field", "x"],
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
@@ -166,6 +172,19 @@ def test_glsm_stability_point_input(runner, tmp_path):
     rep = json.loads(res.output)
     assert rep["point"]["semistable"] is False      # omega = 0
     assert rep["point"]["instability"]["valid"]
+
+
+@pytest.mark.parametrize("text", [
+    "1 0 0\n0 1 0\n",
+    "\n".join(["1 0 0 0"] * 6),
+    "\n".join(["x 0 0"] + ["1 0 0"] * 5),
+], ids=["2-rows", "6x4", "non-numeric"])
+def test_bad_point_file_is_a_usage_error(runner, tmp_path, text):
+    pt = tmp_path / "point.mat"
+    pt.write_text(text)
+    res = runner.invoke(main, ["glsm", "stability", "--point", str(pt)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--point'" in res.output
 
 
 def test_custom_section_file(runner, tmp_path):

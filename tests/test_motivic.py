@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,3 +287,19 @@ def test_counts_do_not_depend_on_chunk_size(q, kind, monkeypatch):
     rep = fibration_report(s, q)
     monkeypatch.setattr(motivic, "CHUNK_ROWS", 37)
     assert fibration_report(s, q) == rep
+
+
+def test_counting_kernels_keep_no_enumeration():
+    # G(2,5)(F_7) and G(3,5)(F_7) enumerated whole take 10-16 MB each; a
+    # streaming kernel peaks at its chunk temporaries and keeps nothing
+    q = 7
+    s = _section("random", q, 53)
+    for kernel in (count_X, count_Y, count_M_via_g25, count_M_via_g35):
+        tracemalloc.start()
+        try:
+            kernel(s, q)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, (kernel.__name__, peak)
+        assert held < 2 ** 20, (kernel.__name__, held)

@@ -189,6 +189,8 @@ MALFORMED_MOVES = {
     "rotate_back-0": {"move": "rotate_back", "count": 0},
     "rotate_back-minus1": {"move": "rotate_back", "count": -1},
     "rotate_back-21": {"move": "rotate_back", "count": 21},
+    "expect-int": {"move": "swap", "pos": 0, "expect": 5},
+    "expect-int-item": {"move": "swap", "pos": 0, "expect": ["O(0,0)", 5]},
 }
 
 
