@@ -87,15 +87,23 @@ def _gf(value) -> GF:
     try:
         return GF(int(value))
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not a prime") from None
+        raise click.BadParameter(f"{value!r} is not a prime below 3.3 * 10^24") from None
 
 
 def _prime_option(_ctx, _param, value: int) -> int:
     return _gf(value).p
 
 
-def _prime_list_option(_ctx, _param, value: str) -> tuple:
-    return tuple(_gf(q).p for q in value.split(","))
+def _q_option(_ctx, _param, value) -> int:
+    """A prime below the bound under which every count is exact."""
+    q = _gf(value).p
+    if q >= motivic_mod.Q_LIMIT:
+        raise click.BadParameter(f"{q} is above the bound of exact int64 counting")
+    return q
+
+
+def _prime_list_option(ctx, param, value: str) -> tuple:
+    return tuple(_q_option(ctx, param, q) for q in value.split(","))
 
 
 def _field_option(_ctx, _param, value: str):
@@ -277,7 +285,7 @@ def motivic():
 
 @motivic.command("count")
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--q", default=3, callback=_prime_option)
+@click.option("--q", default=3, callback=_q_option)
 @click.option("--report", type=click.Path(), default=None)
 def motivic_count(section, q, report):
     s = load_section(RunConfig(section=section), GF(q))
@@ -368,7 +376,7 @@ STAGES = [
     ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
     ("mutation_replay", lambda cfg, rng: mutation_mod.verify_replay()),
     ("glsm", lambda cfg, rng: glsm_mod.verify_phases(
-        load_section(cfg, GF(13)), rng, cfg.samples)),
+        load_section(cfg, QQ), rng, cfg.samples)),
 ]
 
 

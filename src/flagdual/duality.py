@@ -15,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, QQ, Budget, BudgetExceeded, Field, Ideal, Mat,
-                       Poly, PolyRing, _dot, exterior_square_grid,
+                       Poly, PolyRing, _dot, det3, exterior_square_grid,
                        groebner_basis, is_unit_ideal, normal_form, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,
@@ -106,14 +106,7 @@ def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
     f = S.field
     ring = PolyRing(f, QUINTIC_VARS)
     b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
-
-    def triple_minor(i, j, k):
-        rows = (b[i - 1], b[j - 1], b[k - 1])
-        return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-
-    minors3 = {t: triple_minor(*t) for t in TRIPLES}
+    minors3 = {t: det3([b[i - 1] for i in t]) for t in TRIPLES}
     # z_a = (y^T S)_a with y the dual coordinates of B
     z = []
     for a in range(10):
@@ -162,14 +155,7 @@ def pushforward_vector(S: SectionMatrix, B: Mat):
         idx = (p, l, m)
         if len(set(idx)) < 3:
             return f.zero
-        srt = tuple(sorted(idx))
-        sgn = perm_sign(idx)
-        d = B.data
-        r = (d[srt[0] - 1], d[srt[1] - 1], d[srt[2] - 1])
-        val = f.mul(r[0][0], f.sub(f.mul(r[1][1], r[2][2]), f.mul(r[1][2], r[2][1])))
-        val = f.sub(val, f.mul(r[0][1], f.sub(f.mul(r[1][0], r[2][2]), f.mul(r[1][2], r[2][0]))))
-        val = f.add(val, f.mul(r[0][2], f.sub(f.mul(r[1][0], r[2][1]), f.mul(r[1][1], r[2][0]))))
-        return val if sgn == 1 else f.neg(val)
+        return f.coerce(perm_sign(idx) * det3([B.data[i - 1] for i in sorted(idx)]))
 
     out = []
     for p in range(1, 6):

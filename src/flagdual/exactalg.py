@@ -55,6 +55,23 @@ class Field:
         raise NotImplementedError
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases, exact below 3.3 * 10^24 (the
+    least strong pseudoprime to all of them; 12 bases are fooled at 3.2 *
+    10^23); ValueError above."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise ValueError(f"{n} is too large to test for primality")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s                                # n - 1 = d 2^s, d odd
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _MR_BASES)
+
+
 class GF(Field):
     """Prime field GF(p); elements are ints in [0, p)."""
 
@@ -63,7 +80,7 @@ class GF(Field):
     def __new__(cls, p: int):
         if p in cls._cache:
             return cls._cache[p]
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self = super().__new__(cls)
         self.p = p
@@ -375,6 +392,15 @@ def exterior_square_grid(grid):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return [[grid[i - 1][k - 1] * grid[j - 1][l - 1] - grid[i - 1][l - 1] * grid[j - 1][k - 1]
              for (k, l) in pairs] for (i, j) in pairs]
+
+
+def det3(rows):
+    """The 3x3 determinant by cofactors, for rows whose entries support *, -
+    (ints, Fractions, Poly, numpy arrays); over GF(p), ``coerce`` the result."""
+    r0, r1, r2 = rows
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
 # -- matrix file format -----------------------------------------------------

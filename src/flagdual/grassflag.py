@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import (Field, GF, QQ, Mat, exterior_square, format_matrix,
+from .exactalg import (Field, GF, QQ, Mat, det3, exterior_square, format_matrix,
                        parse_matrix)
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -74,16 +74,7 @@ def pluecker(rep: Mat) -> tuple:
         return tuple(f.sub(f.mul(d[i - 1][0], d[j - 1][1]),
                            f.mul(d[i - 1][1], d[j - 1][0]))
                      for (i, j) in PAIRS)
-    out = []
-    for (i, j, k) in TRIPLES:
-        r = (d[i - 1], d[j - 1], d[k - 1])
-        m = f.sub(f.mul(r[1][1], r[2][2]), f.mul(r[1][2], r[2][1]))
-        m = f.mul(r[0][0], m)
-        m2 = f.sub(f.mul(r[1][0], r[2][2]), f.mul(r[1][2], r[2][0]))
-        m = f.sub(m, f.mul(r[0][1], m2))
-        m3 = f.sub(f.mul(r[1][0], r[2][1]), f.mul(r[1][1], r[2][0]))
-        out.append(f.add(m, f.mul(r[0][2], m3)))
-    return tuple(out)
+    return tuple(f.coerce(det3([d[i - 1] for i in t])) for t in TRIPLES)
 
 
 def dual_coordinates(B: Mat) -> tuple:
@@ -217,6 +208,9 @@ class SectionMatrix:
         return SectionMatrix(self.mat.transpose())
 
     def to_field(self, field: Field) -> "SectionMatrix":
+        """S over ``field``; a GF(p) matrix has no reduction to another prime."""
+        if isinstance(self.field, GF) and isinstance(field, GF) and field.p != self.field.p:
+            raise ValueError(f"cannot reduce a matrix over {self.field!r} to {field!r}")
         return SectionMatrix(Mat(field, self.mat.data))
 
     def __eq__(self, other):

@@ -19,10 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactalg import GF, Mat
+from .exactalg import GF, Mat, det3
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         SectionMatrix, complement_pair, perm_sign)
 from .duality import pushforward_to_g25
+
+Q_LIMIT = 450_000     # the int64 bound of the module docstring
 
 GENERATORS = ("1", "[X]", "[Y]", "[G25]", "[G35]", "[M]")
 
@@ -302,16 +304,15 @@ def minors2_batch(A: np.ndarray, q: int) -> np.ndarray:
     return wedge2_batch(A, q)[:, :, 0]
 
 
+def det3_batch(M: np.ndarray, q: int) -> np.ndarray:
+    """(N,3,3) -> (N,) determinants mod q."""
+    return det3(M.transpose(1, 2, 0)) % q
+
+
 def minors3_batch(B: np.ndarray, q: int) -> np.ndarray:
     """(N,5,3) -> (N,10) triple minors mod q, lex triple order."""
-    out = np.empty((B.shape[0], 10), dtype=np.int64)
-    for n, (i, j, k) in enumerate(TRIPLES):
-        r0, r1, r2 = B[:, i - 1, :], B[:, j - 1, :], B[:, k - 1, :]
-        det = (r0[:, 0] * (r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1])
-               - r0[:, 1] * (r1[:, 0] * r2[:, 2] - r1[:, 2] * r2[:, 0])
-               + r0[:, 2] * (r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0]))
-        out[:, n] = det % q
-    return out
+    return np.stack([det3_batch(B[:, [i - 1, j - 1, k - 1], :], q)
+                     for i, j, k in TRIPLES], axis=1)
 
 
 _DUAL_PERM = np.array([PAIR_POS[complement_pair(t)] for t in TRIPLES])
@@ -361,42 +362,31 @@ def count_X(S: SectionMatrix, q: int) -> int:
     return total
 
 
-_VPT = []  # (p, a) -> (sign, triple position) table for the Y-side vector
-for _p in range(1, 6):
-    row = []
-    for (_l, _m) in PAIRS:
-        idx = (_p, _l, _m)
-        if len(set(idx)) < 3:
-            row.append((0, 0))
-        else:
-            srt = tuple(sorted(idx))
-            row.append((perm_sign(idx), TRIPLE_POS[srt]))
-    _VPT.append(row)
+# v_p = sum_a sign(p ^ pair a) z_a pl3(p ^ pair a): the signs (0 where p lies
+# in pair a) and the triple positions of p ^ pair a, both (5, 10)
+_V_SIGN = np.array([[perm_sign((p,) + lm) * (p not in lm) for lm in PAIRS]
+                    for p in range(1, 6)])
+_V_TRIPLE = np.array([[TRIPLE_POS.get(tuple(sorted({p, *lm})), 0) for lm in PAIRS]
+                      for p in range(1, 6)])
 
 
 def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     """(N,5) matrix of v_p(B) values mod q."""
     pl3 = minors3_batch(B, q)
-    y = dual_batch(pl3, q)
-    z = (y @ S_arr) % q
-    out = np.zeros((B.shape[0], 5), dtype=np.int64)
-    for p in range(5):
-        acc = np.zeros(B.shape[0], dtype=np.int64)
-        for a in range(10):
-            sgn, tpos = _VPT[p][a]
-            if sgn:
-                acc += sgn * z[:, a] * pl3[:, tpos]
-        out[:, p] = acc % q
-    return out
+    z = (dual_batch(pl3, q) @ S_arr) % q
+    return np.einsum("na,pa,npa->np", z, _V_SIGN, pl3[:, _V_TRIPLE]) % q
+
+
+def y_points(S: SectionMatrix, q: int):
+    """All points of Y(F_q): for each block of ``grassmannian_chunks(q, 3)``
+    yields (pivots, the rows of the block where v vanishes)."""
+    S_arr = _section_array(S, q)
+    for pivots, B in grassmannian_chunks(q, 3):
+        yield pivots, B[np.all(_pushforward_vectors(S_arr, B, q) == 0, axis=1)]
 
 
 def count_Y(S: SectionMatrix, q: int) -> int:
-    S_arr = _section_array(S, q)
-    total = 0
-    for _, B in grassmannian_chunks(q, 3):
-        v = _pushforward_vectors(S_arr, B, q)
-        total += int(np.all(v == 0, axis=1).sum())
-    return total
+    return sum(len(B) for _, B in y_points(S, q))
 
 
 def _proj_plane_reps(q: int) -> np.ndarray:

@@ -217,7 +217,7 @@ _MOVE_FIELDS = {
 def _check_move(col: ExceptionalCollection, move):
     """ValueError unless ``move`` is a dict naming a known move, with every
     field that move needs, a count between 1 and the number of bundles, and
-    an ``expect``, if any, that is a list of str."""
+    an ``expect``, if any, that is a list of str on a move with a ``pos``."""
     kind = move.get("move") if isinstance(move, dict) else None
     if not isinstance(kind, str) or kind not in _MOVE_FIELDS:
         raise ValueError(f"unknown move {move!r}")
@@ -230,6 +230,8 @@ def _check_move(col: ExceptionalCollection, move):
     expect = move.get("expect", [])
     if type(expect) is not list or any(type(e) is not str for e in expect):
         raise ValueError(f"expect must be a list of str, got {move!r}")
+    if "expect" in move and "pos" not in _MOVE_FIELDS[kind]:
+        raise ValueError(f"{kind} has no pos to check an expect at, got {move!r}")
 
 
 def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:

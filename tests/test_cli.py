@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 from flagdual.cli import STAGES, RunConfig, main
 from flagdual.exactalg import GF, Mat, format_matrix
-from flagdual.grassflag import random_hf_section
+from flagdual.glsm import okonek_scan
+from flagdual.grassflag import random_hf_section, script_matrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_script_matrix.json"
 
@@ -119,6 +120,7 @@ def test_motivic_commands(runner, tmp_path):
     ["verify-paper", "--qs", "4"],
     ["verify-paper", "--qs", "2,1"],
     ["duality", "nonbirational", "--prime", "4"],
+    ["duality", "nonbirational", "--prime", "10000000000000000000000013"],  # too large to test
     ["duality", "nonbirational", "--prime", "3"],       # no invariant complement
     ["duality", "nonbirational", "--route", "reduced"],  # route does not apply
     ["duality", "build", "--field", "4"],
@@ -207,6 +209,30 @@ def test_verify_paper_matches_golden(runner, tmp_path):
     assert got == expected
 
 
+def test_verify_paper_seed_4001_passes(runner):
+    # the first generic section this seed draws has a singular F_7-point,
+    # so the glsm stage draws a second one
+    res = runner.invoke(main, ["verify-paper", "--seed", "4001"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["stages"]["glsm"]["details"]["okonek_generic"]["draws"] == 2
+
+
+def test_golden_script_scan_is_the_scan_of_the_script_matrix():
+    glsm = json.loads(GOLDEN.read_text())["stages"]["glsm"]["details"]
+    assert glsm["okonek_script_matrix"] == okonek_scan(script_matrix(GF(7)), 7)
+
+
+@pytest.mark.parametrize("args", [
+    ["motivic", "count", "--q", "1000000000000000003"],
+    ["motivic", "count", "--q", "450001"],
+    ["verify-paper", "--qs", "2,450001"],
+])
+def test_count_q_above_int64_bound_is_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "the bound of exact int64 counting" in res.output
+
+
 def test_verify_paper_has_no_field_option(runner):
     res = runner.invoke(main, ["verify-paper", "--field", "17"])
     assert res.exit_code == 2, res.output
@@ -241,8 +267,12 @@ def test_benchmark_tracer_hooks_resolve():
     # perfbench/tracer.py wraps flagdual functions by name; installing it
     # fails on any hooked name that no longer exists
     root = pathlib.Path(__file__).resolve().parent.parent
+    # and the glsm.okonek hook reads the "found" of the installed scan
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
-            "tracer.install(tracer.Tracer())")
+            "t = tracer.Tracer(); tracer.install(t); "
+            "from flagdual import glsm, grassflag, exactalg; "
+            "glsm.okonek_scan(grassflag.script_matrix(exactalg.GF(5)), 5); "
+            "assert t.counts['okonek.found'] > 0, t.counts")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,

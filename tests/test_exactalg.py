@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from flagdual.exactalg import (GF, QQ, Budget, BudgetExceeded, Ideal, Mat,
                                Poly, PolyRing, exterior_square, format_matrix,
-                               groebner_basis, is_unit_ideal,
+                               det3, groebner_basis, is_prime, is_unit_ideal,
                                normal_form, parse_matrix, saturate,
                                spolynomials_reduce_to_zero)
 
@@ -22,6 +22,19 @@ def test_gf_basics():
         F17.inv(0)
     with pytest.raises(ValueError):
         GF(15)
+
+
+def test_primality_is_exact_and_fast():
+    for p in range(10 ** 4):
+        assert is_prime(p) == (p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1)))
+    assert GF(10 ** 18 + 3).p == 10 ** 18 + 3
+    # Carmichael numbers, and the least strong pseudoprime to the first 12
+    # prime bases
+    for n in (561, 41041, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(n)
+    with pytest.raises(ValueError, match="too large"):
+        GF(10 ** 25 + 13)
 
 
 def test_qq_exact():
@@ -109,6 +122,14 @@ def test_det_wedge_power():
     for _ in range(25):
         T = Mat.random_invertible(F17, 5, rng)
         assert exterior_square(T).det() == F17.mul(T.det(), F17.mul(T.det(), F17.mul(T.det(), T.det())))
+
+
+@pytest.mark.parametrize("field", [F17, QQ])
+def test_det3_is_det(field):
+    rng = random.Random(5)
+    for _ in range(50):
+        m = Mat.random(field, 3, 3, rng)
+        assert field.coerce(det3(m.data)) == m.det()
 
 
 def test_charpoly_companion():

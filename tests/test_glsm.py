@@ -1,16 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from flagdual.exactalg import GF, Mat
+from flagdual.exactalg import GF, QQ, Mat
 from flagdual.duality import pushforward_to_g25
-from flagdual.glsm import (GLSMPoint, critical_gauge_class_count,
+from flagdual.glsm import (GLSMPoint, _singular_rows, critical_gauge_class_count,
                            critical_member, gauge_reduce, gauge_transform,
                            instability_certificate, model_for, okonek_scan,
                            random_semistable, random_unstable, rank2_point_over,
-                           random_grass_rep, reduced_quartics, semistable,
-                           superpotential, verify_certificate)
-from flagdual.grassflag import GrassPoint, SectionMatrix, pluecker, random_hf_section
+                           reduced_quartics, semistable, superpotential,
+                           verify_certificate)
+from flagdual.grassflag import (GrassPoint, SectionMatrix, pluecker,
+                                random_grass_point, random_hf_section,
+                                script_matrix)
+from flagdual.motivic import (_section_array, count_M_via_g25, eval_poly,
+                              gauss_binomial, y_points)
 
 F13 = GF(13)
 F11 = GF(11)
@@ -30,7 +35,7 @@ def test_superpotential_zero_omega():
 def test_superpotential_low_rank_b():
     rng = random.Random(5)
     s = random_hf_section(F13, rng)
-    a = random_grass_rep(F13, 2, rng)
+    a = random_grass_point(F13, 2, rng).rep
     B = a * Mat.random(F13, 2, 3, rng)
     pt = GLSMPoint(B, tuple(F13.rand(rng) for _ in range(3)))
     assert superpotential(pt, s) == 0
@@ -109,7 +114,7 @@ def test_gauge_reduce_examples():
 def test_gauge_reduce_well_defined():
     rng = random.Random(23)
     s = random_hf_section(F13, rng)
-    span = random_grass_rep(F13, 2, rng)
+    span = random_grass_point(F13, 2, rng).rep
     base = rank2_point_over(span, F13, rng)
     ref = gauge_reduce(base).pluecker
     for _ in range(50):
@@ -126,7 +131,7 @@ def test_critical_member_minus_matches_quadrics():
     qs = pushforward_to_g25(s)
     hits = 0
     for _ in range(300):
-        span = random_grass_rep(F11, 2, rng)
+        span = random_grass_point(F11, 2, rng).rep
         pt = rank2_point_over(span, F11, rng)
         member = critical_member(pt, s, "minus")
         expected = qs.vanishes_at(GrassPoint(span))
@@ -142,7 +147,7 @@ def test_critical_member_gauge_invariant():
     rng = random.Random(31)
     s = random_hf_section(F11, rng)
     for _ in range(50):
-        span = random_grass_rep(F11, 2, rng)
+        span = random_grass_point(F11, 2, rng).rep
         pt = rank2_point_over(span, F11, rng)
         val = critical_member(pt, s, "minus")
         g = Mat.random_invertible(F11, 3, rng)
@@ -156,7 +161,7 @@ def test_reduced_quartics_equal_pushforward_quadrics():
     quartics = reduced_quartics(s)
     qs = pushforward_to_g25(s)
     for _ in range(50):
-        a = random_grass_rep(F11, 2, rng)
+        a = random_grass_point(F11, 2, rng).rep
         B0 = Mat(F11, [[0] + list(a.data[r]) for r in range(5)])
         flat = [B0.data[r][c] for r in range(5) for c in range(3)]
         vals = [p.evaluate(flat) for p in quartics]
@@ -166,12 +171,55 @@ def test_reduced_quartics_equal_pushforward_quadrics():
 
 def test_plus_chamber_critical_forces_omega_zero():
     rng = random.Random(41)
-    s = random_hf_section(F11, rng)
-    rep = okonek_scan(s, 11, 10, rng)
-    assert rep["found"] == 10
-    assert rep["all_rank3"]
-    # at a found Y-point, omega = 0 is critical, nonzero omega is not
-    # (sampled indirectly through the scan's rank-3 verdict)
+    s = random_hf_section(GF(7), rng)
+    rep = okonek_scan(s, 7)
+    assert rep["found"] > 0 and rep["singular"] == 0, rep
+    # at a regular Y-point, omega = 0 is critical and nonzero omega is not
+    for b in itertools.islice((b for _, B in y_points(s, 7) for b in B), 10):
+        B7 = Mat(GF(7), b.tolist())
+        assert critical_member(GLSMPoint(B7, (0, 0, 0)), s, "plus")
+        for omega in ((1, 0, 0), (0, 3, 0), (2, 5, 6)):
+            assert not critical_member(GLSMPoint(B7, omega), s, "plus")
+
+
+def test_singular_verdict_matches_symbolic_jacobian():
+    # the scan's central differences against the rank of the symbolic
+    # 3x15 Jacobian, on 75 regular and 75 singular points of Y(F_7)
+    f = GF(7)
+    s = script_matrix(f)
+    S_arr = _section_array(s, 7)
+    points = {True: [], False: []}
+    for pivots, B in y_points(s, 7):
+        for b, sing in zip(B, _singular_rows(S_arr, pivots, B, 7)):
+            points[bool(sing)].append(b)
+    rng = random.Random(0)
+    jac = model_for(s).jacobian
+    for sing, pts in points.items():
+        assert len(pts) >= 75
+        for b in rng.sample(pts, 75):
+            flat = Mat(f, b.tolist()).flatten()
+            rank = Mat(f, [[p.evaluate(flat) for p in row] for row in jac]).rank()
+            assert (rank < 3) == sing
+
+
+def test_scan_finds_every_point_of_Y():
+    # |Y(F_5)| from the G(2,5)-side count of M: M = G (q+1) + |Y| q^2
+    q = 5
+    s = script_matrix(GF(q))
+    M = count_M_via_g25(s, q)
+    G = eval_poly(gauss_binomial(5, 2), q)
+    assert okonek_scan(s, q)["found"] == (M - G * (q + 1)) // q ** 2 == 841
+
+
+def test_scan_reduces_a_rational_section():
+    # the script matrix has entries -1, so its reduction mod 13 is not a
+    # matrix over GF(7); a GF(p) section is never moved to another prime
+    assert Mat(GF(7), script_matrix(GF(13)).mat.data) != script_matrix(GF(7)).mat
+    assert script_matrix(QQ).to_field(GF(7)) == script_matrix(GF(7))
+    with pytest.raises(ValueError):
+        script_matrix(GF(13)).to_field(GF(7))
+    with pytest.raises(ValueError):
+        okonek_scan(script_matrix(GF(13)), 7)
 
 
 def test_critical_gauge_classes_biject_with_X():

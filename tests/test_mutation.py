@@ -191,6 +191,7 @@ MALFORMED_MOVES = {
     "rotate_back-21": {"move": "rotate_back", "count": 21},
     "expect-int": {"move": "swap", "pos": 0, "expect": 5},
     "expect-int-item": {"move": "swap", "pos": 0, "expect": ["O(0,0)", 5]},
+    "rotate-expect": {"move": "rotate", "count": 1, "expect": ["nonsense"]},
 }
 
 
