@@ -169,7 +169,7 @@ def duality_build(section, field, out):
 @duality.command("selfdual")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--field", default="17", callback=_field_option)
-@click.option("--samples", default=100)
+@click.option("--samples", default=100, type=click.IntRange(min=1))
 @click.option("--seed", default=0)
 @click.option("--report", type=click.Path(), default=None)
 def duality_selfdual(section, field, samples, seed, report):
@@ -190,16 +190,14 @@ def duality_selfdual(section, field, samples, seed, report):
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--prime", default=17, callback=_prime_option)
 @click.option("--budget", default=2_000_000)
-@click.option("--route", default="auto",
-              type=click.Choice(["auto", "reduced", "full", "rabinowitsch"]))
 @click.option("--report", type=click.Path(), default=None)
-def duality_nonbirational(section, prime, budget, route, report):
+def duality_nonbirational(section, prime, budget, report):
     """Emptiness certificate for the linear-isomorphism equation."""
     cfg = RunConfig(section=section, budget=budget)
     s = load_section(cfg, GF(prime))
     try:
-        cert = duality_mod.verify_nonbirational(s, prime, cfg.budget_obj(), route)
-    except ValueError as exc:         # characteristic 3, or a route that does not apply
+        cert = duality_mod.verify_nonbirational(s, prime, cfg.budget_obj())
+    except ValueError as exc:         # characteristic 3: no invariant complement
         raise click.BadParameter(str(exc)) from None
     out = {"schema": SCHEMA, **cert["details"], "matrix": section_rows(s),
            "conventions": conventions_block()}
@@ -403,7 +401,7 @@ def verify_paper(cfg: RunConfig) -> dict:
 
 @main.command("verify-paper")
 @click.option("--seed", default=0)
-@click.option("--samples", default=200)
+@click.option("--samples", default=200, type=click.IntRange(1, 200))
 @click.option("--budget", default=2_000_000)
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)

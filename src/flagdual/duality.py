@@ -14,9 +14,8 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
-from .exactalg import (GF, QQ, Budget, BudgetExceeded, Field, Ideal, Mat,
-                       Poly, PolyRing, _dot, det3, exterior_square_grid,
-                       groebner_basis, is_unit_ideal, normal_form, saturate)
+from .exactalg import (GF, Budget, BudgetExceeded, Field, Ideal, Mat, PolyRing,
+                       _dot, det3, exterior_square_grid, is_unit_ideal, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,
                         complement_pair, hf_project, hf_space, perm_sign,
@@ -223,32 +222,21 @@ def commutant_space(S: SectionMatrix) -> MatrixSubspace:
     return MatrixSubspace(f, basis)
 
 
-def _poly_gcd_degree(coeffs_a, coeffs_b, f: Field) -> int:
-    """Degree of gcd of two univariate polynomials given by coefficient lists
-    (leading first)."""
-    a = [c for c in coeffs_a]
-    b = [c for c in coeffs_b]
-
+def _poly_gcd_degree(a, b, f: Field) -> int:
+    """Degree of the gcd of two univariate polynomials given by coefficient
+    lists (leading first), by Euclid; -1 when both are zero."""
     def strip(u):
         while u and f.is_zero(u[0]):
-            u.pop(0)
+            u = u[1:]
         return u
 
-    a, b = strip(a), strip(b)
+    a, b = strip(list(a)), strip(list(b))
     while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lead = f.div(a[0], b[0])
-        shift = len(a) - len(b)
-        for k in range(len(b)):
-            a[k] = f.sub(a[k], f.mul(lead, b[k]))
-        a = strip(a)
+        while len(a) >= len(b):          # a <- a mod b
+            lead = f.div(a[0], b[0])
+            a = strip([f.sub(x, f.mul(lead, y)) for x, y in zip(a, b)] + a[len(b):])
         a, b = b, a
-        a, b = strip(a), strip(b)
-        if len(a) < len(b):
-            a, b = b, a
-    return len(a) - 1 if a else -1
+    return len(a) - 1
 
 
 def charpoly_squarefree(S: SectionMatrix) -> bool:
@@ -285,7 +273,6 @@ class CertificateReport:
     saturation_result: str           # "unit" | "non-unit" | "not-computed"
     hf_member: bool = False
     charpoly_squarefree: bool = False
-    det_power: int | None = None     # k with det^k in the ideal, when found
     counterexample: list | None = None
     notes: list = dc_field(default_factory=list)
 
@@ -304,27 +291,37 @@ def _annihilator_rows(S: SectionMatrix):
     return [R.data[k] for k in range(len(piv))]
 
 
+def _unknowns(field: Field, route: str):
+    """The unknown T of the certificate: 15 symmetric variables for
+    ``reduced``, 25 for ``rabinowitsch``."""
+    if route == "reduced":
+        upper = list(itertools.combinations_with_replacement(range(5), 2))
+        ring = PolyRing(field, tuple(f"n{i + 1}{j + 1}" for i, j in upper))
+        pos = {ij: k for k, ij in enumerate(upper)}
+        return ring, [[ring.var(pos[min(i, j), max(i, j)]) for j in range(5)]
+                      for i in range(5)]
+    ring = PolyRing(field, tuple(f"t{i}{j}" for i in range(1, 6) for j in range(1, 6)))
+    return ring, [[ring.var(5 * i + j) for j in range(5)] for i in range(5)]
+
+
 def nonbirational_certificate(S: SectionMatrix, p: int,
-                              budget: Budget | None = None,
-                              route: str = "auto",
-                              max_det_power: int = 4) -> CertificateReport:
+                              budget: Budget | None = None) -> CertificateReport:
     """Certify that S^T M = M S has no solution M = wedge^2 T with det T != 0
     over GF(p), i.e. that the pair (X, Y) admits no linear isomorphism.
 
-    Routes:
-      * ``reduced``  - 15 symmetric variables; valid when the commutant is
+    The ideal of the annihilator rows of the linear system, applied to the
+    entries of wedge^2 T, is saturated by det T (Rabinowitsch); the unit
+    ideal certifies emptiness.  The unknowns are the route:
+
+      * ``reduced``  - T symmetric, 15 variables; valid when the commutant is
         10-dimensional and entirely symmetric (then any solution wedge^2 T is
-        symmetric, forcing T symmetric).  Decided by det(N)^k membership,
-        which is exactly the statement that the saturation is the unit ideal.
-      * ``full``     - 25 variables, same det-power decision.
-      * ``rabinowitsch`` - the verbatim construction: ideal of the entries of
-        S^T wedge^2(T) - wedge^2(T) S, saturated by det T.
-      * ``auto``     - reduced when applicable, otherwise rabinowitsch, with
-        the full det-power route as the budget fallback.
+        symmetric, forcing T symmetric) and the charpoly is squarefree.
+      * ``rabinowitsch`` - T general, 25 variables: otherwise, and when the
+        reduced route runs out of budget.
 
     The commutant dimension/symmetry facts are computed unconditionally (the
-    always-available fallback evidence).  ``budget_exceeded``: every route tried
-    ran out of budget.  A ``route`` that does not apply to S raises ValueError.
+    always-available fallback evidence).  ``budget_exceeded``: every route
+    tried ran out of budget.
     """
     field = GF(p)
     S = S.to_field(field)
@@ -347,96 +344,35 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
         report.notes.append("S is symmetric; T = identity solves S^T M = M S")
         return report
 
-    reduced_ok = sqfree and dimW == 10 and sym
-    if route == "auto":
-        plan = ["reduced", "rabinowitsch"] if reduced_ok else ["rabinowitsch", "full"]
-    elif route == "reduced" and not reduced_ok:
-        raise ValueError(
-            f"route 'reduced' does not apply: commutant dimension {dimW} (needs 10), "
-            f"symmetric: {sym}, squarefree charpoly: {sqfree}")
-    else:
-        plan = [route]
-
     ann = _annihilator_rows(S)
-
-    for r in plan:
+    plan = ["reduced", "rabinowitsch"] if sqfree and dimW == 10 and sym else ["rabinowitsch"]
+    for route in plan:
+        ring, grid = _unknowns(field, route)
+        wedge = [x for row in exterior_square_grid(grid) for x in row]
+        gens = []
+        for row in ann:
+            acc = ring.zero()
+            for c, w in zip(row, wedge):
+                if not field.is_zero(c):
+                    acc = acc + w * c
+            gens.append(acc)
         try:
-            if r == "reduced":
-                names = tuple(f"n{i}{j}" for i in range(1, 6) for j in range(i, 6))
-                ring = PolyRing(field, names)
-                idx = {}
-                k = 0
-                for i in range(1, 6):
-                    for j in range(i, 6):
-                        idx[(i, j)] = idx[(j, i)] = k
-                        k += 1
-                grid = [[ring.var(idx[(i + 1, j + 1)]) for j in range(5)] for i in range(5)]
-            else:
-                names = tuple(f"t{i}{j}" for i in range(1, 6) for j in range(1, 6))
-                ring = PolyRing(field, names)
-                grid = [[ring.var(5 * i + j) for j in range(5)] for i in range(5)]
-
-            wedge = exterior_square_grid(grid)
-            det = _det_poly(ring, grid)
-
-            if r == "rabinowitsch":
-                gens = []
-                ST = S.mat.transpose()
-                for i in range(10):
-                    for j in range(10):
-                        acc = ring.zero()
-                        for a in range(10):
-                            if not field.is_zero(ST.data[i][a]):
-                                acc = acc + wedge[a][j] * ST.data[i][a]
-                        for bcol in range(10):
-                            if not field.is_zero(S.mat.data[bcol][j]):
-                                acc = acc - wedge[i][bcol] * S.mat.data[bcol][j]
-                        if acc:
-                            gens.append(acc)
-                sat = saturate(Ideal(ring, gens), det, budget)
-                unit = is_unit_ideal(sat)
-                report.route = r
-                report.saturation_result = "unit" if unit else "non-unit"
-                report.status = "certified_empty" if unit else "inconclusive"
-                if not unit:
-                    report.notes.append(
-                        "saturation is proper: solutions off det=0 may exist")
-                return report
-
-            # membership routes: det^k in the ideal <=> saturation is unit
-            gens = []
-            for row in ann:
-                acc = ring.zero()
-                for a in range(10):
-                    for bcol in range(10):
-                        c = row[10 * a + bcol]
-                        if not field.is_zero(c):
-                            acc = acc + wedge[a][bcol] * c
-                if acc:
-                    gens.append(acc)
-            basis = groebner_basis(Ideal(ring, gens), budget)
-            power = ring.one()
-            for k in range(1, max_det_power + 1):
-                power = power * det
-                if normal_form(power, basis).is_zero():
-                    report.route = r
-                    report.status = "certified_empty"
-                    report.saturation_result = "unit"
-                    report.det_power = k
-                    return report
-            report.route = r
-            report.status = "inconclusive"
-            report.saturation_result = "non-unit"
-            report.notes.append(
-                f"no det power up to {max_det_power} lies in the ideal")
-            return report
+            sat = saturate(Ideal(ring, gens), _det_poly(ring, grid), budget)
         except BudgetExceeded as exc:
-            report.notes.append(f"route {r}: budget exceeded ({exc})")
+            report.notes.append(f"route {route}: budget exceeded ({exc})")
             continue
+        unit = is_unit_ideal(sat)
+        report.route = route
+        report.saturation_result = "unit" if unit else "non-unit"
+        report.status = "certified_empty" if unit else "inconclusive"
+        if not unit:
+            report.notes.append("saturation is proper: solutions off det=0 may exist")
+        return report
 
     report.route = "fallback-commutant"
     report.notes.append("all routes exhausted budget; commutant facts stand")
     return report
+
 
 def verify_pushforwards(rng: random.Random, samples: int) -> dict:
     """On a random GF(11) section, the quadrics are its fiber coefficients
@@ -445,7 +381,7 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
     s = random_hf_section(f, rng)
     qs = pushforward_to_g25(s)
     ok = True
-    for _ in range(min(samples, 200)):
+    for _ in range(samples):
         a = random_grass_point(f, 2, rng)
         w = [f.rand(rng) for _ in range(5)]
         lhs = section_of_fiber_point(s, a.rep, w)
@@ -470,9 +406,8 @@ def selfdual_scan(S: SectionMatrix, rng: random.Random, samples: int = 100) -> d
     return {"ok": hits == 0, "details": {"selfdual_hits": hits}}
 
 
-def verify_nonbirational(S: SectionMatrix, p: int, budget: Budget | None = None,
-                         route: str = "auto") -> dict:
+def verify_nonbirational(S: SectionMatrix, p: int, budget: Budget | None = None) -> dict:
     """X and Y admit no linear isomorphism: the certificate over GF(p) is
-    ``certified_empty``.  Raises ValueError where ``route`` does not apply."""
-    rep = nonbirational_certificate(S, p, budget, route=route)
+    ``certified_empty``."""
+    rep = nonbirational_certificate(S, p, budget)
     return {"ok": rep.status == "certified_empty", "details": rep.as_dict()}

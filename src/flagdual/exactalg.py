@@ -886,42 +886,26 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
     lcinvs: list = []
     gterms: list = []
     pairs: list = []            # heap of (lcm degree, lcm, i, j)
-    lcms: dict = {}
+    divides = ring.mono_divides
 
     def add_pairs(k: int):
-        """Gebauer-Moeller update for new element index k."""
+        """Gebauer-Moeller update for new element index k, in one pass."""
         ltk = lts[k]
-        newp = {}
-        for i in range(k):
-            l = ring.mono_lcm(lts[i], ltk)
-            newp[i] = l
-        # criterion M: drop (i,k) if lcm(j,k) properly divides lcm(i,k)
-        keep = {}
-        for i, l in newp.items():
-            if any(lj != l and ring.mono_divides(lj, l) for lj in newp.values()):
+        lcm_k = [ring.mono_lcm(lt, ltk) for lt in lts[:k]]
+        # prune old pairs (i,j) whose lcm the new leading term divides, unless
+        # it equals lcm(i,k) or lcm(j,k)
+        pairs[:] = [(d, l, i, j) for d, l, i, j in pairs
+                    if not (divides(ltk, l) and lcm_k[i] != l and lcm_k[j] != l)]
+        heapq.heapify(pairs)
+        # criteria M and F: drop (i,k) when an lcm met earlier in (deg, lcm, i)
+        # order divides lcm(i,k); criterion B: drop it when the lts are coprime
+        met = []
+        for d, l, i in sorted((ring.mono_deg(l), l, i) for i, l in enumerate(lcm_k)):
+            if any(divides(m, l) for m in met):
                 continue
-            keep[i] = l
-        # criterion F: among equal lcms keep one
-        seen = {}
-        for i, l in keep.items():
-            seen.setdefault(l, i)
-        # criterion B (product criterion): drop if lts coprime
-        for l, i in seen.items():
-            prod = ring.mono_mul(lts[i], ltk)
-            if l == prod:
-                continue
-            heapq.heappush(pairs, (ring.mono_deg(l), l, i, k))
-        # prune old pairs via the new leading term
-        survivors = []
-        while pairs:
-            item = heapq.heappop(pairs)
-            d, l, i, j = item
-            if j != k and ring.mono_divides(ltk, l) and \
-               ring.mono_lcm(lts[i], ltk) != l and ring.mono_lcm(lts[j], ltk) != l:
-                continue
-            survivors.append(item)
-        for item in survivors:
-            heapq.heappush(pairs, item)
+            met.append(l)
+            if l != ring.mono_mul(lts[i], ltk):
+                heapq.heappush(pairs, (d, l, i, k))
 
     for g in interreduce(ideal.gens):
         G.append(g)

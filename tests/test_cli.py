@@ -6,12 +6,13 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from flagdual.cli import STAGES, RunConfig, main
-from flagdual.exactalg import GF, Mat, format_matrix
+from flagdual.exactalg import GF, QQ, Mat, format_matrix
 from flagdual.glsm import okonek_scan
 from flagdual.grassflag import random_hf_section, script_matrix
 
@@ -122,13 +123,16 @@ def test_motivic_commands(runner, tmp_path):
     ["duality", "nonbirational", "--prime", "4"],
     ["duality", "nonbirational", "--prime", "10000000000000000000000013"],  # too large to test
     ["duality", "nonbirational", "--prime", "3"],       # no invariant complement
-    ["duality", "nonbirational", "--route", "reduced"],  # route does not apply
+    ["verify-paper", "--samples", "0"],                # no samples, no check
     ["duality", "build", "--field", "4"],
     ["duality", "build", "--field", "x"],
     ["duality", "selfdual", "--field", "x"],
     ["duality", "selfdual", "--field", "3"],            # no invariant complement
     ["glsm", "stability", "--field", "4"],
     ["glsm", "stability", "--field", "x"],
+    ["verify-paper", "--samples", "-3"],
+    ["verify-paper", "--samples", "201"],              # above what the stages draw
+    ["duality", "selfdual", "--samples", "0"],
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
@@ -220,6 +224,19 @@ def test_verify_paper_seed_4001_passes(runner):
 def test_golden_script_scan_is_the_scan_of_the_script_matrix():
     glsm = json.loads(GOLDEN.read_text())["stages"]["glsm"]["details"]
     assert glsm["okonek_script_matrix"] == okonek_scan(script_matrix(GF(7)), 7)
+
+
+def test_section_not_reducing_mod_7_keeps_the_glsm_stage(runner, tmp_path):
+    rows = [list(r) for r in script_matrix(QQ).mat.data]
+    rows[0][0] = Fraction(1, 7)
+    path = tmp_path / "S.mat"
+    path.write_text(format_matrix(Mat(QQ, rows)))
+    res = runner.invoke(main, ["verify-paper", "--section", str(path)])
+    glsm = json.loads(res.output)["stages"]["glsm"]
+    assert glsm["ok"], glsm
+    assert glsm["details"]["okonek_script_matrix"] == {
+        "prime": 7, "error": "inverse of 0 in GF(7)"}
+    assert glsm["details"]["x_two_routes"]["agree"]
 
 
 @pytest.mark.parametrize("args", [

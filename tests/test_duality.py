@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flagdual.exactalg import GF, QQ, Budget, Mat
+from flagdual.exactalg import GF, QQ, Budget, Mat, exterior_square, groebner_basis
 from flagdual.duality import (charpoly_squarefree, commutant_space,
                               fiber_class, intertwiner_conditions,
                               is_symmetric, nonbirational_certificate,
@@ -234,6 +234,16 @@ def test_commutant_resubstitution():
         assert ST * m == m * s.mat
 
 
+@pytest.mark.parametrize("section, expected", [
+    (SectionMatrix(Mat.identity(F17, 10)), False),
+    (script_matrix(F17), False),
+    (SectionMatrix(Mat(F17, [[i + 1 if i == j else 0 for j in range(10)]
+                             for i in range(10)])), True),
+], ids=["identity", "script", "distinct-diagonal"])
+def test_charpoly_squarefree(section, expected):
+    assert charpoly_squarefree(section) is expected
+
+
 def test_commutant_generic_hf_rational():
     rng = random.Random(89)
     s = random_hf_section(QQ, rng)
@@ -255,16 +265,35 @@ def test_certificate_script_matrix():
     rep = nonbirational_certificate(script_matrix(F17), 17,
                                     Budget(max_seconds=300))
     assert rep.status == "certified_empty"
+    assert rep.route == "rabinowitsch"
     assert rep.saturation_result == "unit"
     assert rep.dim_commutant == 28
     assert not rep.hf_member
+    # pins the strength of the pair criteria: a weaker M, F or B criterion
+    # still gives a correct basis, but after more S-pair reductions
+    assert groebner_basis.last_stats.reductions == 3011
 
 
-def test_certificate_route_must_apply():
-    # the script matrix has a 28-dimensional, non-symmetric commutant, so the
-    # reduced route is not applicable: an error, not "budget_exceeded"
-    with pytest.raises(ValueError, match="commutant dimension 28 .*symmetric: False"):
-        nonbirational_certificate(script_matrix(F17), 17, route="reduced")
+def test_certificate_never_certifies_a_self_dual_section():
+    # S = (wedge^2 T)^-1 K with T, K symmetric: S^T wedge^2 T = K = wedge^2 T S,
+    # so T solves the equation and the saturation is not the unit ideal
+    rng = random.Random(3)
+
+    def symmetric(n):
+        m = Mat.random(F17, n, n, rng)
+        return m + m.transpose()
+
+    T = symmetric(5)
+    while F17.is_zero(T.det()):
+        T = symmetric(5)
+    M = exterior_square(T)
+    s = SectionMatrix(M.inverse() * symmetric(10))
+    assert not is_symmetric(s.mat)
+    assert s.mat.transpose() * M == M * s.mat
+    rep = nonbirational_certificate(s, 17, Budget(max_seconds=300))
+    assert rep.route == "reduced"
+    assert rep.saturation_result == "non-unit"
+    assert rep.status == "inconclusive"
 
 
 def test_certificate_random_hf():
