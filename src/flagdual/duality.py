@@ -15,7 +15,8 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, Budget, BudgetExceeded, Field, Ideal, Mat, PolyRing,
-                       _dot, det3, exterior_square_grid, is_unit_ideal, saturate)
+                       _dot, det3, exterior_square_grid, is_unit_ideal, rref_kernel,
+                       saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
                         DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,
                         complement_pair, hf_project, hf_space, perm_sign,
@@ -281,14 +282,14 @@ class CertificateReport:
 
 
 def _commutant_facts(S: SectionMatrix):
-    W = commutant_space(S)
-    return W, W.dim, all(is_symmetric(m) for m in W.basis)
-
-
-def _annihilator_rows(S: SectionMatrix):
-    sys = intertwiner_conditions(S)
-    R, piv = sys.rref()
-    return [R.data[k] for k in range(len(piv))]
+    """From one reduction of S^T M = M S: the commutant's dimension, whether
+    every commutant basis matrix is symmetric, and the annihilator rows (the
+    nonzero rows of the RREF)."""
+    R, piv = intertwiner_conditions(S).rref()
+    basis = rref_kernel(R, piv)
+    sym = all(v[10 * i + j] == v[10 * j + i]
+              for v in basis for i in range(10) for j in range(i))
+    return len(basis), sym, R.data[:len(piv)]
 
 
 def _unknowns(field: Field, route: str):
@@ -326,7 +327,7 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     field = GF(p)
     S = S.to_field(field)
     budget = budget or Budget(max_seconds=1800)
-    W, dimW, sym = _commutant_facts(S)
+    dimW, sym, ann = _commutant_facts(S)
     sqfree = charpoly_squarefree(S)
     hf_member = hf_space(field).contains_section(S)
     report = CertificateReport(status="budget_exceeded", route="none",
@@ -344,7 +345,6 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
         report.notes.append("S is symmetric; T = identity solves S^T M = M S")
         return report
 
-    ann = _annihilator_rows(S)
     plan = ["reduced", "rabinowitsch"] if sqfree and dimW == 10 and sym else ["rabinowitsch"]
     for route in plan:
         ring, grid = _unknowns(field, route)

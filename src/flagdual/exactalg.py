@@ -3,7 +3,8 @@ and a small Buchberger kernel.
 
 Everything downstream is built on this module.  No floating point anywhere:
 prime fields use Python ints reduced mod p, the rational field uses
-``fractions.Fraction``.
+``fractions.Fraction``.  Row reduction (``Mat.rref``) works on primitive
+integer rows over QQ and builds Fractions only for its result.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -254,26 +256,59 @@ class Mat:
 
     # -- elimination --------------------------------------------------------
     def rref(self):
-        """Reduced row echelon form; returns (Mat, pivot column list)."""
+        """Reduced row echelon form; returns (Mat, pivot column list).
+
+        One elimination loop over Python-int rows serves both fields.  A QQ
+        row is first scaled by the lcm of its denominators; a GF(p) row
+        already is ints.  Clearing column c of row i replaces it by
+        a*row_i - b*row_r, where a is the pivot and b the entry of row i.
+        Over QQ, a and b are first divided by their gcd and the new row by
+        the gcd of its entries, so rows stay primitive; over GF(p) the new
+        row is reduced mod p.  At the end each pivot row is divided by its
+        pivot, once.  Every step scales a row by a nonzero constant or adds
+        a multiple of one row to another, so the row space is unchanged,
+        and the RREF of a matrix is unique: the result is exactly that of
+        elimination in field arithmetic.
+        """
         f = self.field
-        m = [list(r) for r in self.data]
+        p = f.p if isinstance(f, GF) else None
+        if p:
+            m = [list(row) for row in self.data]
+        else:
+            m = []
+            for row in self.data:
+                d = lcm(*(x.denominator for x in row))
+                m.append([x.numerator * (d // x.denominator) for x in row])
         pivots = []
-        r = 0
         for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if not f.is_zero(m[i][c])), None)
+            r = len(pivots)
+            piv = next((i for i in range(r, self.rows) if m[i][c]), None)
             if piv is None:
                 continue
             m[r], m[piv] = m[piv], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(x, inv) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not f.is_zero(m[i][c]):
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+            prow = m[r]
+            for i, row in enumerate(m):
+                if i == r or not row[c]:
+                    continue
+                a, b = prow[c], row[c]
+                if p:
+                    m[i] = [(a * x - b * y) % p for x, y in zip(row, prow)]
+                    continue
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
             pivots.append(c)
-            r += 1
-            if r == self.rows:
+            if len(pivots) == self.rows:
                 break
+        for r, c in enumerate(pivots):
+            a = m[r][c]
+            if p:
+                inv = f.inv(a)
+                m[r] = [x * inv % p for x in m[r]]
+            else:
+                m[r] = [Fraction(x, a) for x in m[r]]
         return Mat(f, m), pivots
 
     def rank(self):
@@ -312,17 +347,7 @@ class Mat:
 
     def kernel(self):
         """Basis of the right kernel, as a list of tuples."""
-        f = self.field
-        R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [f.zero] * self.cols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][fc])
-            basis.append(tuple(v))
-        return basis
+        return rref_kernel(*self.rref())
 
     def solve(self, rhs):
         """One solution x of self @ x = rhs, or None."""
@@ -369,6 +394,22 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows}x{self.cols})"
+
+
+def rref_kernel(R: Mat, pivots: list) -> list:
+    """Basis of the right kernel of a matrix whose RREF is (R, pivots), one
+    vector per free column, as a list of tuples."""
+    f = R.field
+    basis = []
+    for fc in range(R.cols):
+        if fc in pivots:
+            continue
+        v = [f.zero] * R.cols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(R.data[r][fc])
+        basis.append(tuple(v))
+    return basis
 
 
 def _dot(f, a, b):

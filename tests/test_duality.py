@@ -251,6 +251,13 @@ def test_commutant_generic_hf_rational():
     W = commutant_space(s)
     assert W.dim == 10
     assert all(is_symmetric(m) for m in W.basis)
+    # independent of the elimination: each basis matrix intertwines exactly in
+    # Fraction arithmetic, and the basis reduced mod 2^31 - 1 is the
+    # commutant computed over GF(2^31 - 1)
+    ST = s.mat.transpose()
+    assert all(ST * m == m * s.mat for m in W.basis)
+    P = GF(2 ** 31 - 1)
+    assert [Mat(P, m.data) for m in W.basis] == commutant_space(s.to_field(P)).basis
 
 
 def test_certificate_symmetric_counterexample():

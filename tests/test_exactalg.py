@@ -52,6 +52,75 @@ def test_rank_nullity(field, shape):
         assert m.rank() + len(m.kernel()) == shape[1]
 
 
+def _assert_rref_matches_sympy(field, data):
+    """Mat.rref against sympy: Matrix.rref over QQ, DomainMatrix.rref over
+    GF(p); the pivot list and every entry must agree."""
+    sympy = pytest.importorskip("sympy")
+    rows, cols = len(data), len(data[0]) if data else 0
+    R, pivots = Mat(field, data).rref()
+    if field is QQ:
+        oracle, opiv = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
+                                                 for row in data for x in row]).rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in oracle.row(i)]
+                    for i in range(rows)]
+    else:
+        from sympy.polys.matrices import DomainMatrix
+        K = sympy.GF(field.p)
+        oracle, opiv = DomainMatrix([[K(x) for x in row] for row in data],
+                                    (rows, cols), K).rref()
+        expected = [[K.to_int(x) % field.p for x in row] for row in oracle.to_list()]
+    assert pivots == list(opiv)
+    assert [list(row) for row in R.data] == expected
+
+
+@st.composite
+def _rref_cases(draw):
+    """(field, data): entries from the field, some matrices a product through
+    a narrow middle (rank deficient), then zero rows and columns spliced in.
+    QQ entries are Fraction(n, d) with d of either sign and often sharing a
+    factor with n."""
+    field = draw(st.sampled_from([QQ, F7, F17]))
+    if field is QQ:
+        entry = st.builds(Fraction, st.integers(-12, 12),
+                          st.integers(-12, 12).filter(bool))
+    else:
+        entry = st.integers(0, field.p - 1)
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                             min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                              min_size=inner, max_size=inner))
+        data = [[field.coerce(sum(a * right[k][j] for k, a in enumerate(row)))
+                 for j in range(cols)] for row in left]
+    else:
+        data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data.insert(at, [field.zero] * cols)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, cols))
+        data = [row[:at] + [field.zero] + row[at:] for row in data]
+        cols += 1
+    return field, data
+
+
+@given(_rref_cases())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_sympy(case):
+    _assert_rref_matches_sympy(*case)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F17])
+@pytest.mark.parametrize("data", [[], [[]], [[0, 0], [0, 0]],
+                                  [[Fraction(6, -4), Fraction(-10, -15)], [3, -2]]],
+                         ids=["0x0", "1x0", "zero", "signed-denominators"])
+def test_rref_edge_cases_match_sympy(field, data):
+    _assert_rref_matches_sympy(field, [[field.coerce(x) for x in row] for row in data])
+
+
 def test_inverse_iff_nonzero_det():
     rng = random.Random(3)
     for _ in range(20):
