@@ -173,14 +173,17 @@ def duality_build(section, field, out):
 @click.option("--seed", default=0)
 @click.option("--report", type=click.Path(), default=None)
 def duality_selfdual(section, field, samples, seed, report):
-    """Scan random duality maps for the self-duality identity."""
+    """Scan random duality maps for S^T M_f = lambda M_f S: evidence, not proof,
+    as a map hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.
+    The exact statement, for lambda = 1 only, is ``duality nonbirational``."""
     s = load_section(RunConfig(section=section), field)
     try:
         scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
     except ValueError as exc:         # characteristic 3: no invariant complement
         raise click.BadParameter(str(exc), param_hint="'--field'") from None
     rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
-           "all_non_selfdual": scan["ok"], "matrix": section_rows(s),
+           "all_non_selfdual": scan["details"]["selfdual_hits"] == 0,
+           "matrix": section_rows(s),
            "conventions": conventions_block()}
     emit_report(rep, report)
     sys.exit(0 if scan["ok"] else 1)
@@ -189,7 +192,7 @@ def duality_selfdual(section, field, samples, seed, report):
 @duality.command("nonbirational")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--prime", default=17, callback=_prime_option)
-@click.option("--budget", default=2_000_000)
+@click.option("--budget", default=2_000_000, type=click.IntRange(min=1))
 @click.option("--report", type=click.Path(), default=None)
 def duality_nonbirational(section, prime, budget, report):
     """Emptiness certificate for the linear-isomorphism equation."""
@@ -319,7 +322,7 @@ def glsm():
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--field", default="13", callback=_field_option)
 @click.option("--chamber", type=click.Choice(["plus", "minus"]), default="minus")
-@click.option("--samples", default=1000)
+@click.option("--samples", default=1000, type=click.IntRange(min=1))
 @click.option("--seed", default=7)
 @click.option("--point", "point_path", type=click.Path(exists=True), default=None,
               help="file with 5 rows of B then one row omega")
@@ -402,7 +405,7 @@ def verify_paper(cfg: RunConfig) -> dict:
 @main.command("verify-paper")
 @click.option("--seed", default=0)
 @click.option("--samples", default=200, type=click.IntRange(1, 200))
-@click.option("--budget", default=2_000_000)
+@click.option("--budget", default=2_000_000, type=click.IntRange(min=1))
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--report", type=click.Path(), default=None)

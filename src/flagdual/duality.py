@@ -7,6 +7,13 @@ represented by B = [A | w]; the section restricted to that fiber is linear in
 w and its coefficient vector is the quadric system.  With these conventions
 the contraction identities hold with constant exactly 1 (see tests), which
 pins the normalization the antisymmetrized index formulas leave open.
+
+Y_S is X_{S^T} in dual coordinates: sum_c shat_c(B) column_c(B) equals the
+quadrics of S^T at y(B), as polynomials (proved in the tests on the unit basis).
+A map f makes the pair self-dual when iota_f(S) is a multiple of S, since
+X_{lambda S} = X_S.  The scan over random maps is evidence, not proof: a map
+hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.  The exact
+statement is the certificate, which covers lambda = 1 only.
 """
 from __future__ import annotations
 
@@ -17,10 +24,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 from .exactalg import (GF, Budget, BudgetExceeded, Field, Ideal, Mat, PolyRing,
                        _dot, det3, exterior_square_grid, is_unit_ideal, rref_kernel,
                        saturate)
-from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
-                        DualityMap, GrassPoint, MatrixSubspace, SectionMatrix,
-                        complement_pair, hf_project, hf_space, perm_sign,
-                        random_grass_point, random_hf_section)
+from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
+                        GrassPoint, MatrixSubspace, SectionMatrix, complement_pair,
+                        dual_coordinates, hf_project, hf_space, iota_action,
+                        perm_sign, pluecker, random_grass_point, random_hf_section)
 
 QUADRIC_VARS = tuple(f"p{i}{j}" for (i, j) in PAIRS)
 QUINTIC_VARS = tuple(f"b{r}{c}" for r in range(1, 6) for c in range(1, 4))
@@ -50,7 +57,7 @@ class QuinticTriple:
 
     Component c is linear in column c and quadratic in the other two columns,
     and the triple satisfies  sum_c  shat_c(B) * column_c(B) = v(B)  with v
-    the pushforward vector."""
+    the quadrics of S^T at the dual coordinates of B."""
 
     def __init__(self, ring: PolyRing, components):
         self.ring = ring
@@ -138,62 +145,30 @@ def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
     return QuinticTriple(ring, components)
 
 
-def pushforward_vector(S: SectionMatrix, B: Mat):
-    """v_p(B) = sum_a (y^T S)_a psi_{p,l_a,m_a}(B), the G(3,5)-side section
-    value as a vector in V5.  Vanishes exactly on Y (for full-rank B)."""
-    f = S.field
-    from .grassflag import dual_coordinates
-    y = dual_coordinates(B)
-    z = [f.zero] * 10
-    for a in range(10):
-        acc = f.zero
-        for q in range(10):
-            acc = f.add(acc, f.mul(y[q], S.mat.data[q][a]))
-        z[a] = acc
-
-    def signed_triple_minor(p, l, m):
-        idx = (p, l, m)
-        if len(set(idx)) < 3:
-            return f.zero
-        return f.coerce(perm_sign(idx) * det3([B.data[i - 1] for i in sorted(idx)]))
-
-    out = []
-    for p in range(1, 6):
-        acc = f.zero
-        for a, (l, m) in enumerate(PAIRS):
-            if f.is_zero(z[a]):
-                continue
-            acc = f.add(acc, f.mul(z[a], signed_triple_minor(p, l, m)))
-        out.append(acc)
-    return tuple(out)
-
-
 def section_of_fiber_point(S: SectionMatrix, A: Mat, w):
     """s([A], [A|w]): the section evaluated on the fiber point over [A]."""
     f = S.field
     B = Mat(f, [list(A.data[r]) + [w[r]] for r in range(5)])
-    from .grassflag import dual_coordinates, pluecker
     return S.evaluate(pluecker(A), dual_coordinates(B))
 
 
 def fiber_class(S: SectionMatrix, x: GrassPoint) -> str:
     """'P2' when the hyperplane section contains the whole fiber over x,
     'P1' otherwise; equivalently P2 iff x lies on the corresponding zero locus."""
-    f = S.field
     if x.space == "G25":
-        qs = pushforward_to_g25(S)
-        vals = qs.evaluate(x.pluecker)
-    else:
-        vals = pushforward_vector(S, x.rep)
-    return "P2" if all(f.is_zero(v) for v in vals) else "P1"
+        vals = pushforward_to_g25(S).evaluate(x.pluecker)
+    else:                             # Y_S is X_{S^T} in dual coordinates
+        vals = pushforward_to_g25(S.transpose()).evaluate(dual_coordinates(x.rep))
+    return "P2" if all(S.field.is_zero(v) for v in vals) else "P1"
 
 
 def selfdual_test(S: SectionMatrix, f: DualityMap) -> bool:
-    """S^T M_f == S M_f, the matrix criterion for the pair to be isomorphic
-    via f.  Requires S in the invariant complement (checked)."""
-    if not hf_space(S.field).contains_section(S):
-        raise ValueError("self-duality criterion needs S in the invariant complement")
-    return S.mat.transpose() * f.M == S.mat * f.M
+    """S^T M_f and M_f S are proportional, i.e. iota_f(S) is a multiple of S:
+    f identifies X_S with Y_S.  S must lie in the invariant complement
+    (``hf_project``): flag-ideal terms change neither X_S nor Y_S, but they
+    can break the proportion."""
+    return Mat(S.field, [(S.mat.transpose() * f.M).flatten(),
+                         (f.M * S.mat).flatten()]).rank() <= 1
 
 
 def intertwiner_conditions(S: SectionMatrix) -> Mat:
@@ -399,11 +374,24 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
 
 
 def selfdual_scan(S: SectionMatrix, rng: random.Random, samples: int = 100) -> dict:
-    """No random duality map makes the invariant-complement part of S self-dual."""
+    """No random duality map makes the invariant-complement part of S
+    self-dual.  Two controls must hit: S +- iota_0(S), self-dual (lambda = +-1)
+    through the fixed T_0 = L L^T, L the identity plus ones below the diagonal
+    (det T_0 = 1 over every field; no rng draw).
+
+    Evidence, not proof: a random map hits only when wedge^2 T lies in some
+    W_lambda = {M : S^T M = lambda M S}; the exact statement is the
+    ``nonbirational`` certificate."""
     S = hf_project(S)
     hits = sum(1 for _ in range(samples)
                if selfdual_test(S, DualityMap.random(S.field, rng)))
-    return {"ok": hits == 0, "details": {"selfdual_hits": hits}}
+    L = Mat(S.field, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
+    f0 = DualityMap(L * L.transpose())
+    image = iota_action(S, f0).mat
+    controls = all(selfdual_test(SectionMatrix(S.mat + image * sign), f0)
+                   for sign in (1, -1))
+    return {"ok": hits == 0 and controls,
+            "details": {"selfdual_hits": hits, "controls_hit": controls}}
 
 
 def verify_nonbirational(S: SectionMatrix, p: int, budget: Budget | None = None) -> dict:

@@ -10,7 +10,7 @@ Index conventions (shared by every module):
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -409,7 +409,7 @@ def random_hf_section(field: Field, rng: random.Random) -> SectionMatrix:
 class DualityMap:
     """An isomorphism G(2,5) -> G(3,5) induced by an invertible T: V5 -> V5*.
 
-    Carries M_f = wedge^2 T_f and its inverse.
+    Carries M_f = wedge^2 T_f; its inverse is computed on first use.
     """
 
     def __init__(self, T: Mat):
@@ -419,7 +419,10 @@ class DualityMap:
             raise ValueError("T must be invertible")
         self.T = T
         self.M = exterior_square(T)
-        self.M_inv = self.M.inverse()
+
+    @functools.cached_property
+    def M_inv(self) -> Mat:
+        return self.M.inverse()
 
     @classmethod
     def random(cls, field: Field, rng: random.Random) -> "DualityMap":

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from flagdual.cli import STAGES, RunConfig, main
 from flagdual.exactalg import GF, QQ, Mat, format_matrix
 from flagdual.glsm import okonek_scan
-from flagdual.grassflag import random_hf_section, script_matrix
+from flagdual.grassflag import flag_ideal_space, random_hf_section, script_matrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_script_matrix.json"
 
@@ -133,6 +133,10 @@ def test_motivic_commands(runner, tmp_path):
     ["verify-paper", "--samples", "-3"],
     ["verify-paper", "--samples", "201"],              # above what the stages draw
     ["duality", "selfdual", "--samples", "0"],
+    ["glsm", "stability", "--samples", "-3"],
+    ["duality", "nonbirational", "--budget", "0"],     # no Groebner step allowed
+    ["duality", "nonbirational", "--budget", "-1"],
+    ["verify-paper", "--budget", "0"],
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
@@ -256,6 +260,26 @@ def test_verify_paper_has_no_field_option(runner):
     assert "No such option" in res.output
 
 
+def test_golden_diff_fails_only_on_changed_or_removed_keys(tmp_path):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "golden_diff.py"
+
+    def diff(edit):
+        doc = json.loads(GOLDEN.read_text())
+        edit(doc["stages"]["spaces"])
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(doc))
+        return subprocess.run([sys.executable, str(script), str(GOLDEN), str(new)],
+                              capture_output=True, text=True)
+
+    added = diff(lambda stage: stage["details"].update(extra=1))
+    assert added.returncode == 0, added.stdout
+    assert "added    stages.spaces.details.extra = 1" in added.stdout
+    assert diff(lambda stage: stage.pop("details")).returncode == 1
+    changed = diff(lambda stage: stage.update(ok=False))
+    assert changed.returncode == 1
+    assert "changed  stages.spaces.ok: true -> false" in changed.stdout
+
+
 def test_golden_config_is_the_run_config():
     config = json.loads(GOLDEN.read_text())["config"]
     assert sorted(config) == sorted(f.name for f in dataclasses.fields(RunConfig))
@@ -269,15 +293,17 @@ def test_budget_ignores_environment(monkeypatch):
 
 
 def test_selfdual_stage_scans_given_section(tmp_path):
-    # a symmetric section (and its symmetric projection) is self-dual under
-    # every duality map, unlike the published one
-    m = Mat.random(GF(17), 10, 10, random.Random(13))
-    path = tmp_path / "symmetric.txt"
-    path.write_text(format_matrix(m + m.transpose()))
+    # a section in the flag ideal projects to zero, which every duality map
+    # identifies with itself; the published one no random map hits, and both
+    # of its controls S +- iota_0(S) hit through their own map
+    ideal = flag_ideal_space(GF(17))
+    path = tmp_path / "ideal.txt"
+    path.write_text(format_matrix(ideal.basis[3] + ideal.basis[11]))
     stage = dict(STAGES)["selfdual_scan"]
     rep = stage(RunConfig(section=str(path)), random.Random(0))
-    assert rep == {"ok": False, "details": {"selfdual_hits": 100}}
-    assert stage(RunConfig(), random.Random(0))["ok"]
+    assert rep == {"ok": False, "details": {"selfdual_hits": 100, "controls_hit": True}}
+    rep = stage(RunConfig(), random.Random(0))
+    assert rep == {"ok": True, "details": {"selfdual_hits": 0, "controls_hit": True}}
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -1,18 +1,23 @@
 import random
 
+import numpy as np
 import pytest
 
-from flagdual.exactalg import GF, QQ, Budget, Mat, exterior_square, groebner_basis
-from flagdual.duality import (charpoly_squarefree, commutant_space,
+from flagdual.exactalg import (GF, QQ, Budget, Mat, Poly, PolyRing, det3,
+                               exterior_square, groebner_basis)
+from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
                               fiber_class, intertwiner_conditions,
                               is_symmetric, nonbirational_certificate,
                               pushforward_to_g25, pushforward_to_g35,
-                              pushforward_vector, section_of_fiber_point,
-                              selfdual_test)
-from flagdual.grassflag import (DualityMap, GrassPoint, SectionMatrix,
-                                flag_ideal_space, hf_space, pluecker,
+                              section_of_fiber_point, selfdual_test)
+from flagdual.grassflag import (D_SIGN, PAIR_POS, TRIPLES, DualityMap, GrassPoint,
+                                SectionMatrix, complement_pair, dual_coordinates,
+                                flag_ideal_space, hf_project, hf_space, pluecker,
                                 random_grass_point, random_hf_section,
                                 script_matrix, script_section)
+from flagdual.motivic import (_pushforward_vectors, _quadric_arrays, _section_array,
+                              count_Y, enumerate_grassmannian, minors2_batch,
+                              y_points)
 
 F11 = GF(11)
 F13 = GF(13)
@@ -86,20 +91,36 @@ def test_quintic_column_degrees():
             assert vals[cc] == expect
 
 
+def _compose(poly, subs):
+    """poly with its variables replaced by the polynomials ``subs``."""
+    ring = subs[0].ring
+    acc = ring.zero()
+    for m, c in poly.terms.items():
+        term = ring.const(c)
+        for sub, e in zip(subs, poly.ring.decode(m)):
+            term = term * sub ** e
+        acc = acc + term
+    return acc
+
+
 def test_quintic_reconstruction_identity():
-    # sum_c shat_c(B) * column_c(B) = v(B) at random points
-    rng = random.Random(59)
-    s = random_hf_section(F13, rng)
-    st = pushforward_to_g35(s)
-    for _ in range(50):
-        B = Mat.random(F13, 5, 3, rng)
-        sh = st.evaluate(B)
-        v = pushforward_vector(s, B)
-        for p in range(5):
-            acc = F13.zero
-            for c in range(3):
-                acc = F13.add(acc, F13.mul(sh[c], B.data[p][c]))
-            assert acc == v[p]
+    # sum_c shat_c(B) * b_pc = Q_p of S^T at the dual coordinates y(B), as
+    # polynomials in the entries of B: Y_S is X_{S^T}.  Both sides are linear
+    # in S, so the 100 unit matrices over QQ prove it for every S.
+    ring = PolyRing(QQ, QUINTIC_VARS)
+    b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
+    y = [None] * 10
+    for t in TRIPLES:
+        y[PAIR_POS[complement_pair(t)]] = det3([b[i - 1] for i in t]) * D_SIGN[t]
+    for a in range(10):
+        for c in range(10):
+            E = Mat(QQ, [[int((i, j) == (a, c)) for j in range(10)] for i in range(10)])
+            shat = [Poly(ring, sh.terms)
+                    for sh in pushforward_to_g35(SectionMatrix(E)).components]
+            quadrics = pushforward_to_g25(SectionMatrix(E.transpose())).quadrics
+            for p in range(5):
+                lhs = sum((shat[k] * b[p][k] for k in range(3)), ring.zero())
+                assert lhs == _compose(quadrics[p], y)
 
 
 def test_gauge_covariance():
@@ -147,6 +168,18 @@ def test_fiber_class_matches_exhaustive_fiber_count():
                 count += 1
         cls = fiber_class(s, a)
         assert count == (q * q + q + 1 if cls == "P2" else q + 1)
+    # the fiber over W = col(B) in G(3,5): the planes col(B K_lam), with the
+    # columns of K_lam spanning the kernel of lam, one plane per lam in P^2
+    kers = [Mat(F3, [list(lam)]).kernel() for lam in reps]
+    planes = [Mat(F3, [list(col) for col in zip(*k)]) for k in kers]
+    on_y = [Mat(F3, B.tolist()) for _, block in y_points(s, q) for B in block][:5]
+    classes = []
+    for B in [random_grass_point(F3, 3, rng).rep for _ in range(30)] + on_y:
+        y = dual_coordinates(B)
+        count = sum(F3.is_zero(s.evaluate(pluecker(B * K), y)) for K in planes)
+        classes.append(fiber_class(s, GrassPoint(B)))
+        assert count == (q * q + q + 1 if classes[-1] == "P2" else q + 1)
+    assert {"P1", "P2"} <= set(classes)
 
 
 def _proj_reps(q, n):
@@ -196,10 +229,29 @@ def test_selfdual_symmetric_identity():
         assert not selfdual_test(s, ident)
 
 
-def test_selfdual_requires_hf():
-    s = script_matrix(F17)          # raw matrix is not in the complement
-    with pytest.raises(ValueError):
-        selfdual_test(s, DualityMap(Mat.identity(F17, 5)))
+def test_selfdual_up_to_sign():
+    # S = (wedge^2 T)^-1 K with T symmetric and K antisymmetric gives
+    # S^T M = -M S: f_T identifies X_S with Y_S, although S^T M = M S fails
+    # (the equation the non-birationality certificate saturates)
+    F5 = GF(5)
+    L = Mat(F5, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
+    T = L * L.transpose()
+    f = DualityMap(T)
+    R = Mat.random(F5, 10, 10, random.Random(0))
+    s = hf_project(SectionMatrix(f.M_inv * (R - R.transpose())))
+    assert s.mat.transpose() * f.M == f.M * s.mat * (-1) != f.M * s.mat
+    assert selfdual_test(s, f)
+    # f_T sends [A] to (T A)^perp, the kernel of A^T T
+    G = enumerate_grassmannian(5, 2)
+    x = minors2_batch(G, 5)
+    on_x = np.ones(len(x), dtype=bool)
+    for C in _quadric_arrays(s, 5):
+        on_x &= np.einsum("ni,ij,nj->n", x, C, x) % 5 == 0
+    images = [list(zip(*(Mat(F5, A.tolist()).transpose() * T).kernel()))
+              for A in G[on_x]]
+    v = _pushforward_vectors(_section_array(s, 5), np.array(images, dtype=np.int64), 5)
+    assert len(images) == count_Y(s, 5) == 188
+    assert not v.any()
 
 
 def test_script_not_selfdual_for_random_maps():

@@ -7,11 +7,10 @@ import pytest
 
 from flagdual import motivic
 from flagdual.exactalg import GF, Mat
-from flagdual.duality import (pushforward_to_g25, pushforward_vector,
-                              section_of_fiber_point)
+from flagdual.duality import pushforward_to_g25, section_of_fiber_point
 from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLES,
                                 GrassPoint, SectionMatrix, complement_pair,
-                                random_hf_section)
+                                dual_coordinates, random_hf_section)
 from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               count_X, count_Y, degree_check,
                               derive_l_relation, enumerate_grassmannian,
@@ -125,15 +124,17 @@ def test_count_X_matches_pointwise_quadrics():
     assert count_X(s, q) == brute
 
 
-def test_count_Y_matches_pointwise_vector():
+@pytest.mark.parametrize("q", [2, 3])
+def test_count_Y_matches_pointwise_vector(q):
+    # oracle: Y_S is X_{S^T} read in the dual coordinates of B; q = 3 has signs
     rng = random.Random(19)
-    q = 2
     f = GF(q)
     s = SectionMatrix(Mat.random(f, 10, 10, rng))
+    qs = pushforward_to_g25(s.transpose())
     brute = 0
     for rep in enumerate_grassmannian(q, 3):
-        B = Mat(f, rep.tolist())
-        if all(f.is_zero(v) for v in pushforward_vector(s, B)):
+        y = dual_coordinates(Mat(f, rep.tolist()))
+        if all(f.is_zero(v) for v in qs.evaluate(y)):
             brute += 1
     assert count_Y(s, q) == brute
 
