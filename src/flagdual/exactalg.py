@@ -472,8 +472,18 @@ def format_matrix(M: Mat) -> str:
 #
 # Integer comparison of packed monomials is exactly the degrevlex order
 # (block-eliminating the first variable when elim_first is set).  Products are
-# packed additions modulo a constant offset; divisibility is one masked
-# subtraction.  Total degree is capped at 127.
+# packed additions modulo a constant offset.  Bit 7 of every variable field is
+# a guard bit, always clear in a monomial, so whole words act fieldwise:
+#
+# * b divides a iff ``not (b - a) & guards and b >> zs <= a >> zs``: a field
+#   of b - a borrows exactly where e_i(b) > e_i(a), and the z test compares
+#   the elimination block (zs is the z shift; plain rings have z = 0, so the
+#   same test holds there);
+# * lcm is the fieldwise min of the complements: ``((a|guards) - b) & guards``
+#   flags the fields where comp_a >= comp_b, without borrows between fields;
+#   its total degree is 127*n minus the byte sum, its z the larger z.
+#
+# Total degree is capped at 127.
 
 _VB = 8            # bits per variable field
 _CMAX = 127        # max exponent per variable
@@ -498,6 +508,7 @@ class PolyRing:
         self._z_shift = self._deg_shift + _DEGBITS
         self._offset = sum(_CMAX << (_VB * i) for i in range(n))
         self._guards = sum(0x80 << (_VB * i) for i in range(n))
+        self._fields = (1 << self._deg_shift) - 1   # all variable fields
         self.one_mono = self._offset        # all exponents zero
         self._mono_cache: dict[int, tuple] = {}
 
@@ -535,16 +546,9 @@ class PolyRing:
         return a + b - self._offset
 
     def mono_divides(self, b: int, a: int) -> bool:
-        """Does monomial b divide monomial a?
-
-        Complemented fields flip the inequality: e_i(b) <= e_i(a) for all i
-        iff the subtraction b - a has no borrow in any variable field.
-        """
-        if (b - a) & self._guards:
-            return False
-        if self.elim_first and (b >> self._z_shift) > (a >> self._z_shift):
-            return False
-        return True
+        """Does monomial b divide monomial a?  (Inlined in the Buchberger loop.)"""
+        zs = self._z_shift
+        return not (b - a) & self._guards and b >> zs <= a >> zs
 
     def mono_deg(self, m: int) -> int:
         d = (m >> self._deg_shift) & 0xFFFF
@@ -553,8 +557,14 @@ class PolyRing:
         return d
 
     def mono_lcm(self, a: int, b: int) -> int:
-        ea, eb = self.decode(a), self.decode(b)
-        return self.encode(tuple(max(x, y) for x, y in zip(ea, eb)))
+        ge = ((a | self._guards) - b) & self._guards
+        mask = ge - (ge >> 7)               # 0x7F where comp_a >= comp_b
+        m = (a ^ ((a ^ b) & mask)) & self._fields
+        tot = _CMAX * self._nord - sum(m.to_bytes(self._nord, "little"))
+        if tot > _CMAX:
+            raise ValueError("exponent overflow")
+        zs = self._z_shift
+        return m | tot << self._deg_shift | max(a >> zs, b >> zs) << zs
 
     # -- element constructors ------------------------------------------------
     def zero(self):
@@ -803,61 +813,71 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens in {self.ring.names})"
 
 
-def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list) -> Poly:
-    """Full normal form of fpoly against basis (parallel lists).
+def _prime_field(ring: PolyRing, what: str) -> int:
+    if not isinstance(ring.field, GF):
+        raise ValueError(f"{what} requires a prime field")
+    return ring.field.p
 
-    Heap-driven: repeatedly cancel the largest reducible monomial.
+
+def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
+                 first_divisor: dict) -> Poly:
+    """Full normal form of fpoly against basis (parallel lists) over GF(p).
+
+    Heap-driven: repeatedly cancel the largest reducible monomial by its first
+    divisor in lts; coefficients are ints mod p.  first_divisor memoises that
+    search: m -> index of the first divisor, or -k when lts[:k] holds none (0
+    reads as "search from 0").  Calls that share it may only append to lts,
+    so the first divisor of m among lts[:k] never changes.
     """
     ring = fpoly.ring
-    f = ring.field
-    divides = ring.mono_divides
+    p = ring.field.p
+    guards, zs = ring._guards, ring._z_shift
+    nlts = len(lts)
     work = dict(fpoly.terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
         m = -heapq.heappop(heap)
-        c = work.get(m)
-        if c is None or f.is_zero(c):
+        c = work.pop(m, None)
+        if c is None:
             continue
-        red = None
-        for idx, lt in enumerate(lts):
-            if divides(lt, m):
-                red = idx
-                break
-        if red is None:
-            rem[m] = c
-            del work[m]
-            continue
-        del work[m]
-        g = polys[red]
-        shift = m - lts[red]                    # quotient offset (packed)
-        factor = f.mul(c, lcinvs[red])
-        for mg, cg in g.items():
-            key = mg + shift
-            if key == m:
+        red = first_divisor.get(m, 0)
+        if red <= 0:
+            mz = m >> zs
+            for red in range(-red, nlts):
+                lt = lts[red]
+                if not (lt - m) & guards and lt >> zs <= mz:
+                    break
+            else:
+                first_divisor[m] = -nlts
+                rem[m] = c
                 continue
+            first_divisor[m] = red
+        shift = m - lts[red]                    # quotient offset (packed)
+        factor = -c * lcinvs[red] % p
+        for mg, cg in polys[red].items():
+            key = mg + shift
             old = work.get(key)
             if old is None:
-                v = f.neg(f.mul(factor, cg))
-                if not f.is_zero(v):
-                    work[key] = v
+                if key != m:
+                    work[key] = factor * cg % p
                     heapq.heappush(heap, -key)
             else:
-                v = f.sub(old, f.mul(factor, cg))
-                if f.is_zero(v):
-                    del work[key]
-                else:
+                v = (old + factor * cg) % p
+                if v:
                     work[key] = v
+                else:
+                    del work[key]
     return Poly(ring, rem)
 
 
 def normal_form(fpoly: Poly, basis: Sequence[Poly]) -> Poly:
-    f = fpoly.ring.field
+    p = _prime_field(fpoly.ring, "normal_form")
     lts = [g.leading_monomial() for g in basis]
-    lcinvs = [f.inv(g.leading_coeff()) for g in basis]
+    lcinvs = [pow(g.leading_coeff(), -1, p) for g in basis]
     polys = [g.terms for g in basis]
-    return _normal_form(fpoly, lts, lcinvs, polys)
+    return _normal_form(fpoly, lts, lcinvs, polys, {})
 
 
 def _monic(p: Poly) -> Poly:
@@ -869,6 +889,8 @@ def _monic(p: Poly) -> Poly:
 def interreduce(polys: Sequence[Poly]) -> list:
     """Reduce each polynomial by the others until stable; monic output."""
     G = [p for p in polys if p]
+    if G:
+        _prime_field(G[0].ring, "interreduce")
     changed = True
     while changed:
         changed = False
@@ -915,8 +937,7 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
     """
     import time as _time
     ring = ideal.ring
-    if not isinstance(ring.field, GF):
-        raise ValueError("groebner_basis requires a prime field")
+    _prime_field(ring, "groebner_basis")
     budget = budget or Budget()
     f = ring.field
     stats = GroebnerStats()
@@ -927,22 +948,26 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
     lcinvs: list = []
     gterms: list = []
     pairs: list = []            # heap of (lcm degree, lcm, i, j)
-    divides = ring.mono_divides
+    first_divisor: dict = {}    # _normal_form's memo; lts only grows
+    guards, zs = ring._guards, ring._z_shift
 
     def add_pairs(k: int):
         """Gebauer-Moeller update for new element index k, in one pass."""
         ltk = lts[k]
+        zk = ltk >> zs
         lcm_k = [ring.mono_lcm(lt, ltk) for lt in lts[:k]]
         # prune old pairs (i,j) whose lcm the new leading term divides, unless
         # it equals lcm(i,k) or lcm(j,k)
         pairs[:] = [(d, l, i, j) for d, l, i, j in pairs
-                    if not (divides(ltk, l) and lcm_k[i] != l and lcm_k[j] != l)]
+                    if (ltk - l) & guards or zk > l >> zs
+                    or lcm_k[i] == l or lcm_k[j] == l]
         heapq.heapify(pairs)
         # criteria M and F: drop (i,k) when an lcm met earlier in (deg, lcm, i)
         # order divides lcm(i,k); criterion B: drop it when the lts are coprime
         met = []
         for d, l, i in sorted((ring.mono_deg(l), l, i) for i, l in enumerate(lcm_k)):
-            if any(divides(m, l) for m in met):
+            lz = l >> zs
+            if any(not (m - l) & guards and m >> zs <= lz for m in met):
                 continue
             met.append(l)
             if l != ring.mono_mul(lts[i], ltk):
@@ -963,7 +988,7 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         d, l, i, j = heapq.heappop(pairs)
         stats.max_degree_seen = max(stats.max_degree_seen, d)
         r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
-                         lts, lcinvs, gterms)
+                         lts, lcinvs, gterms, first_divisor)
         stats.reductions += 1
         if stats.reductions > budget.max_reductions:
             raise BudgetExceeded("reduction budget exceeded", stats)
@@ -1001,17 +1026,18 @@ groebner_basis.last_stats = GroebnerStats()
 def spolynomials_reduce_to_zero(basis: Sequence[Poly]) -> bool:
     """Check the Buchberger criterion on a claimed Groebner basis."""
     ring = basis[0].ring
-    f = ring.field
+    p = _prime_field(ring, "spolynomials_reduce_to_zero")
     lts = [g.leading_monomial() for g in basis]
-    lcinvs = [f.inv(g.leading_coeff()) for g in basis]
+    lcinvs = [pow(g.leading_coeff(), -1, p) for g in basis]
     gterms = [g.terms for g in basis]
+    first_divisor: dict = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             l = ring.mono_lcm(lts[i], lts[j])
             if l == ring.mono_mul(lts[i], lts[j]):
                 continue
             if _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
-                            lts, lcinvs, gterms):
+                            lts, lcinvs, gterms, first_divisor):
                 return False
     return True
 

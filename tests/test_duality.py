@@ -362,3 +362,5 @@ def test_certificate_random_hf():
     assert rep.status == "certified_empty"
     assert rep.route == "reduced"
     assert rep.dim_commutant == 10 and rep.symmetric
+    # with the 3011 pin below: the memoised divisor search keeps the reducer
+    assert groebner_basis.last_stats.reductions == 651

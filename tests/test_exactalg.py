@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 
 from flagdual.exactalg import (GF, QQ, Budget, BudgetExceeded, Ideal, Mat,
                                Poly, PolyRing, exterior_square, format_matrix,
-                               det3, groebner_basis, is_prime, is_unit_ideal,
-                               normal_form, parse_matrix, saturate,
-                               spolynomials_reduce_to_zero)
+                               det3, groebner_basis, interreduce, is_prime,
+                               is_unit_ideal, normal_form, parse_matrix,
+                               saturate, spolynomials_reduce_to_zero)
 
 F17 = GF(17)
 F7 = GF(7)
@@ -229,6 +229,48 @@ def rand_poly(ring, rng, nterms=4, deg=3):
     return out
 
 
+def sympy_expr(g, syms):
+    sympy = pytest.importorskip("sympy")
+    return sum(c * sympy.prod([v ** k for v, k in zip(syms, g.ring.decode(m))])
+               for m, c in g.terms.items())
+
+
+@pytest.mark.parametrize("elim_first", [False, True])
+def test_mono_lcm_and_divides_match_exponent_vectors(elim_first):
+    # the packed lcm and divisibility against encode/decode on plain vectors;
+    # the z block (first variable of an elim_first ring) is compared too
+    ring = PolyRing(F7, ("_z",) + tuple("abc") if elim_first else tuple("abcd"),
+                    elim_first=elim_first)
+    rng = random.Random(41)
+    n = ring.nvars
+    vecs = [[0] * n, [127] + [0] * (n - 1), [0] * (n - 1) + [127],
+            [0, 127] + [0] * (n - 2), [127, 0, 127, 0]]
+    if not elim_first:
+        vecs.pop()                          # two 127s exceed the total cap
+    for _ in range(60):
+        exps = [0] * n
+        for _ in range(rng.choice([1, 5, 40, 90, 127])):
+            exps[rng.randrange(n)] += 1
+        vecs.append(exps)
+    overflows = 0
+    for ea in vecs:
+        for eb in vecs:
+            a, b = ring.encode(ea), ring.encode(eb)
+            assert ring.mono_divides(a, b) == all(x <= y for x, y in zip(ea, eb))
+            try:
+                want = ring.encode([max(x, y) for x, y in zip(ea, eb)])
+            except ValueError:
+                overflows += 1
+                with pytest.raises(ValueError, match="exponent overflow"):
+                    ring.mono_lcm(a, b)
+            else:
+                assert ring.mono_lcm(a, b) == want
+    assert overflows and any(e[0] for e in vecs)
+    # total degree 128: one more than the cap
+    with pytest.raises(ValueError, match="exponent overflow"):
+        ring.mono_lcm(ring.encode([0] * (n - 1) + [127]), ring.encode([0] * (n - 2) + [1, 0]))
+
+
 @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), st.integers(0, 10 ** 9))
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(sa, sb, sc):
@@ -325,8 +367,7 @@ def test_groebner_matches_sympy(p):
             continue
         ours = {canonical({R3.decode(m): c for m, c in g.terms.items()})
                 for g in groebner_basis(Ideal(R3, gens))}
-        exprs = [sum(c * sympy.prod([v ** k for v, k in zip(syms, R3.decode(m))])
-                     for m, c in g.terms.items()) for g in gens]
+        exprs = [sympy_expr(g, syms) for g in gens]
         oracle = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
         theirs = {canonical({e: int(c) % p for e, c in
                              sympy.Poly(g, *syms, modulus=p).terms()})
@@ -348,6 +389,15 @@ def test_groebner_requires_prime_field():
         groebner_basis(Ideal(RQ, [RQ.var(0)]))
 
 
+def test_reduction_requires_prime_field():
+    RQ = PolyRing(QQ, ("x", "y"))
+    x, y = RQ.gens()
+    for call in (lambda: normal_form(x * y, [x]), lambda: interreduce([x * y, x]),
+                 lambda: interreduce([x]), lambda: spolynomials_reduce_to_zero([x * y, x])):
+        with pytest.raises(ValueError, match="requires a prime field"):
+            call()
+
+
 def test_saturate_examples():
     sat = saturate(Ideal(R2, [X * Y]), X)
     assert sat.gens == [Y]
@@ -358,3 +408,35 @@ def test_saturate_removes_component():
     # <x^2 y> : y^inf = <x^2>
     sat = saturate(Ideal(R2, [X * X * Y]), Y)
     assert sat.gens == [X * X]
+
+
+@pytest.mark.parametrize("p", [7, 17])
+def test_saturate_matches_sympy(p):
+    # I : f^inf = (I + (t f - 1)) meet k[x, y, w], the t-free part of a lex
+    # basis with t first; compared with saturate as ideals, by membership
+    sympy = pytest.importorskip("sympy")
+    t, *syms = sympy.symbols("t x y w")
+    R3 = PolyRing(GF(p), ("x", "y", "w"))
+    rng = random.Random(53 + p)
+
+    def from_sympy(expr):
+        return sum((R3.monomial(e, int(c) % p) for e, c in
+                    sympy.Poly(expr, *syms, modulus=p).terms()), R3.zero())
+
+    grew = 0
+    for _ in range(6):
+        a, b, h = (rand_poly(R3, rng, nterms=3, deg=2) for _ in range(3))
+        if not (a and b) or h.degree() < 1:
+            continue
+        gens = [a * h, b * rand_poly(R3, rng, nterms=2, deg=1) + a]
+        ours = saturate(Ideal(R3, gens), h).gens
+        lex = sympy.groebner([sympy_expr(g, syms) for g in gens]
+                             + [t * sympy_expr(h, syms) - 1],
+                             t, *syms, order="lex", modulus=p)
+        theirs = [from_sympy(g) for g in lex.exprs if not g.has(t)]
+        theirs_basis = groebner_basis(Ideal(R3, theirs))
+        assert all(normal_form(g, ours).is_zero() for g in theirs)
+        assert all(normal_form(g, theirs_basis).is_zero() for g in ours)
+        I_basis = groebner_basis(Ideal(R3, gens))
+        grew += any(normal_form(g, I_basis) for g in ours)
+    assert grew >= 4
