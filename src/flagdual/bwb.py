@@ -7,26 +7,34 @@ A bundle is a formal non-negative sum of blocked weights.  The weight
 on the Grassmannians the middle block is absorbed into the three-row block.
 Pinned anchors: h0(O(1,0)) = h0(O(0,1)) = 10 and h0(O(1,1)) = 75 on F.
 
-Pullbacks that are extensions rather than direct sums (U3, Q2 on F) enter
-through their graded pieces; a vanishing verdict for every graded piece is a
-sound vanishing certificate for the extension, while nonzero tables are the
-graded dimensions.
+Two primitives carry the engine.  ``_dot_sort`` is the rho-shifted dot
+action: Bott's theorem (``bott``) and Klimyk's tensor formula
+(``_tensor_block``) both read their answer from it.  ``_irrep_weights`` walks
+the Gelfand-Tsetlin patterns of a GL(r) irrep (r <= 3 here) for the weights
+Klimyk's formula sums over.
+
+``F_BUNDLES`` names the homogeneous bundles on F by their graded-piece
+weights, and ``on_F`` twists one.  Pullbacks that are extensions rather than
+direct sums (U3, Q2 on F) enter through their graded pieces; a vanishing
+verdict for every graded piece is a sound vanishing certificate for the
+extension, while nonzero tables are the graded dimensions.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-
-RHO = (4, 3, 2, 1, 0)
 
 BLOCKS = {"G25": (2, 3), "G35": (3, 2), "F": (2, 1, 2)}
 
-# line-bundle weight increments per space: O(1) twists on each block
-_LINE = {
-    "G25": {None: (1, 1, 0, 0, 0)},
-    "G35": {None: (1, 1, 1, 0, 0)},
-}
+
+def _twist_weight(space, twist) -> tuple:
+    """The weight of O(a) on a Grassmannian, O(a, b) on F."""
+    if space == "F":
+        a, b = twist
+        return (a + b, a + b, b, 0, 0)
+    (a,) = twist
+    k, rest = BLOCKS[space]
+    return (a,) * k + (0,) * rest
 
 
 class BlockedWeight:
@@ -109,20 +117,28 @@ def gl_dim_branching(mu: tuple) -> int:
     return total
 
 
+def _dot_sort(v: tuple):
+    """The dot action of GL(len(v)) on v: (l, mu) with mu + rho the
+    descending sort of v + rho by a permutation of length l, or None when
+    v + rho has a repeated entry (v lies on a wall)."""
+    r = len(v)
+    s = [x + r - 1 - i for i, x in enumerate(v)]
+    if len(set(s)) < r:
+        return None
+    length = sum(1 for i in range(r) for j in range(i + 1, r) if s[i] < s[j])
+    return length, tuple(x - r + 1 + i for i, x in enumerate(sorted(s, reverse=True)))
+
+
 @lru_cache(maxsize=None)
 def bott(w: BlockedWeight) -> tuple:
-    """Cohomology of the irreducible bundle E_w as ((degree, dim), ...).
-
-    Add rho; a repeated entry kills all cohomology; otherwise sort
-    descending by a permutation of length l and return the Weyl dimension of
-    (sorted - rho) in degree l.
-    """
-    v = [e + r for e, r in zip(w.entries, RHO)]
-    if len(set(v)) < 5:
+    """Cohomology of the irreducible bundle E_w as ((degree, dim), ...):
+    nothing on a wall, else the Weyl dimension of the dot-sorted weight in
+    degree l."""
+    dot = _dot_sort(w.entries)
+    if dot is None:
         return ()
-    inversions = sum(1 for i in range(5) for j in range(i + 1, 5) if v[i] < v[j])
-    mu = tuple(x - r for x, r in zip(sorted(v, reverse=True), RHO))
-    return ((inversions, weyl_dim(mu)),)
+    length, mu = dot
+    return ((length, weyl_dim(mu)),)
 
 
 def _check_space(space):
@@ -150,11 +166,7 @@ class BundleExpr:
     @classmethod
     def line(cls, space, *twist):
         """O(a) on a Grassmannian, O(a,b) on F."""
-        if space == "F":
-            a, b = twist
-            return cls.from_weight("F", (a + b, a + b, b, 0, 0))
-        (a,) = twist
-        return cls.from_weight(space, tuple(x * a for x in _LINE[space][None]))
+        return cls.from_weight(space, _twist_weight(space, twist))
 
     def rank(self) -> int:
         total = 0
@@ -169,25 +181,8 @@ class BundleExpr:
         return BundleExpr(self.space, {w.dual(): m for w, m in self.terms.items()})
 
     def twist(self, *twist) -> "BundleExpr":
-        if self.space == "F":
-            a, b = twist
-            delta = (a + b, a + b, b, 0, 0)
-        else:
-            (a,) = twist
-            delta = tuple(x * a for x in _LINE[self.space][None])
+        delta = _twist_weight(self.space, twist)
         return BundleExpr(self.space, {w.shift(delta): m for w, m in self.terms.items()})
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        if self.space != other.space:
-            raise ValueError("mixed spaces")
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out.get(w, 0) + m
-        return BundleExpr(self.space, out)
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         return (isinstance(other, BundleExpr) and self.space == other.space
@@ -208,68 +203,39 @@ class BundleExpr:
 def _irrep_weights(lam: tuple) -> tuple:
     """Weight multiset of the GL(r) irrep lam, as ((weight, mult), ...).
 
-    Enumerated by semistandard tableaux contents after shifting lam to a
-    partition; shift-equivariance restores the original weights.
+    One weight per Gelfand-Tsetlin pattern with top row lam: entry i is the
+    sum of the row of length i minus the sum of the row of length i - 1.
+    The walk recurses once per row, so r deep whatever the entries.
     """
-    r = len(lam)
-    shift = -min(lam[-1], 0)
-    part = tuple(e + shift for e in lam)
     counts: dict = {}
 
-    def fill(row, col, prev_rows, cur_row):
-        if row == len(shape):
-            content = [0] * r
-            for rr in rows_done:
-                for v in rr:
-                    content[v - 1] += 1
-            key = tuple(content)
-            counts[key] = counts.get(key, 0) + 1
+    def walk(row, weight):
+        if not row:
+            counts[weight] = counts.get(weight, 0) + 1
             return
-        if col == shape[row]:
-            rows_done.append(cur_row)
-            fill(row + 1, 0, None, [])
-            rows_done.pop()
-            return
-        lo = cur_row[col - 1] if col else 1
-        if row:
-            lo = max(lo, rows_done[row - 1][col] + 1)
-        for v in range(lo, r + 1):
-            cur_row.append(v)
-            fill(row, col + 1, None, cur_row)
-            cur_row.pop()
+        # the rows below interlace: row[i] >= nu[i] >= row[i + 1]
+        for nu in itertools.product(*map(range, row[1:], (x + 1 for x in row))):
+            walk(nu, (sum(row) - sum(nu),) + weight)
 
-    shape = [p for p in part if p > 0]
-    rows_done: list = []
-    if not shape:
-        counts[(0,) * r] = 1
-    else:
-        fill(0, 0, None, [])
-    return tuple(sorted((tuple(w - shift for w in k), m) for k, m in counts.items()))
+    walk(lam, ())
+    return tuple(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
 def _tensor_block(lam: tuple, mu: tuple) -> tuple:
     """GL(r) decomposition of lam (x) mu via Klimyk: for each weight nu of mu,
-    dot-sort lam + nu + rho_r with sign."""
-    r = len(lam)
-    if len(mu) != r:
+    dot-sort lam + nu with sign (-1)^l."""
+    if len(mu) != len(lam):
         raise ValueError("rank mismatch")
     # enumerate weights of the smaller-dimensional factor
     if weyl_dim(mu) > weyl_dim(lam):
         lam, mu = mu, lam
-    rho = tuple(range(r - 1, -1, -1))
     out: dict = {}
     for nu, mult in _irrep_weights(mu):
-        v = [l + n + p for l, n, p in zip(lam, nu, rho)]
-        if len(set(v)) < r:
-            continue
-        sign = 1
-        vv = list(v)
-        # count inversions for the sorting permutation
-        inv = sum(1 for i in range(r) for j in range(i + 1, r) if vv[i] < vv[j])
-        sign = -1 if inv % 2 else 1
-        key = tuple(x - p for x, p in zip(sorted(v, reverse=True), rho))
-        out[key] = out.get(key, 0) + sign * mult
+        dot = _dot_sort(tuple(l + n for l, n in zip(lam, nu)))
+        if dot is not None:
+            length, key = dot
+            out[key] = out.get(key, 0) + (-1) ** length * mult
     result = tuple(sorted((k, m) for k, m in out.items() if m))
     assert all(m > 0 for _, m in result)
     return result
@@ -312,24 +278,21 @@ def ext_on_F(a: BundleExpr, b: BundleExpr) -> dict:
     return cohomology_table(tensor_decompose(a.dual(), b))
 
 
-def ext_on_M_vanishing_certificate(a: BundleExpr, b: BundleExpr) -> str:
-    """'certified-zero' when Ext_F(a,b) and Ext_F(a, b(-1,-1)) both vanish,
-    via the restriction sequence 0 -> O_F(-1,-1) -> O_F -> O_M -> 0.
-    Never claims nonvanishing."""
-    if a.space != "F" or b.space != "F":
-        raise ValueError("certificate lives on F")
-    if not ext_on_F(a, b) and not ext_on_F(a, b.twist(-1, -1)):
-        return "certified-zero"
-    return "unknown"
-
-
 def ext_on_M_table(a: BundleExpr, b: BundleExpr):
-    """(table, exact) for Ext_M(a, b): when the (-1,-1)-twisted Ext on F
+    """(table, exact) for Ext_M(a, b), via the restriction sequence
+    0 -> O_F(-1,-1) -> O_F -> O_M -> 0: when the (-1,-1)-twisted Ext on F
     vanishes completely the restriction map is an isomorphism and the table
     is exact; otherwise only a certificate-grade answer (exact=False)."""
-    t0 = ext_on_F(a, b)
-    t1 = ext_on_F(a, b.twist(-1, -1))
-    return t0, not t1
+    if a.space != "F" or b.space != "F":
+        raise ValueError("Ext on M is computed on F")
+    return ext_on_F(a, b), not ext_on_F(a, b.twist(-1, -1))
+
+
+def ext_on_M_vanishing_certificate(a: BundleExpr, b: BundleExpr) -> str:
+    """'certified-zero' when Ext_M(a, b) is exactly zero, else 'unknown'.
+    Never claims nonvanishing."""
+    table, exact = ext_on_M_table(a, b)
+    return "certified-zero" if exact and not table else "unknown"
 
 
 # -- Koszul computations on G(2,5) --------------------------------------------
@@ -370,53 +333,36 @@ def koszul_h0(e: BundleExpr, t: int = 0):
 
 # -- named lemma grids --------------------------------------------------------
 
-def Q3_on_F(a: int, b: int) -> BundleExpr:
-    return BundleExpr.from_weight("F", (0, 0, 0, 0, -1)).twist(a, b)
+# graded-piece weights of the named bundles on F; U3 and Q2 are extensions.
+# Only on F: (0,0,0,0,-1) is Q3 (rank 2) here but Q (rank 3) on G(2,5).
+F_BUNDLES = {
+    "O": ((0, 0, 0, 0, 0),),
+    "U2": ((0, -1, 0, 0, 0),),
+    "U2d": ((1, 0, 0, 0, 0),),
+    "U3": ((0, -1, 0, 0, 0), (0, 0, -1, 0, 0)),
+    "U3d": ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0)),
+    "Q2": ((0, 0, -1, 0, 0), (0, 0, 0, 0, -1)),
+    "Q3": ((0, 0, 0, 0, -1),),
+    "Q3d": ((0, 0, 0, 1, 0),),
+}
 
 
-def O_on_F(a: int, b: int) -> BundleExpr:
-    return BundleExpr.line("F", a, b)
-
-
-def U2_on_F(a: int, b: int) -> BundleExpr:
-    return BundleExpr.from_weight("F", (0, -1, 0, 0, 0)).twist(a, b)
-
-
-def U2dual_on_F(a: int, b: int) -> BundleExpr:
-    return BundleExpr.from_weight("F", (1, 0, 0, 0, 0)).twist(a, b)
-
-
-def U3_on_F(a: int, b: int) -> BundleExpr:
-    pieces = (BundleExpr.from_weight("F", (0, -1, 0, 0, 0))
-              + BundleExpr.from_weight("F", (0, 0, -1, 0, 0)))
-    return pieces.twist(a, b)
-
-
-def U3dual_on_F(a: int, b: int) -> BundleExpr:
-    pieces = (BundleExpr.from_weight("F", (1, 0, 0, 0, 0))
-              + BundleExpr.from_weight("F", (0, 0, 1, 0, 0)))
-    return pieces.twist(a, b)
-
-
-def Q2_on_F(a: int, b: int) -> BundleExpr:
-    pieces = (BundleExpr.from_weight("F", (0, 0, -1, 0, 0))
-              + BundleExpr.from_weight("F", (0, 0, 0, 0, -1)))
-    return pieces.twist(a, b)
+def on_F(kind: str, a: int, b: int) -> BundleExpr:
+    """The named bundle ``kind`` of F_BUNDLES twisted by O(a, b)."""
+    return BundleExpr("F", {BlockedWeight(w, BLOCKS["F"]): 1
+                            for w in F_BUNDLES[kind]}).twist(a, b)
 
 
 def vanishing_QO(a: int, b: int) -> bool:
     """Ext^*(Q3(1,b), O(2,2+a)) = 0?"""
-    return not ext_on_F(Q3_on_F(1, b), O_on_F(2, 2 + a))
+    return not ext_on_F(on_F("Q3", 1, b), on_F("O", 2, 2 + a))
 
 
 def vanishing_OO(a: int, b: int) -> bool:
     """Ext^*(O(1,b), O(2,2+a)) = 0?"""
-    return not ext_on_F(O_on_F(1, b), O_on_F(2, 2 + a))
+    return not ext_on_F(on_F("O", 1, b), on_F("O", 2, 2 + a))
 
 
-def canonical_weight_F() -> BlockedWeight:
-    """omega_F = O(-3,-3)."""
-    return BlockedWeight((-6, -6, -3, 0, 0), BLOCKS["F"])
 
 # (a, b) where each vanishing lemma says its Ext groups vanish
 VANISHING_BANDS = {

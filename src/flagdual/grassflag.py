@@ -15,8 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import (Field, GF, QQ, Mat, det3, exterior_square, format_matrix,
-                       parse_matrix)
+from .exactalg import Field, GF, QQ, Mat, det3, exterior_square
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 TRIPLES = [(i, j, k) for i in range(1, 6)
@@ -295,35 +294,10 @@ class MatrixSubspace:
     def contains_section(self, s: SectionMatrix) -> bool:
         return self.contains(s.mat)
 
-    def intersect_dim(self, other: "MatrixSubspace") -> int:
-        return self.dim + other.dim - self.sum_rank(other)
-
     def sum_rank(self, other: "MatrixSubspace") -> int:
         stacked = Mat(self.field, [m.flatten() for m in self.basis] +
                       [m.flatten() for m in other.basis])
         return stacked.rank()
-
-    def write(self) -> str:
-        head = f"# matrix-subspace dim={self.dim} shape=10x10\n"
-        return head + "\n".join(format_matrix(m) for m in self.basis)
-
-    @classmethod
-    def read(cls, text: str, field: Field) -> "MatrixSubspace":
-        first = text.strip().splitlines()
-        mats = []
-        chunk = []
-        for line in first:
-            if line.startswith("#"):
-                continue
-            if not line.strip():
-                if chunk:
-                    mats.append(parse_matrix("\n".join(chunk), field))
-                    chunk = []
-                continue
-            chunk.append(line)
-        if chunk:
-            mats.append(parse_matrix("\n".join(chunk), field))
-        return cls(field, mats)
 
 
 _BASIS_CACHE: dict = {}
@@ -460,13 +434,6 @@ def script_matrix(field: Field) -> SectionMatrix:
             for i in range(10)]
     return SectionMatrix(Mat(field, data))
 
-
-def script_section(field: Field) -> SectionMatrix:
-    """Canonical invariant-complement representative of the verification
-    matrix (same section on the flag; entries acquire denominator 3)."""
-    if isinstance(field, GF) and field.p == 3:
-        raise ValueError("representative needs 3 invertible")
-    return hf_project(script_matrix(field))
 
 def verify_spaces(rng: random.Random) -> dict:
     """Flag ideal (25) + invariant complement (75) = all 100 section matrices

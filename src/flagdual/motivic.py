@@ -462,26 +462,6 @@ def count_M_via_g35(S: SectionMatrix, q: int) -> int:
     return total
 
 
-def point_count(S: SectionMatrix, q: int, which: str) -> int:
-    """Exact |which(F_q)| for which in X, Y, M, G25, G35, F.
-
-    q must be prime (prime-field arithmetic only; F_4 is out of scope)."""
-    GF(q)   # validates primality
-    if which == "X":
-        return count_X(S, q)
-    if which == "Y":
-        return count_Y(S, q)
-    if which == "M":
-        return count_M_via_g35(S, q)
-    if which == "G25":
-        return eval_poly(gauss_binomial(5, 2), q)
-    if which == "G35":
-        return eval_poly(gauss_binomial(5, 3), q)
-    if which == "F":
-        return eval_poly(gauss_binomial(5, 2), q) * (q * q + q + 1)
-    raise ValueError(f"unknown variety {which!r}")
-
-
 def fibration_report(S: SectionMatrix, q: int) -> dict:
     """All counts plus the two piecewise-fibration identities and |X| = |Y|."""
     nG = eval_poly(gauss_binomial(5, 2), q)

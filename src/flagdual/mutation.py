@@ -14,31 +14,13 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from . import bwb
 from .bwb import (BundleExpr, ext_on_F, ext_on_M_table,
-                  ext_on_M_vanishing_certificate)
+                  ext_on_M_vanishing_certificate, on_F)
 
 
 class CertificateError(RuntimeError):
     pass
 
-
-_KIND_BUILDERS = {
-    "O": bwb.O_on_F,
-    "U2": bwb.U2_on_F,
-    "U2d": bwb.U2dual_on_F,
-    "Q2": bwb.Q2_on_F,
-    "U3": bwb.U3_on_F,
-    "U3d": bwb.U3dual_on_F,
-    "Q3": bwb.Q3_on_F,
-}
-
-
-def _q3dual_on_F(a, b):
-    return BundleExpr.from_weight("F", (0, 0, 0, 1, 0)).twist(a, b)
-
-
-_KIND_BUILDERS["Q3d"] = _q3dual_on_F
 
 _SYM_RE = re.compile(r"^([A-Za-z0-9]+)\((-?\d+),(-?\d+)\)$")
 
@@ -56,7 +38,7 @@ class Symbol:
     def bundle(self) -> BundleExpr:
         if self.is_block:
             raise ValueError("blocks carry no Ext data")
-        return _KIND_BUILDERS[self.kind](*self.twist)
+        return on_F(self.kind, *self.twist)
 
     def twisted(self, a, b) -> "Symbol":
         if self.is_block:
@@ -338,29 +320,10 @@ def apply_move(col: ExceptionalCollection, move: dict) -> ExceptionalCollection:
 # named collections
 # ---------------------------------------------------------------------------
 
-def kuznetsov_g25():
-    """<O, U2*, O(1), U2*(1), ..., O(4), U2*(4)> on G(2,5)."""
-    out = []
-    for t in range(5):
-        out.append(("O", t))
-        out.append(("U2d", t))
-    return out
-
-
-def kuznetsov_g35():
-    """<O, Q3, O(1), Q3(1), ..., O(4), Q3(4)> on G(3,5)."""
-    out = []
-    for t in range(5):
-        out.append(("O", t))
-        out.append(("Q3", t))
-    return out
-
-
-_G_BUILDERS = {
-    "G25": {"O": lambda t: BundleExpr.line("G25", t),
-            "U2d": lambda t: BundleExpr.from_weight("G25", (1, 0, 0, 0, 0)).twist(t)},
-    "G35": {"O": lambda t: BundleExpr.line("G35", t),
-            "Q3": lambda t: BundleExpr.from_weight("G35", (0, 0, 0, 0, -1)).twist(t)},
+# Kuznetsov's collections <O, E, O(1), E(1), ..., O(4), E(4)>: (space, E)
+KUZNETSOV = {
+    "kuznetsov25": ("G25", (1, 0, 0, 0, 0)),      # (5.1), E = U2*
+    "kuznetsov35": ("G35", (0, 0, 0, 0, -1)),     # (5.2), E = Q3
 }
 
 
@@ -383,9 +346,9 @@ def _exceptionality(items, self_ext_ok, ext_vanishes) -> dict:
 
 def certify_grassmannian_collection(name: str) -> dict:
     """Full exceptionality certification of (5.1)/(5.2) on the Grassmannian."""
-    space, items = (("G25", kuznetsov_g25()) if name == "kuznetsov25"
-                    else ("G35", kuznetsov_g35()))
-    bundles = [_G_BUILDERS[space][k](t) for k, t in items]
+    space, e_weight = KUZNETSOV[name]
+    bundles = [BundleExpr.from_weight(space, w).twist(t)
+               for t in range(5) for w in ((0, 0, 0, 0, 0), e_weight)]
     return {"name": name, "space": space, **_exceptionality(
         list(enumerate(bundles)), lambda e: ext_on_F(e, e) == {0: 1},
         lambda a, b: not ext_on_F(a, b))}
@@ -394,15 +357,9 @@ def certify_grassmannian_collection(name: str) -> dict:
 def start_collection() -> ExceptionalCollection:
     """The G(3,5)-side decomposition of D^b(M): the (5.2) collection, its
     O(1,1)-twist, then the opaque block of the second threefold."""
-    syms = []
-    for t in range(5):
-        syms.append(Symbol("O", (0, t)))
-        syms.append(Symbol("Q3", (0, t)))
-    for t in range(5):
-        syms.append(Symbol("O", (1, t + 1)))
-        syms.append(Symbol("Q3", (1, t + 1)))
-    syms.append(Symbol("BlockY"))
-    return ExceptionalCollection(syms)
+    return ExceptionalCollection(
+        [Symbol(kind, (a, a + t)) for a in (0, 1) for t in range(5)
+         for kind in ("O", "Q3")] + [Symbol("BlockY")])
 
 
 def expected_final_labels():

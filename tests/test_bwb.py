@@ -1,14 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from flagdual.bwb import (BLOCKS, BlockedWeight, BundleExpr, O_on_F, Q2_on_F,
-                          Q3_on_F, U2_on_F, U2dual_on_F, U3_on_F,
-                          U3dual_on_F, bott, canonical_weight_F,
-                          cohomology_table, ext_on_F,
+from flagdual.bwb import (BLOCKS, BlockedWeight, BundleExpr, _irrep_weights,
+                          _tensor_block, cohomology_table, ext_on_F,
                           ext_on_M_vanishing_certificate, ext_on_M_table,
-                          gl_dim_branching, koszul_euler, koszul_h0,
+                          gl_dim_branching, koszul_euler, koszul_h0, on_F,
                           tensor_decompose, vanishing_OO, vanishing_QO,
                           weyl_dim)
 
@@ -25,9 +24,9 @@ def test_trivial_weight_everywhere():
 def test_o1_anchors():
     assert cohomology_table(BundleExpr.line("G25", 1)) == {0: 10}
     assert cohomology_table(BundleExpr.line("G35", 1)) == {0: 10}
-    assert cohomology_table(O_on_F(1, 0)) == {0: 10}
-    assert cohomology_table(O_on_F(0, 1)) == {0: 10}
-    assert cohomology_table(O_on_F(1, 1)) == {0: 75}
+    assert cohomology_table(on_F("O", 1, 0)) == {0: 10}
+    assert cohomology_table(on_F("O", 0, 1)) == {0: 10}
+    assert cohomology_table(on_F("O", 1, 1)) == {0: 75}
 
 
 def test_q2_sections():
@@ -39,7 +38,7 @@ def test_canonical_bundles():
     # omega has exactly H^top = C
     assert cohomology_table(BundleExpr.line("G25", -5)) == {6: 1}
     assert cohomology_table(BundleExpr.line("G35", -5)) == {6: 1}
-    assert cohomology_table(BundleExpr("F", {canonical_weight_F(): 1})) == {8: 1}
+    assert cohomology_table(BundleExpr.line("F", -3, -3)) == {8: 1}
 
 
 def test_bott_single_degree():
@@ -69,6 +68,41 @@ def test_weyl_dim_against_branching():
     assert len(weights) == 462
     for w in weights:
         assert weyl_dim(w) == gl_dim_branching(w)
+
+
+def dominant(r, bound):
+    """The non-increasing GL(r) weights with entries in [-bound, bound]."""
+    return [w for w in itertools.product(range(bound, -bound - 1, -1), repeat=r)
+            if all(w[i] >= w[i + 1] for i in range(r - 1))]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_irrep_weights_against_weyl(r):
+    for lam in dominant(r, 3):
+        weights = dict(_irrep_weights(lam))
+        assert sum(weights.values()) == weyl_dim(lam)
+        assert weights[lam] == 1
+        for w, m in weights.items():
+            assert all(weights[p] == m for p in itertools.permutations(w))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_tensor_block_matches_characters(r):
+    # Klimyk's decomposition has the product of the two weight multisets as
+    # its weight multiset
+    def character(pairs):
+        out = Counter()
+        for nu, m in pairs:
+            for w, mw in _irrep_weights(nu):
+                out[w] += m * mw
+        return out
+
+    for lam, mu in itertools.product(dominant(r, 2), repeat=2):
+        product = Counter()
+        for (a, ma), (b, mb) in itertools.product(_irrep_weights(lam),
+                                                  _irrep_weights(mu)):
+            product[tuple(x + y for x, y in zip(a, b))] += ma * mb
+        assert character(_tensor_block(lam, mu)) == product, (lam, mu)
 
 
 def test_tensor_u2_square():
@@ -116,7 +150,7 @@ def test_vanishing_qo_band():
 
 
 def test_vanishing_qo_nonzero_at_excluded_point():
-    assert ext_on_F(Q3_on_F(1, 3), O_on_F(2, 2)) != {}
+    assert ext_on_F(on_F("Q3", 1, 3), on_F("O", 2, 2)) != {}
 
 
 def test_vanishing_oo_band():
@@ -128,7 +162,7 @@ def test_vanishing_oo_band():
 
 def test_serre_duality_on_F():
     rng = random.Random(7)
-    omega = canonical_weight_F()
+    (omega,) = BundleExpr.line("F", -3, -3).terms
     for _ in range(100):
         entries = []
         for size in BLOCKS["F"]:
@@ -147,45 +181,45 @@ def test_pushforward_vanishing_lemma():
     # one-sided and the true vanishing needs the cancellation in the
     # extension sequence)
     rng = random.Random(11)
-    from_g25 = [O_on_F, U2_on_F, U2dual_on_F]
+    from_g25 = ["O", "U2", "U2d"]
     for _ in range(80):
         fa = rng.choice(from_g25)
         fb = rng.choice(from_g25)
         a, c = rng.randrange(-3, 4), rng.randrange(-3, 4)
         b = rng.randrange(-3, 4)
         drop = rng.choice([1, 2])
-        assert ext_on_F(fa(a, b), fb(c, b - drop)) == {}
+        assert ext_on_F(on_F(fa, a, b), on_F(fb, c, b - drop)) == {}
 
 
 def test_pushforward_vanishing_q2_instances():
     # extension-bundle instances that the mutation replay relies on
-    assert ext_on_M_vanishing_certificate(U2_on_F(0, 4), Q2_on_F(1, 3)) == "certified-zero"
-    assert ext_on_M_vanishing_certificate(Q2_on_F(1, 3), U2_on_F(0, 4)) == "certified-zero"
-    assert ext_on_M_vanishing_certificate(O_on_F(0, 4), Q2_on_F(1, 3)) == "certified-zero"
-    assert ext_on_M_vanishing_certificate(Q2_on_F(1, 3), O_on_F(0, 4)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("U2", 0, 4), on_F("Q2", 1, 3)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("Q2", 1, 3), on_F("U2", 0, 4)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("O", 0, 4), on_F("Q2", 1, 3)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("Q2", 1, 3), on_F("O", 0, 4)) == "certified-zero"
 
 
 def test_ext_on_m_certificate():
-    o = O_on_F(0, 0)
+    o = on_F("O", 0, 0)
     assert ext_on_M_vanishing_certificate(o, o) == "unknown"
     # an orthogonality instance used by the mutation replay
-    assert ext_on_M_vanishing_certificate(O_on_F(0, 3), O_on_F(1, 1)) == "certified-zero"
-    assert ext_on_M_vanishing_certificate(O_on_F(1, 1), O_on_F(0, 3)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("O", 0, 3), on_F("O", 1, 1)) == "certified-zero"
+    assert ext_on_M_vanishing_certificate(on_F("O", 1, 1), on_F("O", 0, 3)) == "certified-zero"
 
 
 def test_ext_on_m_rule_tables():
     # extension rule: Ext_M(Q3(a,b), O(a+1,b-1)) = C[-1], exactly
-    t, exact = ext_on_M_table(Q3_on_F(0, 2), O_on_F(1, 1))
+    t, exact = ext_on_M_table(on_F("Q3", 0, 2), on_F("O", 1, 1))
     assert exact and t == {1: 1}
     # cone rule: Ext_M(Q3*(a,b), O(a,b)) = C^5[0]
     q3d = BundleExpr.from_weight("F", (0, 0, 0, 1, 0))
-    t, exact = ext_on_M_table(q3d.twist(1, 2), O_on_F(1, 2))
+    t, exact = ext_on_M_table(q3d.twist(1, 2), on_F("O", 1, 2))
     assert exact and t == {0: 5}
     # dual extension rule: Ext_M(O(a-1,b+1), U3*(a,b)) = C[0]
-    t, exact = ext_on_M_table(O_on_F(0, 3), U3dual_on_F(1, 2))
+    t, exact = ext_on_M_table(on_F("O", 0, 3), on_F("U3d", 1, 2))
     assert exact and t == {0: 1}
     # cone rule on the G(2,5) side: Ext_M(O(a,b), Q2(a,b)) = C^5[0]
-    t, exact = ext_on_M_table(O_on_F(0, 2), Q2_on_F(0, 2))
+    t, exact = ext_on_M_table(on_F("O", 0, 2), on_F("Q2", 0, 2))
     assert exact and t == {0: 5}
 
 
@@ -209,7 +243,7 @@ def test_koszul_h0():
 
 
 def test_rank_bookkeeping():
-    assert U3_on_F(0, 0).rank() == 3
-    assert Q2_on_F(0, 0).rank() == 3
-    assert Q3_on_F(0, 0).rank() == 2
-    assert U2dual_on_F(3, -2).rank() == 2
+    assert on_F("U3", 0, 0).rank() == 3
+    assert on_F("Q2", 0, 0).rank() == 3
+    assert on_F("Q3", 0, 0).rank() == 2
+    assert on_F("U2d", 3, -2).rank() == 2

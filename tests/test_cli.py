@@ -88,6 +88,16 @@ def test_bwb_lemma_range_is_inclusive(runner):
     assert len(res.output.splitlines()) == 2
 
 
+@pytest.mark.parametrize("name", ["vanishingOO", "vanishingQO"])
+def test_bwb_lemma_at_large_twists(runner, name):
+    # the Ext groups at a = 490 have blocks (a + 4, a + 4) of 2a + 8 boxes;
+    # the weights of a block are enumerated without recursing per box
+    res = runner.invoke(main, ["bwb", "lemma", "--name", name,
+                               "--range", "490..495"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == "PASS"
+
+
 def test_mutations_replay(runner, tmp_path):
     out = tmp_path / "log.json"
     res = runner.invoke(main, ["mutations", "replay", "--log", str(out)])

@@ -1,9 +1,11 @@
-"""Every function, class and method in src/flagdual is referenced somewhere.
+"""Every function, class, method and module-level name in src/flagdual is
+referenced somewhere.
 
 References are read from the syntax trees of src, tests, perfbench and
 scripts, so a name that only occurs in a docstring or a comment does not
-count.  A string constant that is an identifier does count: the benchmark
-tracer wraps functions by name.
+count, and neither does the assignment that defines it.  A string constant
+that is an identifier does count: the benchmark tracer wraps functions by
+name.
 """
 import ast
 import pathlib
@@ -22,12 +24,25 @@ def _is_click_command(node) -> bool:
     return False
 
 
+def _assigned_names(node):
+    """The plain names a module-level assignment binds; an attribute or
+    subscript target defines nothing."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def definitions():
-    """(qualified name, bare name) of each top-level function and class of
-    the package and each method of its classes, less the exempt ones."""
+    """(qualified name, bare name) of each top-level function, class and
+    assigned name of the package and each method of its classes, less the
+    exempt ones."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            for name in _assigned_names(node):
+                yield f"{path.stem}.{name}", name
             if not isinstance(node, defs):
                 continue
             members = [(f"{path.stem}.{node.name}", node)]
@@ -41,13 +56,13 @@ def definitions():
 
 
 def references() -> set:
-    """Names used as a Name, an Attribute, an import alias or an identifier
-    string anywhere in the scanned trees."""
+    """Names read as a Name, used as an Attribute, an import alias or an
+    identifier string anywhere in the scanned trees."""
     names = set()
     for top in SCANNED:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)

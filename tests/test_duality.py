@@ -14,7 +14,7 @@ from flagdual.grassflag import (D_SIGN, PAIR_POS, TRIPLES, DualityMap, GrassPoin
                                 SectionMatrix, complement_pair, dual_coordinates,
                                 flag_ideal_space, hf_project, hf_space, pluecker,
                                 random_grass_point, random_hf_section,
-                                script_matrix, script_section)
+                                script_matrix)
 from flagdual.motivic import (_pushforward_vectors, _quadric_arrays, _section_array,
                               count_Y, enumerate_grassmannian, minors2_batch,
                               y_points)
@@ -256,7 +256,7 @@ def test_selfdual_up_to_sign():
 
 def test_script_not_selfdual_for_random_maps():
     rng = random.Random(79)
-    s = script_section(F17)
+    s = hf_project(script_matrix(F17))
     for _ in range(100):
         f = DualityMap.random(F17, rng)
         assert not selfdual_test(s, f)

@@ -16,7 +16,7 @@ from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               derive_l_relation, enumerate_grassmannian,
                               eval_poly, fibration_report, gauss_binomial,
                               integral, l_relation_expected, pieri,
-                              point_count, schubert_mul)
+                              schubert_mul)
 
 
 def test_gauss_binomial_values():
@@ -150,14 +150,10 @@ def test_fibration_identities(q):
     assert rep["X_equals_Y"]
 
 
-def test_point_count_dispatch():
-    rng = random.Random(29)
-    q = 2
-    s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
-    assert point_count(s, q, "G25") == 155
-    assert point_count(s, q, "F") == 155 * 7
+def test_count_X_requires_prime_q():
+    s = SectionMatrix(Mat.random(GF(2), 10, 10, random.Random(29)))
     with pytest.raises(ValueError):
-        point_count(s, 4, "X")
+        count_X(s, 4)
 
 
 def test_hf_section_counting():

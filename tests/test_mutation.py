@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from flagdual.mutation import (RULES, CertificateError, ExceptionalCollection,
@@ -139,6 +141,14 @@ def test_replay_full_proof():
     assert rep["final_collection_certified"]["orthogonality_ok"]
     # every move in the log carries a certificate record
     assert all("certificates" in r for r in rep["log"])
+    # how strong the certificates are: which reverse Ext groups the graded
+    # certificate sees vanish, and the exact Ext tables the rules rest on
+    certs = [(r["move"]["move"], r["certificates"]) for r in rep["log"]]
+    assert Counter(c["reverse"] for m, c in certs if m == "swap") == {
+        "certified-zero": 50, "inherited-from-exceptionality": 4}
+    assert Counter(tuple(c["table"].items()) for m, c in certs
+                   if m in ("left", "right")) == {
+        (("0", 5),): 10, (("1", 1),): 6, (("0", 1),): 4}
 
 
 def test_replay_aborts_on_corrupted_script():
