@@ -22,7 +22,7 @@ from . import glsm as glsm_mod
 from . import grassflag
 from . import motivic as motivic_mod
 from . import mutation as mutation_mod
-from .exactalg import GF, QQ, Budget, Mat, parse_matrix
+from .exactalg import GF, MAX_REDUCTIONS, QQ, Mat, parse_matrix
 from .duality import pushforward_to_g25, pushforward_to_g35
 from .grassflag import D_SIGN, PAIRS, SectionMatrix, script_matrix
 
@@ -35,12 +35,9 @@ class RunConfig:
     byte-identical reports."""
     seed: int = 0
     samples: int = 200
-    budget: int = 2_000_000          # Groebner reduction cap
+    budget: int = MAX_REDUCTIONS     # the certificate's S-pair reduction cap
     qs: tuple = (2, 3)
     section: str | None = None       # path; None = published script matrix
-
-    def budget_obj(self) -> Budget:
-        return Budget(max_reductions=self.budget, max_seconds=1800)
 
 
 def conventions_block() -> dict:
@@ -103,7 +100,10 @@ def _q_option(_ctx, _param, value) -> int:
 
 
 def _prime_list_option(ctx, param, value: str) -> tuple:
-    return tuple(_q_option(ctx, param, q) for q in value.split(","))
+    qs = tuple(_q_option(ctx, param, q) for q in value.split(","))
+    if len(set(qs)) < len(qs):
+        raise click.BadParameter(f"{value!r} names a field twice")
+    return qs
 
 
 def _field_option(_ctx, _param, value: str):
@@ -121,6 +121,17 @@ def _range_option(_ctx, _param, value: str) -> range:
     if not band:
         raise click.BadParameter(f"{value!r} is not LO..HI with integers LO <= HI")
     return band
+
+
+def _output_path(_ctx, _param, value: str | None) -> str | None:
+    """A file to write, checked before the run: its directory must exist."""
+    if value and not os.path.isdir(os.path.dirname(value) or "."):
+        raise click.BadParameter(f"{value}: no such directory")
+    return value
+
+
+report_option = click.option("--report", type=click.Path(dir_okay=False),
+                             default=None, callback=_output_path)
 
 
 def emit_report(report: dict, path: str | None):
@@ -171,7 +182,7 @@ def duality_build(section, field, out):
 @click.option("--field", default="17", callback=_field_option)
 @click.option("--samples", default=100, type=click.IntRange(min=1))
 @click.option("--seed", default=0)
-@click.option("--report", type=click.Path(), default=None)
+@report_option
 def duality_selfdual(section, field, samples, seed, report):
     """Scan random duality maps for S^T M_f = lambda M_f S: evidence, not proof,
     as a map hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.
@@ -179,7 +190,7 @@ def duality_selfdual(section, field, samples, seed, report):
     s = load_section(RunConfig(section=section), field)
     try:
         scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
-    except ValueError as exc:         # characteristic 3: no invariant complement
+    except ValueError as exc:         # characteristic 2 or 3: no invariant complement
         raise click.BadParameter(str(exc), param_hint="'--field'") from None
     rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
            "all_non_selfdual": scan["details"]["selfdual_hits"] == 0,
@@ -192,14 +203,14 @@ def duality_selfdual(section, field, samples, seed, report):
 @duality.command("nonbirational")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--prime", default=17, callback=_prime_option)
-@click.option("--budget", default=2_000_000, type=click.IntRange(min=1))
-@click.option("--report", type=click.Path(), default=None)
+@click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
+              help="cap on the S-pair reductions of the certificate's one saturation")
+@report_option
 def duality_nonbirational(section, prime, budget, report):
     """Emptiness certificate for the linear-isomorphism equation."""
-    cfg = RunConfig(section=section, budget=budget)
-    s = load_section(cfg, GF(prime))
+    s = load_section(RunConfig(section=section), GF(prime))
     try:
-        cert = duality_mod.verify_nonbirational(s, prime, cfg.budget_obj())
+        cert = duality_mod.verify_nonbirational(s, prime, budget)
     except ValueError as exc:         # characteristic 3: no invariant complement
         raise click.BadParameter(str(exc)) from None
     out = {"schema": SCHEMA, **cert["details"], "matrix": section_rows(s),
@@ -254,7 +265,8 @@ def mutations():
 
 
 @mutations.command("replay")
-@click.option("--log", "log_path", type=click.Path(), default=None)
+@click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
+              callback=_output_path)
 def mutations_replay(log_path):
     """Replay the decomposition transport; emit the certified step log."""
     rep = mutation_mod.replay_proof()
@@ -287,7 +299,7 @@ def motivic():
 @motivic.command("count")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--q", default=3, callback=_q_option)
-@click.option("--report", type=click.Path(), default=None)
+@report_option
 def motivic_count(section, q, report):
     s = load_section(RunConfig(section=section), GF(q))
     rep = motivic_mod.fibration_report(s, q)
@@ -326,7 +338,7 @@ def glsm():
 @click.option("--seed", default=7)
 @click.option("--point", "point_path", type=click.Path(exists=True), default=None,
               help="file with 5 rows of B then one row omega")
-@click.option("--report", type=click.Path(), default=None)
+@report_option
 def glsm_stability(section, field, chamber, samples, seed, point_path, report):
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
@@ -371,7 +383,7 @@ STAGES = [
     ("selfdual_scan",
      lambda cfg, rng: duality_mod.selfdual_scan(load_section(cfg, GF(17)), rng)),
     ("nonbirational", lambda cfg, rng: duality_mod.verify_nonbirational(
-        load_section(cfg, GF(17)), 17, cfg.budget_obj())),
+        load_section(cfg, GF(17)), 17, cfg.budget)),
     ("l_equivalence_counts",
      lambda cfg, rng: motivic_mod.verify_l_equivalence(cfg.qs, rng)),
     ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
@@ -405,10 +417,11 @@ def verify_paper(cfg: RunConfig) -> dict:
 @main.command("verify-paper")
 @click.option("--seed", default=0)
 @click.option("--samples", default=200, type=click.IntRange(1, 200))
-@click.option("--budget", default=2_000_000, type=click.IntRange(min=1))
+@click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
+              help="cap on the S-pair reductions of the certificate's one saturation")
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)
-@click.option("--report", type=click.Path(), default=None)
+@report_option
 def verify_paper_cmd(seed, samples, budget, qs, section, report):
     """Chain every pipeline on one section matrix; exit 0 iff all pass."""
     cfg = RunConfig(seed=seed, samples=samples, budget=budget, qs=qs,

@@ -21,9 +21,9 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
-from .exactalg import (GF, Budget, BudgetExceeded, Field, Ideal, Mat, PolyRing,
-                       _dot, det3, exterior_square_grid, is_unit_ideal, rref_kernel,
-                       saturate)
+from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
+                       PolyRing, _dot, det3, exterior_square_grid, is_unit_ideal,
+                       rref_kernel, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
                         GrassPoint, MatrixSubspace, SectionMatrix, complement_pair,
                         dual_coordinates, hf_project, hf_space, iota_action,
@@ -281,34 +281,33 @@ def _unknowns(field: Field, route: str):
 
 
 def nonbirational_certificate(S: SectionMatrix, p: int,
-                              budget: Budget | None = None) -> CertificateReport:
+                              max_reductions: int = MAX_REDUCTIONS) -> CertificateReport:
     """Certify that S^T M = M S has no solution M = wedge^2 T with det T != 0
     over GF(p), i.e. that the pair (X, Y) admits no linear isomorphism.
 
     The ideal of the annihilator rows of the linear system, applied to the
     entries of wedge^2 T, is saturated by det T (Rabinowitsch); the unit
-    ideal certifies emptiness.  The unknowns are the route:
+    ideal certifies emptiness.  One route, fixed by the commutant, picks the
+    unknowns:
 
       * ``reduced``  - T symmetric, 15 variables; valid when the commutant is
         10-dimensional and entirely symmetric (then any solution wedge^2 T is
         symmetric, forcing T symmetric) and the charpoly is squarefree.
-      * ``rabinowitsch`` - T general, 25 variables: otherwise, and when the
-        reduced route runs out of budget.
+      * ``rabinowitsch`` - T general, 25 variables, otherwise.
 
-    The commutant dimension/symmetry facts are computed unconditionally (the
-    always-available fallback evidence).  ``budget_exceeded``: every route
-    tried ran out of budget.
+    The commutant dimension/symmetry facts are always reported.
+    ``budget_exceeded``: the saturation took more than ``max_reductions``
+    S-pair reductions; ``route`` names the route that ran out.
     """
     field = GF(p)
     S = S.to_field(field)
-    budget = budget or Budget(max_seconds=1800)
     dimW, sym, ann = _commutant_facts(S)
     sqfree = charpoly_squarefree(S)
-    hf_member = hf_space(field).contains_section(S)
-    report = CertificateReport(status="budget_exceeded", route="none",
+    route = "reduced" if sqfree and dimW == 10 and sym else "rabinowitsch"
+    report = CertificateReport(status="budget_exceeded", route=route,
                                dim_commutant=dimW, symmetric=sym,
                                saturation_result="not-computed",
-                               hf_member=hf_member,
+                               hf_member=hf_space(field).contains_section(S),
                                charpoly_squarefree=sqfree)
 
     # symmetric S is self-dual via the identity: immediate counterexample
@@ -320,32 +319,20 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
         report.notes.append("S is symmetric; T = identity solves S^T M = M S")
         return report
 
-    plan = ["reduced", "rabinowitsch"] if sqfree and dimW == 10 and sym else ["rabinowitsch"]
-    for route in plan:
-        ring, grid = _unknowns(field, route)
-        wedge = [x for row in exterior_square_grid(grid) for x in row]
-        gens = []
-        for row in ann:
-            acc = ring.zero()
-            for c, w in zip(row, wedge):
-                if not field.is_zero(c):
-                    acc = acc + w * c
-            gens.append(acc)
-        try:
-            sat = saturate(Ideal(ring, gens), _det_poly(ring, grid), budget)
-        except BudgetExceeded as exc:
-            report.notes.append(f"route {route}: budget exceeded ({exc})")
-            continue
-        unit = is_unit_ideal(sat)
-        report.route = route
-        report.saturation_result = "unit" if unit else "non-unit"
-        report.status = "certified_empty" if unit else "inconclusive"
-        if not unit:
-            report.notes.append("saturation is proper: solutions off det=0 may exist")
+    ring, grid = _unknowns(field, route)
+    wedge = [x for row in exterior_square_grid(grid) for x in row]
+    gens = [sum((w * c for c, w in zip(row, wedge) if not field.is_zero(c)), ring.zero())
+            for row in ann]
+    try:
+        sat = saturate(Ideal(ring, gens), _det_poly(ring, grid), max_reductions)
+    except BudgetExceeded as exc:
+        report.notes.append(f"{exc}; commutant facts stand")
         return report
-
-    report.route = "fallback-commutant"
-    report.notes.append("all routes exhausted budget; commutant facts stand")
+    unit = is_unit_ideal(sat)
+    report.saturation_result = "unit" if unit else "non-unit"
+    report.status = "certified_empty" if unit else "inconclusive"
+    if not unit:
+        report.notes.append("saturation is proper: solutions off det=0 may exist")
     return report
 
 
@@ -367,7 +354,8 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
         B = Mat.random(f, 5, 3, rng)
         g = Mat.random_invertible(f, 3, rng)
         lhs = st.evaluate(B * g.inverse())
-        d2 = f.inv(f.mul(g.det(), g.det()))
+        d = f.coerce(det3(g.data))
+        d2 = f.inv(f.mul(d, d))
         rhs = tuple(f.mul(d2, x) for x in g.apply(st.evaluate(B)))
         ok &= lhs == rhs
     return {"ok": ok, "details": {"contraction_and_gauge_checks": ok}}
@@ -394,8 +382,8 @@ def selfdual_scan(S: SectionMatrix, rng: random.Random, samples: int = 100) -> d
             "details": {"selfdual_hits": hits, "controls_hit": controls}}
 
 
-def verify_nonbirational(S: SectionMatrix, p: int, budget: Budget | None = None) -> dict:
+def verify_nonbirational(S: SectionMatrix, p: int, max_reductions: int) -> dict:
     """X and Y admit no linear isomorphism: the certificate over GF(p) is
-    ``certified_empty``."""
-    rep = nonbirational_certificate(S, p, budget)
+    ``certified_empty`` within ``max_reductions`` S-pair reductions."""
+    rep = nonbirational_certificate(S, p, max_reductions)
     return {"ok": rep.status == "certified_empty", "details": rep.as_dict()}

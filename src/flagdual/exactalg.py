@@ -3,14 +3,14 @@ and a small Buchberger kernel.
 
 Everything downstream is built on this module.  No floating point anywhere:
 prime fields use Python ints reduced mod p, the rational field uses
-``fractions.Fraction``.  Row reduction (``Mat.rref``) works on primitive
-integer rows over QQ and builds Fractions only for its result.
+``fractions.Fraction``.  ``Mat.rref`` is the one elimination loop: it works on
+primitive integer rows over QQ and builds Fractions only for its result, and
+rank, inverse and kernel all read it.  A 3x3 value comes from ``det3``.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -200,7 +200,7 @@ class Mat:
     def random_invertible(cls, field, n, rng):
         while True:
             m = cls.random(field, n, n, rng)
-            if not field.is_zero(m.det()):
+            if m.rank() == n:
                 return m
 
     # -- basics -------------------------------------------------------------
@@ -314,28 +314,6 @@ class Mat:
     def rank(self):
         return len(self.rref()[1])
 
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        f = self.field
-        m = [list(r) for r in self.data]
-        n = self.rows
-        det = f.one
-        for c in range(n):
-            piv = next((i for i in range(c, n) if not f.is_zero(m[i][c])), None)
-            if piv is None:
-                return f.zero
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if not f.is_zero(m[i][c]):
-                    factor = f.mul(m[i][c], inv)
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[c])]
-        return det
-
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
@@ -348,21 +326,6 @@ class Mat:
     def kernel(self):
         """Basis of the right kernel, as a list of tuples."""
         return rref_kernel(*self.rref())
-
-    def solve(self, rhs):
-        """One solution x of self @ x = rhs, or None."""
-        f = self.field
-        b = Mat(f, [[x] for x in rhs])
-        aug, pivots = self.augment(b).rref()
-        for r in range(len(pivots), self.rows):
-            if not f.is_zero(aug.data[r][self.cols]):
-                return None
-        if any(p == self.cols for p in pivots):
-            return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug.data[r][self.cols]
-        return tuple(x)
 
     def charpoly(self):
         """Characteristic polynomial coefficients [1, c1, ..., cn] of xI - A,
@@ -779,12 +742,7 @@ class Poly:
 # ideals & Buchberger
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Budget:
-    """Hard caps for Groebner runs; exceeding one raises BudgetExceeded."""
-    max_basis: int = 20000
-    max_reductions: int = 2_000_000
-    max_seconds: float | None = None
+MAX_REDUCTIONS = 2_000_000     # default cap on the S-pair reductions of one basis
 
 
 @dataclass
@@ -928,20 +886,19 @@ def _spolynomial(ring: PolyRing, l: int, i: int, j: int,
     return Poly(ring, s)
 
 
-def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
+def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
     """Reduced Groebner basis by Buchberger with Gebauer-Moeller pruning.
 
     Monomial order is the ring's (degrevlex, or 1-variable elimination block).
     Pair selection: lowest lcm degree first (normal strategy), ties by lcm.
-    Raises BudgetExceeded when a hard cap is hit.
+    Raises BudgetExceeded after more than ``max_reductions`` S-pair
+    reductions; the cap counts work, never time, so the result is a function
+    of the input alone.
     """
-    import time as _time
     ring = ideal.ring
     _prime_field(ring, "groebner_basis")
-    budget = budget or Budget()
     f = ring.field
     stats = GroebnerStats()
-    t0 = _time.monotonic()
 
     G: list[Poly] = []
     lts: list[int] = []
@@ -990,10 +947,8 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
                          lts, lcinvs, gterms, first_divisor)
         stats.reductions += 1
-        if stats.reductions > budget.max_reductions:
+        if stats.reductions > max_reductions:
             raise BudgetExceeded("reduction budget exceeded", stats)
-        if budget.max_seconds is not None and _time.monotonic() - t0 > budget.max_seconds:
-            raise BudgetExceeded("time budget exceeded", stats)
         if not r:
             continue
         if ring.mono_deg(r.leading_monomial()) == 0:
@@ -1005,8 +960,6 @@ def groebner_basis(ideal: Ideal, budget: Budget | None = None) -> list:
         lcinvs.append(f.one)
         gterms.append(G[-1].terms)
         add_pairs(len(G) - 1)
-        if len(G) > budget.max_basis:
-            raise BudgetExceeded("basis size budget exceeded", stats)
 
     # minimalize: drop elements whose LT is divisible by another LT
     keep = []
@@ -1042,36 +995,23 @@ def spolynomials_reduce_to_zero(basis: Sequence[Poly]) -> bool:
     return True
 
 
-def saturate(ideal: Ideal, fpoly: Poly, budget: Budget | None = None) -> Ideal:
+def saturate(ideal: Ideal, fpoly: Poly, max_reductions: int = MAX_REDUCTIONS) -> Ideal:
     """I : f^infinity by the Rabinowitsch trick.
 
     Adjoin z, add z*f - 1, compute a Groebner basis in the elimination order
     z >> degrevlex(rest), keep the z-free part.  A result of <1> certifies
-    V(I) is contained in V(f).
+    V(I) is contained in V(f).  The z block sits above the ring's fields, so
+    a z-free monomial has the same packed key in both rings; the z-free part
+    of the reduced basis is the reduced basis of the saturation.
+    ``max_reductions`` caps the one basis computation (``groebner_basis``).
     """
     ring = ideal.ring
     ext = PolyRing(ring.field, ("_z",) + ring.names, elim_first=True)
-
-    def lift(p: Poly) -> Poly:
-        out = {}
-        for m, c in p.terms.items():
-            out[ext.encode((0,) + ring.decode(m))] = c
-        return Poly(ext, out)
-
-    gens = [lift(g) for g in ideal.gens]
-    z = ext.var(0)
-    gens.append(z * lift(fpoly) - ext.one())
-    basis = groebner_basis(Ideal(ext, gens), budget)
-    kept = []
-    for g in basis:
-        if all(ext.decode(m)[0] == 0 for m in g.terms):
-            out = {}
-            for m, c in g.terms.items():
-                out[ring.encode(ext.decode(m)[1:])] = c
-            kept.append(Poly(ring, out))
-    if not kept:
-        return Ideal(ring, [])
-    return Ideal(ring, interreduce(kept))
+    gens = [Poly(ext, dict(g.terms)) for g in ideal.gens]
+    gens.append(ext.var(0) * Poly(ext, dict(fpoly.terms)) - ext.one())
+    basis = groebner_basis(Ideal(ext, gens), max_reductions)
+    return Ideal(ring, [Poly(ring, dict(g.terms)) for g in basis
+                        if not any(m >> ext._z_shift for m in g.terms)])
 
 
 def is_unit_ideal(ideal_or_basis) -> bool:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import Field, GF, Mat
+from .exactalg import Field, GF, Mat, det3
 from .duality import (QuadricSystem, QuinticTriple, pushforward_to_g25,
                       pushforward_to_g35)
 from .grassflag import (GrassPoint, SectionMatrix, random_grass_point,
@@ -49,7 +49,8 @@ def gauge_transform(pt: GLSMPoint, g: Mat) -> GLSMPoint:
     f = pt.field
     gi = g.inverse()
     B2 = pt.B * gi
-    d2 = f.mul(g.det(), g.det())
+    d = f.coerce(det3(g.data))
+    d2 = f.mul(d, d)
     om = tuple(f.mul(d2, sum_) for sum_ in gi.transpose().apply(pt.omega))
     return GLSMPoint(B2, om)
 

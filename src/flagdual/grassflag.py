@@ -358,9 +358,10 @@ def hf_project(s: SectionMatrix) -> SectionMatrix:
     gram = Mat(f, [[pair(ideal.basis[k], ideal.basis[j]) for k in range(n)]
                    for j in range(n)])
     rhs = tuple(pair(s.mat, ideal.basis[j]) for j in range(n))
-    coeffs = gram.solve(rhs)
-    if coeffs is None:
-        raise ZeroDivisionError("projection Gram matrix is singular over this field")
+    try:
+        coeffs = gram.inverse().apply(rhs)
+    except ZeroDivisionError:     # characteristic 2: the ideal meets its annihilator
+        raise ValueError(f"no unique invariant complement over {f!r}") from None
     out = s.mat
     for c, k in zip(coeffs, ideal.basis):
         out = out - k * c
@@ -389,7 +390,7 @@ class DualityMap:
     def __init__(self, T: Mat):
         if T.rows != 5 or T.cols != 5:
             raise ValueError("T must be 5x5")
-        if T.field.is_zero(T.det()):
+        if T.rank() != 5:
             raise ValueError("T must be invertible")
         self.T = T
         self.M = exterior_square(T)

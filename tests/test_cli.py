@@ -147,6 +147,8 @@ def test_motivic_commands(runner, tmp_path):
     ["duality", "nonbirational", "--budget", "0"],     # no Groebner step allowed
     ["duality", "nonbirational", "--budget", "-1"],
     ["verify-paper", "--budget", "0"],
+    ["verify-paper", "--qs", "2,2"],                   # one field counted twice
+    ["duality", "selfdual", "--field", "2"],           # no unique invariant complement
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
@@ -296,10 +298,39 @@ def test_golden_config_is_the_run_config():
     assert config == json.loads(json.dumps(dataclasses.asdict(RunConfig())))
 
 
-def test_budget_ignores_environment(monkeypatch):
-    monkeypatch.setenv("FLAGDUAL_BUDGET", "5")
-    cfg = RunConfig(budget=1234)
-    assert cfg.budget_obj().max_reductions == cfg.budget
+def test_budget_ignores_environment(runner, monkeypatch):
+    # --budget alone caps the certificate's one saturation; running out keeps
+    # the route that ran out and the commutant facts
+    monkeypatch.setenv("FLAGDUAL_BUDGET", "1000000000")
+    res = runner.invoke(main, ["duality", "nonbirational", "--budget", "5"])
+    assert res.exit_code == 1, res.output
+    rep = json.loads(res.output)
+    assert rep["status"] == "budget_exceeded"
+    assert rep["route"] == "rabinowitsch"
+    assert rep["saturation_result"] == "not-computed"
+    assert rep["dim_commutant"] == 28
+
+
+@pytest.mark.parametrize("command", [
+    ["motivic", "count", "--q", "2", "--report"],
+    ["mutations", "replay", "--log"],
+    ["verify-paper", "--report"],
+])
+def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                                      command):
+    # rejected while the options are read: no stage runs, nothing is written
+    def no_run(*_):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("flagdual.cli.verify_paper", no_run)
+    monkeypatch.setattr("flagdual.motivic.fibration_report", no_run)
+    monkeypatch.setattr("flagdual.mutation.replay_proof", no_run)
+    res = runner.invoke(main, command + [str(tmp_path / "missing" / "out.json")])
+    assert res.exit_code == 2, res.output
+    assert "no such directory" in res.output
+    assert not (tmp_path / "missing").exists()
+    res = runner.invoke(main, command + [str(tmp_path)])     # a directory, not a file
+    assert res.exit_code == 2, res.output
 
 
 def test_selfdual_stage_scans_given_section(tmp_path):
