@@ -159,7 +159,7 @@ def duality():
 @duality.command("build")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--field", default="17", callback=_field_option)
-@click.option("--out", type=click.Path(), default=".")
+@click.option("--out", type=click.Path(file_okay=False), default=".")
 def duality_build(section, field, out):
     """Emit the five quadrics and three quintics as polynomial text files."""
     s = load_section(RunConfig(section=section), field)

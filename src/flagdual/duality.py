@@ -22,12 +22,12 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
-                       PolyRing, _dot, det3, exterior_square_grid, is_unit_ideal,
-                       rref_kernel, saturate)
+                       PolyRing, _dot, det, is_unit_ideal, minors, rref_kernel,
+                       saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
                         GrassPoint, MatrixSubspace, SectionMatrix, complement_pair,
                         dual_coordinates, hf_project, hf_space, iota_action,
-                        perm_sign, pluecker, random_grass_point, random_hf_section)
+                        pluecker, random_grass_point, random_hf_section, to_dual)
 
 QUADRIC_VARS = tuple(f"p{i}{j}" for (i, j) in PAIRS)
 QUINTIC_VARS = tuple(f"b{r}{c}" for r in range(1, 6) for c in range(1, 4))
@@ -113,35 +113,14 @@ def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
     f = S.field
     ring = PolyRing(f, QUINTIC_VARS)
     b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
-    minors3 = {t: det3([b[i - 1] for i in t]) for t in TRIPLES}
-    # z_a = (y^T S)_a with y the dual coordinates of B
-    z = []
-    for a in range(10):
-        acc = ring.zero()
-        for q, t in enumerate(TRIPLES):
-            lm = complement_pair(t)
-            c = S.mat.data[PAIR_POS[lm]][a]
-            if f.is_zero(c):
-                continue
-            c = f.mul(f.coerce(D_SIGN[t]), c)
-            acc = acc + minors3[t] * c
-        z.append(acc)
-
-    def pair_minor_without_col(l, m, c):
-        cols = [cc for cc in range(3) if cc != c]
-        return (b[l - 1][cols[0]] * b[m - 1][cols[1]]
-                - b[l - 1][cols[1]] * b[m - 1][cols[0]])
-
+    y = to_dual([row[0] for row in minors(b, 3)])       # the dual coordinates of B
+    z = [sum((y[q] * c for q, c in enumerate(col) if not f.is_zero(c)), ring.zero())
+         for col in S.mat.transpose().data]              # z = y^T S
+    pair_minors = minors(b, 2)       # column pair 2 - c omits column c
     components = []
     for c in range(3):
-        acc = ring.zero()
-        sgn = (-1) ** c        # (-1)^{1+c} with 1-based c
-        for a, (l, m) in enumerate(PAIRS):
-            if z[a].is_zero():
-                continue
-            term = z[a] * pair_minor_without_col(l, m, c)
-            acc = acc + (term if sgn == 1 else -term)
-        components.append(acc)
+        acc = sum((za * m[2 - c] for za, m in zip(z, pair_minors) if za), ring.zero())
+        components.append(acc if c % 2 == 0 else -acc)     # (-1)^{1+c}, c 1-based
     return QuinticTriple(ring, components)
 
 
@@ -222,18 +201,6 @@ def charpoly_squarefree(S: SectionMatrix) -> bool:
     n = len(cp) - 1
     dcp = [f.mul(c, f.coerce(n - i)) for i, c in enumerate(cp[:-1])]
     return _poly_gcd_degree(cp, dcp, f) <= 0
-
-
-def _det_poly(ring: PolyRing, grid):
-    n = len(grid)
-    acc = ring.zero()
-    for sigma in itertools.permutations(range(n)):
-        sgn = perm_sign(sigma)
-        term = ring.one()
-        for r in range(n):
-            term = term * grid[r][sigma[r]]
-        acc = acc + (term if sgn == 1 else -term)
-    return acc
 
 
 def is_symmetric(m: Mat) -> bool:
@@ -320,11 +287,11 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
         return report
 
     ring, grid = _unknowns(field, route)
-    wedge = [x for row in exterior_square_grid(grid) for x in row]
+    wedge = [x for row in minors(grid, 2) for x in row]
     gens = [sum((w * c for c, w in zip(row, wedge) if not field.is_zero(c)), ring.zero())
             for row in ann]
     try:
-        sat = saturate(Ideal(ring, gens), _det_poly(ring, grid), max_reductions)
+        sat = saturate(Ideal(ring, gens), det(grid), max_reductions)
     except BudgetExceeded as exc:
         report.notes.append(f"{exc}; commutant facts stand")
         return report
@@ -354,7 +321,7 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
         B = Mat.random(f, 5, 3, rng)
         g = Mat.random_invertible(f, 3, rng)
         lhs = st.evaluate(B * g.inverse())
-        d = f.coerce(det3(g.data))
+        d = f.coerce(det(g.data))
         d2 = f.inv(f.mul(d, d))
         rhs = tuple(f.mul(d2, x) for x in g.apply(st.evaluate(B)))
         ok &= lhs == rhs

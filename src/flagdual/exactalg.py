@@ -5,11 +5,16 @@ Everything downstream is built on this module.  No floating point anywhere:
 prime fields use Python ints reduced mod p, the rational field uses
 ``fractions.Fraction``.  ``Mat.rref`` is the one elimination loop: it works on
 primitive integer rows over QQ and builds Fractions only for its result, and
-rank, inverse and kernel all read it.  A 3x3 value comes from ``det3``.
+rank, inverse and kernel all read it.  ``det`` and ``minors`` are the one
+minor rule (lexicographic k-subsets) for every grid of scalars, Poly or numpy
+arrays.
 """
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -387,24 +392,43 @@ def exterior_square(T: Mat) -> Mat:
     minor of T on rows {i,j}, columns {k,l}; pairs in lexicographic order."""
     if T.rows != T.cols:
         raise ValueError("exterior_square needs a square matrix")
-    return Mat(T.field, exterior_square_grid(T.data))
+    return Mat(T.field, minors(T.data, 2))
 
 
-def exterior_square_grid(grid):
-    """exterior_square for a nested list whose entries support *, - (e.g. Poly)."""
-    n = len(grid)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return [[grid[i - 1][k - 1] * grid[j - 1][l - 1] - grid[i - 1][l - 1] * grid[j - 1][k - 1]
-             for (k, l) in pairs] for (i, j) in pairs]
+def det(rows):
+    """The determinant of an n x n grid, n >= 2, whose entries support *, +
+    and - (ints, Fractions, Poly, numpy arrays); over GF(p), ``coerce`` the
+    result.  Closed forms for n = 2, 3, Laplace along the first row above."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        r0, r1, r2 = rows
+        return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+                - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+                + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+    acc = None
+    for j in range(n):
+        sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = rows[0][j] * det(sub)
+        acc = term if acc is None else acc - term if j % 2 else acc + term
+    return acc
 
 
-def det3(rows):
-    """The 3x3 determinant by cofactors, for rows whose entries support *, -
-    (ints, Fractions, Poly, numpy arrays); over GF(p), ``coerce`` the result."""
-    r0, r1, r2 = rows
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+@functools.lru_cache(maxsize=None)
+def _pickers(n: int, k: int) -> tuple:
+    """An itemgetter for each k-subset of range(n), in lexicographic order."""
+    return tuple(operator.itemgetter(*s) for s in itertools.combinations(range(n), k))
+
+
+def minors(grid, k: int) -> list:
+    """Every k x k minor of a grid, k >= 2 (entries as for ``det``): entry
+    [a][b] is the minor on the a-th row k-subset and the b-th column k-subset,
+    both in lexicographic order."""
+    cols = _pickers(len(grid[0]), k)
+    return [[det([pick(row) for row in rows]) for pick in cols]
+            for rows in (pick(grid) for pick in _pickers(len(grid), k))]
 
 
 # -- matrix file format -----------------------------------------------------

@@ -11,20 +11,19 @@ The plus chamber is the G(3,5)-side threefold Y when the section is regular;
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import Field, GF, Mat, det3
+from .exactalg import Field, GF, Mat, det
 from .duality import (QuadricSystem, QuinticTriple, pushforward_to_g25,
                       pushforward_to_g35)
 from .grassflag import (GrassPoint, SectionMatrix, random_grass_point,
                         random_hf_section)
-from .motivic import (_pushforward_vectors, _section_array, count_X, det3_batch,
-                      enumerate_grassmannian, y_points)
+from .motivic import (_pushforward_vectors, _section_array, count_X,
+                      enumerate_grassmannian, minors_batch, y_points)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ def gauge_transform(pt: GLSMPoint, g: Mat) -> GLSMPoint:
     f = pt.field
     gi = g.inverse()
     B2 = pt.B * gi
-    d = f.coerce(det3(g.data))
+    d = f.coerce(det(g.data))
     d2 = f.mul(d, d)
     om = tuple(f.mul(d2, sum_) for sum_ in gi.transpose().apply(pt.omega))
     return GLSMPoint(B2, om)
@@ -294,9 +293,7 @@ def _singular_rows(S_arr, pivots, B, p: int) -> np.ndarray:
         dv = (_pushforward_vectors(S_arr, (B + E) % p, p)
               - _pushforward_vectors(S_arr, (B - E) % p, p))
         jac[:, :, d] = dv[:, list(pivots)] % p
-    minors = [det3_batch(jac[:, :, list(cols)], p)
-              for cols in itertools.combinations(range(len(chart)), 3)]
-    return ~np.any(minors, axis=0)
+    return ~np.any(minors_batch(jac, 3, p), axis=(1, 2))
 
 
 def okonek_scan(S: SectionMatrix, p: int) -> dict:

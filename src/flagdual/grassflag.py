@@ -6,16 +6,15 @@ Index conventions (shared by every module):
   * pairs (i,j), 1 <= i < j <= 5, in lexicographic order;
   * triples likewise;
   * wedge^3 V5 is identified with wedge^2 V5* by e_{ijk} -> sign(i,j,k,l,m) e*_{lm}
-    where {l,m} is the complement of {i,j,k}.
+    where {l,m} is the complement of {i,j,k} (``to_dual``).
 """
 from __future__ import annotations
 
 import functools
 import random
-from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Field, GF, QQ, Mat, det3, exterior_square
+from .exactalg import Field, GF, QQ, Mat, exterior_square, minors
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 TRIPLES = [(i, j, k) for i in range(1, 6)
@@ -65,28 +64,21 @@ def _contract(i: int, t: tuple):
 
 def pluecker(rep: Mat) -> tuple:
     """Ordered maximal minors of a 5x2 or 5x3 representative matrix."""
-    f = rep.field
     if rep.rows != 5 or rep.cols not in (2, 3):
         raise ValueError("representative must be 5x2 or 5x3")
-    d = rep.data
-    if rep.cols == 2:
-        return tuple(f.sub(f.mul(d[i - 1][0], d[j - 1][1]),
-                           f.mul(d[i - 1][1], d[j - 1][0]))
-                     for (i, j) in PAIRS)
-    return tuple(f.coerce(det3([d[i - 1] for i in t])) for t in TRIPLES)
+    return tuple(rep.field.coerce(row[0]) for row in minors(rep.data, rep.cols))
+
+
+def to_dual(v) -> tuple:
+    """D on triple-indexed coordinates: the pair-indexed coordinates in
+    wedge^2 V5*, entry a being D_SIGN[t] v_t with t the complement of pair a."""
+    return tuple(D_SIGN[t] * v[TRIPLE_POS[t]] for t in map(complement_pair, PAIRS))
 
 
 def dual_coordinates(B: Mat) -> tuple:
     """Coordinates of a G(3,5) representative in wedge^2 V5* (pair-indexed),
     i.e. D applied to its Pluecker vector."""
-    w = pluecker(B)
-    f = B.field
-    y = [f.zero] * 10
-    for t in TRIPLES:
-        lm = complement_pair(t)
-        v = w[TRIPLE_POS[t]]
-        y[PAIR_POS[lm]] = v if D_SIGN[t] == 1 else f.neg(v)
-    return tuple(y)
+    return tuple(map(B.field.coerce, to_dual(pluecker(B))))
 
 
 class GrassPoint:
@@ -222,24 +214,21 @@ class SectionMatrix:
         return f"SectionMatrix({self.field!r})"
 
 
-def flag_equation(xstar: Sequence, y: Sequence, field: Field | None = None) -> SectionMatrix:
+def flag_equation(xstar: Sequence, y: Sequence, field: Field) -> SectionMatrix:
     """The section s_{x* (x) y}(alpha, omega) = (contraction of omega by x*)
     wedge alpha wedge y, which vanishes identically on the flag variety.
 
     ``xstar`` and ``y`` are 5-vectors (coordinates in the dual/primal basis).
     """
-    if field is None:
-        field = QQ
-    f = field
-    xstar = [f.coerce(c) for c in xstar]
-    y = [f.coerce(c) for c in y]
-    data = [[f.zero] * 10 for _ in range(10)]
+    xstar = [field.coerce(c) for c in xstar]
+    y = [field.coerce(c) for c in y]
+    data = [[field.zero] * 10 for _ in range(10)]
     for i in range(1, 6):
-        if f.is_zero(xstar[i - 1]):
+        if field.is_zero(xstar[i - 1]):
             continue
         for j in range(1, 6):
-            c_ij = f.mul(xstar[i - 1], y[j - 1])
-            if f.is_zero(c_ij):
+            c_ij = field.mul(xstar[i - 1], y[j - 1])
+            if field.is_zero(c_ij):
                 continue
             for q, lm in enumerate(PAIRS):
                 t = complement_pair(lm)
@@ -258,8 +247,8 @@ def flag_equation(xstar: Sequence, y: Sequence, field: Field | None = None) -> S
                         continue
                     s3, _ = w2
                     val = sgn_d * s1 * s2 * s3
-                    data[q][p] = f.add(data[q][p], f.mul(c_ij, f.coerce(val)))
-    return SectionMatrix(Mat(f, data))
+                    data[q][p] = field.add(data[q][p], field.mul(c_ij, field.coerce(val)))
+    return SectionMatrix(Mat(field, data))
 
 
 # ---------------------------------------------------------------------------

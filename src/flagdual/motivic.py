@@ -15,13 +15,12 @@ Grassmannian (about q^6 points) can be enumerated, so int64 never wraps.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from .exactalg import GF, Mat, det3
+from .exactalg import GF, Mat, minors
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
-                        SectionMatrix, complement_pair, perm_sign)
+                        SectionMatrix, complement_pair, perm_sign, to_dual)
 from .duality import pushforward_to_g25
 
 Q_LIMIT = 450_000     # the int64 bound of the module docstring
@@ -189,21 +188,14 @@ def pieri(cls: dict, k: int) -> dict:
 
 
 def schubert_mul(a: dict, b: dict) -> dict:
-    """Product of two classes, iterating Pieri via the decomposition of b
-    into special classes (valid since b is given on the sigma basis through
-    repeated Pieri in these tests); here b must be a single partition,
-    expanded by the Giambelli-free route: multiply by sigma_{b1} then strip.
-
-    Only products against special classes are needed by the degree check;
-    general products go factor by factor.
-    """
+    """Product of two classes on G(2,5) by the two-row Jacobi-Trudi rule
+    sigma_(b1,b2) = sigma_b1 sigma_b2 - sigma_(b1+1) sigma_(b2-1), each
+    special factor applied by ``pieri``; the second term is zero when b2 = 0
+    or b1 = 3."""
     out: dict = {}
     for (b1, b2), cb in b.items():
         term = {k: v * cb for k, v in a.items()}
-        # sigma_(b1,b2) = sigma_b1 * sigma_b2 - sigma_(b1+1) * sigma_(b2-1) ... ;
-        # for the 2-row box, use the determinantal (Jacobi-Trudi) expansion
-        # sigma_(b1,b2) = s_b1 s_b2 - s_{b1+1} s_{b2-1}
-        first = pieri(pieri(term, b1), b2) if b2 >= 0 else {}
+        first = pieri(pieri(term, b1), b2)
         second = {}
         if b2 - 1 >= 0 and b1 + 1 <= 3:
             second = pieri(pieri(term, b1 + 1), b2 - 1)
@@ -288,42 +280,16 @@ def enumerate_grassmannian(q: int, k: int) -> np.ndarray:
     return np.concatenate([block for _, block in grassmannian_chunks(q, k)])
 
 
-def wedge2_batch(M: np.ndarray, q: int) -> np.ndarray:
-    """(N,r,k) -> (N, C(r,2), C(k,2)): every 2x2 minor mod q, row pairs and
-    column pairs in lex order.  For r = 5 the row pairs are ``PAIRS``, so the
-    single column of an (N,5,2) batch holds its Pluecker coordinates."""
-    rows = np.array(list(itertools.combinations(range(M.shape[1]), 2))).T
-    top, bot = M[:, rows[0], :], M[:, rows[1], :]
-    return np.stack([top[:, :, c] * bot[:, :, d] - top[:, :, d] * bot[:, :, c]
-                     for c, d in itertools.combinations(range(M.shape[2]), 2)],
-                    axis=2) % q
-
-
-def minors2_batch(A: np.ndarray, q: int) -> np.ndarray:
-    """(N,5,2) -> (N,10) Pluecker coordinates mod q, lex pair order."""
-    return wedge2_batch(A, q)[:, :, 0]
-
-
-def det3_batch(M: np.ndarray, q: int) -> np.ndarray:
-    """(N,3,3) -> (N,) determinants mod q."""
-    return det3(M.transpose(1, 2, 0)) % q
-
-
-def minors3_batch(B: np.ndarray, q: int) -> np.ndarray:
-    """(N,5,3) -> (N,10) triple minors mod q, lex triple order."""
-    return np.stack([det3_batch(B[:, [i - 1, j - 1, k - 1], :], q)
-                     for i, j, k in TRIPLES], axis=1)
-
-
-_DUAL_PERM = np.array([PAIR_POS[complement_pair(t)] for t in TRIPLES])
-_DUAL_SIGN = np.array([D_SIGN[t] for t in TRIPLES])
+def minors_batch(M: np.ndarray, k: int, q: int) -> np.ndarray:
+    """(N,r,c) -> (N, C(r,k), C(c,k)): ``minors`` of every matrix mod q, row
+    and column k-subsets in lex order.  For r = 5 the single column of an
+    (N,5,k) batch holds its Pluecker coordinates."""
+    return np.moveaxis(np.array(minors(M.transpose(1, 2, 0), k)), 2, 0) % q
 
 
 def dual_batch(PL3: np.ndarray, q: int) -> np.ndarray:
     """Triple-minor coordinates -> wedge^2 V5* coordinates (pair-indexed)."""
-    out = np.empty_like(PL3)
-    out[:, _DUAL_PERM] = (PL3 * _DUAL_SIGN[None, :]) % q
-    return out
+    return np.stack(to_dual(PL3.T), axis=1) % q
 
 
 def _section_array(S: SectionMatrix, q: int) -> np.ndarray:
@@ -354,7 +320,7 @@ def count_X(S: SectionMatrix, q: int) -> int:
     mats = _quadric_arrays(S, q)
     total = 0
     for _, A in grassmannian_chunks(q, 2):
-        x = minors2_batch(A, q)
+        x = minors_batch(A, 2, q)[:, :, 0]
         ok = np.ones(len(x), dtype=bool)
         for C in mats:
             ok &= np.einsum("ni,ij,nj->n", x, C, x) % q == 0
@@ -372,7 +338,7 @@ _V_TRIPLE = np.array([[TRIPLE_POS.get(tuple(sorted({p, *lm})), 0) for lm in PAIR
 
 def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     """(N,5) matrix of v_p(B) values mod q."""
-    pl3 = minors3_batch(B, q)
+    pl3 = minors_batch(B, 3, q)[:, :, 0]
     z = (dual_batch(pl3, q) @ S_arr) % q
     return np.einsum("na,pa,npa->np", z, _V_SIGN, pl3[:, _V_TRIPLE]) % q
 
@@ -424,7 +390,7 @@ def count_M_via_g25(S: SectionMatrix, q: int) -> int:
         # w_p = sum_s lamT[s, p] e_comp[s] vanishes off the rows comp, so
         # the triple minor R @ w_p needs only the columns comp of R
         comp = [r for r in range(5) if r not in pivots]
-        x = minors2_batch(A, q)                    # (n,10)
+        x = minors_batch(A, 2, q)[:, :, 0]         # (n,10)
         z = (x @ S_arr.T) % q                      # z[n, row] = (S x)_row
         vals = np.zeros((len(x), lamT.shape[1]), dtype=np.int64)
         for sign, wrows, xpos, ycoord in _TRIPLE_EXPANSION:
@@ -453,11 +419,11 @@ def count_M_via_g35(S: SectionMatrix, q: int) -> int:
     K = np.stack([np.array(Mat(f, [[int(v) for v in l]]).kernel(),
                            dtype=np.int64).T
                   for l in _proj_plane_reps(q)])                 # (P,3,2)
-    CK = wedge2_batch(K, q)[:, :, 0]                             # (P,3)
+    CK = minors_batch(K, 2, q)[:, :, 0]                          # (P,3)
     total = 0
     for _, B in grassmannian_chunks(q, 3):
-        z = (dual_batch(minors3_batch(B, q), q) @ S_arr) % q    # (n,10)
-        u = np.einsum("na,nac->nc", z, wedge2_batch(B, q)) % q   # (n,3)
+        z = (dual_batch(minors_batch(B, 3, q)[:, :, 0], q) @ S_arr) % q
+        u = np.einsum("na,nac->nc", z, minors_batch(B, 2, q)) % q   # (n,3)
         total += int(((u @ CK.T) % q == 0).sum())
     return total
 

@@ -333,6 +333,16 @@ def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, monkeypa
     assert res.exit_code == 2, res.output
 
 
+def test_build_into_a_file_is_a_usage_error(runner, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    res = runner.invoke(main, ["duality", "build", "--out", str(afile)])
+    assert res.exit_code == 2, res.output
+    assert "is a file" in res.output
+    assert afile.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_selfdual_stage_scans_given_section(tmp_path):
     # a section in the flag ideal projects to zero, which every duality map
     # identifies with itself; the published one no random map hits, and both

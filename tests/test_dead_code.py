@@ -1,5 +1,5 @@
 """Every function, class, method and module-level name in src/flagdual is
-referenced somewhere.
+referenced somewhere, and every module-level import is read by its module.
 
 References are read from the syntax trees of src, tests, perfbench and
 scripts, so a name that only occurs in a docstring or a comment does not
@@ -78,3 +78,25 @@ def test_no_unreferenced_definitions():
     used = references()
     unused = [qualname for qualname, name in definitions() if name not in used]
     assert not unused, f"defined but referenced nowhere: {unused}"
+
+
+def unused_imports():
+    """module.name of each module-level import of the package whose bound
+    name its module never reads; ``from __future__`` is exempt."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        yield f"{path.stem}.{bound}"
+
+
+def test_no_unused_imports():
+    unused = list(unused_imports())
+    assert not unused, f"imported but never read: {unused}"

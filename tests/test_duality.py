@@ -5,20 +5,20 @@ import time
 import numpy as np
 import pytest
 
-from flagdual.exactalg import (GF, QQ, Mat, Poly, PolyRing, det3,
+from flagdual.exactalg import (GF, QQ, Mat, Poly, PolyRing, det,
                                exterior_square, groebner_basis)
 from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
-                              fiber_class, intertwiner_conditions,
+                              _unknowns, fiber_class, intertwiner_conditions,
                               is_symmetric, nonbirational_certificate,
                               pushforward_to_g25, pushforward_to_g35,
                               section_of_fiber_point, selfdual_test)
 from flagdual.grassflag import (D_SIGN, PAIR_POS, TRIPLES, DualityMap, GrassPoint,
                                 SectionMatrix, complement_pair, dual_coordinates,
-                                flag_ideal_space, hf_project, hf_space, pluecker,
-                                random_grass_point, random_hf_section,
+                                flag_ideal_space, hf_project, hf_space, perm_sign,
+                                pluecker, random_grass_point, random_hf_section,
                                 script_matrix)
 from flagdual.motivic import (_pushforward_vectors, _quadric_arrays, _section_array,
-                              count_Y, enumerate_grassmannian, minors2_batch,
+                              count_Y, enumerate_grassmannian, minors_batch,
                               y_points)
 
 F11 = GF(11)
@@ -113,7 +113,7 @@ def test_quintic_reconstruction_identity():
     b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
     y = [None] * 10
     for t in TRIPLES:
-        y[PAIR_POS[complement_pair(t)]] = det3([b[i - 1] for i in t]) * D_SIGN[t]
+        y[PAIR_POS[complement_pair(t)]] = det([b[i - 1] for i in t]) * D_SIGN[t]
     for a in range(10):
         for c in range(10):
             E = Mat(QQ, [[int((i, j) == (a, c)) for j in range(10)] for i in range(10)])
@@ -135,7 +135,7 @@ def test_gauge_covariance():
         g = Mat.random_invertible(F13, 3, rng)
         gi = g.inverse()
         lhs = st.evaluate(B * gi)
-        d = F13.coerce(det3(g.data))
+        d = F13.coerce(det(g.data))
         d2 = F13.inv(F13.mul(d, d))
         gs = g.apply(st.evaluate(B))
         rhs = tuple(F13.mul(d2, x) for x in gs)
@@ -246,7 +246,7 @@ def test_selfdual_up_to_sign():
     assert selfdual_test(s, f)
     # f_T sends [A] to (T A)^perp, the kernel of A^T T
     G = enumerate_grassmannian(5, 2)
-    x = minors2_batch(G, 5)
+    x = minors_batch(G, 2, 5)[:, :, 0]
     on_x = np.ones(len(x), dtype=bool)
     for C in _quadric_arrays(s, 5):
         on_x &= np.einsum("ni,ij,nj->n", x, C, x) % 5 == 0
@@ -313,6 +313,19 @@ def test_commutant_generic_hf_rational():
     assert all(ST * m == m * s.mat for m in W.basis)
     P = GF(2 ** 31 - 1)
     assert [Mat(P, m.data) for m in W.basis] == commutant_space(s.to_field(P)).basis
+
+
+def test_det_of_unknowns_is_the_permutation_sum():
+    # the det T that the certificate saturates by, against the Leibniz sum
+    ring, grid = _unknowns(F17, "rabinowitsch")
+    acc = ring.zero()
+    for sigma in itertools.permutations(range(5)):
+        term = ring.one()
+        for r in range(5):
+            term = term * grid[r][sigma[r]]
+        acc = acc + (term if perm_sign(sigma) == 1 else -term)
+    assert det(grid) == acc
+    assert len(acc.terms) == 120
 
 
 def test_certificate_symmetric_counterexample():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import hypothesis.strategies as st
 
 from flagdual.exactalg import (GF, QQ, BudgetExceeded, Ideal, Mat,
                                Poly, PolyRing, exterior_square, format_matrix,
-                               det3, groebner_basis, interreduce, is_prime,
-                               is_unit_ideal, normal_form, parse_matrix,
+                               det, groebner_basis, interreduce, is_prime,
+                               is_unit_ideal, minors, normal_form, parse_matrix,
                                saturate, spolynomials_reduce_to_zero)
 
 F17 = GF(17)
@@ -213,7 +214,31 @@ def test_det3_is_det(field):
     rng = random.Random(5)
     for _ in range(50):
         m = Mat.random(field, 3, 3, rng)
-        assert field.coerce(det3(m.data)) == _sympy_det(m)
+        assert field.coerce(det(m.data)) == _sympy_det(m)
+
+
+@pytest.mark.parametrize("field", [F17, QQ])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_det_matches_sympy(field, n):
+    rng = random.Random(n)
+    for _ in range(20):
+        m = Mat.random(field, n, n, rng)
+        assert field.coerce(det(m.data)) == _sympy_det(m)
+
+
+@pytest.mark.parametrize("field", [F17, QQ])
+@pytest.mark.parametrize("shape", [(5, 3), (3, 6), (5, 5)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_minors_match_sympy(field, shape, k):
+    m = Mat.random(field, *shape, random.Random(10 * shape[0] + shape[1] + k))
+    rows = list(itertools.combinations(range(shape[0]), k))
+    cols = list(itertools.combinations(range(shape[1]), k))
+    grid = minors(m.data, k)
+    assert [len(row) for row in grid] == [len(cols)] * len(rows)
+    for a, r in enumerate(rows):
+        for b, c in enumerate(cols):
+            sub = Mat(field, [[m.data[i][j] for j in c] for i in r])
+            assert field.coerce(grid[a][b]) == _sympy_det(sub)
 
 
 def test_charpoly_companion():

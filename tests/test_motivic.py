@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from flagdual import motivic
-from flagdual.exactalg import GF, Mat
+from flagdual.exactalg import GF, Mat, minors
 from flagdual.duality import pushforward_to_g25, section_of_fiber_point
 from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLES,
                                 GrassPoint, SectionMatrix, complement_pair,
@@ -194,6 +195,20 @@ def _ref_minors2(A, q):
     return out
 
 
+@pytest.mark.parametrize("shape", [(64, 5, 3), (64, 3, 6)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_minors_batch_matches_minors(shape, k):
+    q = 7
+    M = np.random.default_rng(k * shape[2]).integers(0, q, shape, dtype=np.int64)
+    out = motivic.minors_batch(M, k, q)
+    assert out.shape == (shape[0], math.comb(shape[1], k), math.comb(shape[2], k))
+    for m, got in zip(M, out):
+        assert got.tolist() == [[x % q for x in row] for row in minors(m.tolist(), k)]
+    if shape[1] == 5 and k == 2:
+        for b, cols in enumerate(itertools.combinations(range(shape[2]), 2)):
+            assert (out[:, :, b] == _ref_minors2(M[:, :, list(cols)], q)).all()
+
+
 def _ref_count_M_via_g25(S, q):
     S_arr = motivic._section_array(S, q)
     total = 0
@@ -225,7 +240,7 @@ def _ref_count_M_via_g35(S, q):
                            dtype=np.int64).T
                   for l in motivic._proj_plane_reps(q)])        # (P,3,2)
     B = enumerate_grassmannian(q, 3)
-    z = (motivic.dual_batch(motivic.minors3_batch(B, q), q) @ S_arr) % q
+    z = (motivic.dual_batch(motivic.minors_batch(B, 3, q)[:, :, 0], q) @ S_arr) % q
     A = np.einsum("nij,pjk->npik", B, K) % q                     # (N,P,5,2)
     x = _ref_minors2(A.reshape(-1, 5, 2), q).reshape(len(B), len(K), 10)
     return int((np.einsum("npa,na->np", x, z) % q == 0).sum())
