@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 
 import click
@@ -393,9 +394,23 @@ STAGES = [
 ]
 
 
+def _raised_at(exc: Exception) -> str:
+    """``module.py:line`` of the innermost frame of this package in the
+    traceback of exc; the report carries no path, so it stays the same
+    wherever the package is installed."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    where = None
+    for frame, line in traceback.walk_tb(exc.__traceback__):
+        path = os.path.abspath(frame.f_code.co_filename)
+        if os.path.dirname(path) == package:
+            where = f"{os.path.basename(path)}:{line}"
+    return where
+
+
 def verify_paper(cfg: RunConfig) -> dict:
     """Run every verification stage in order; failures do not stop later
-    independent stages."""
+    independent stages.  A failed stage records the exception's message, its
+    type and where in this package it was raised."""
     rng = random.Random(cfg.seed)
     s = load_section(cfg, GF(17))
     report = {
@@ -409,7 +424,9 @@ def verify_paper(cfg: RunConfig) -> dict:
         try:
             report["stages"][name] = fn(cfg, rng)
         except Exception as exc:        # noqa: BLE001 - report, keep going
-            report["stages"][name] = {"ok": False, "details": {"error": str(exc)}}
+            report["stages"][name] = {"ok": False, "details": {
+                "error": str(exc), "error_type": type(exc).__name__,
+                "where": _raised_at(exc)}}
     report["ok"] = all(st["ok"] for st in report["stages"].values())
     return report
 

@@ -22,8 +22,8 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
-                       PolyRing, _dot, det, is_unit_ideal, minors, rref_kernel,
-                       saturate)
+                       PolyRing, _dot, det, evaluate_batch, is_unit_ideal,
+                       minors, rref_kernel, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
                         GrassPoint, MatrixSubspace, SectionMatrix, complement_pair,
                         dual_coordinates, hf_project, hf_space, iota_action,
@@ -305,26 +305,26 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
 
 def verify_pushforwards(rng: random.Random, samples: int) -> dict:
     """On a random GF(11) section, the quadrics are its fiber coefficients
-    and the quintics transform with det^-2 under the gauge group."""
+    and the quintics transform with det^-2 under the gauge group.  The points
+    are drawn first, in one fixed order, and each system is evaluated on all
+    of them in one batch."""
     f = GF(11)
     s = random_hf_section(f, rng)
-    qs = pushforward_to_g25(s)
-    ok = True
-    for _ in range(samples):
-        a = random_grass_point(f, 2, rng)
-        w = [f.rand(rng) for _ in range(5)]
-        lhs = section_of_fiber_point(s, a.rep, w)
-        rhs = _dot(f, w, qs.evaluate(a.pluecker))
-        ok &= lhs == rhs
-    st = pushforward_to_g35(s)
-    for _ in range(min(samples, 100)):
-        B = Mat.random(f, 5, 3, rng)
-        g = Mat.random_invertible(f, 3, rng)
-        lhs = st.evaluate(B * g.inverse())
+    fibers = [(random_grass_point(f, 2, rng), [f.rand(rng) for _ in range(5)])
+              for _ in range(samples)]
+    gauges = [(Mat.random(f, 5, 3, rng), Mat.random_invertible(f, 3, rng))
+              for _ in range(min(samples, 100))]
+    quadrics = evaluate_batch(pushforward_to_g25(s).quadrics,
+                              [a.pluecker for a, _ in fibers], f.p)
+    ok = all(section_of_fiber_point(s, a.rep, w) == _dot(f, w, v.tolist())
+             for (a, w), v in zip(fibers, quadrics, strict=True))
+    st = pushforward_to_g35(s).components
+    moved = evaluate_batch(st, [(B * g.inverse()).flatten() for B, g in gauges], f.p)
+    fixed = evaluate_batch(st, [B.flatten() for B, _ in gauges], f.p)
+    for (_, g), lhs, v in zip(gauges, moved, fixed, strict=True):
         d = f.coerce(det(g.data))
         d2 = f.inv(f.mul(d, d))
-        rhs = tuple(f.mul(d2, x) for x in g.apply(st.evaluate(B)))
-        ok &= lhs == rhs
+        ok &= lhs.tolist() == [f.mul(d2, x) for x in g.apply(v.tolist())]
     return {"ok": ok, "details": {"contraction_and_gauge_checks": ok}}
 
 

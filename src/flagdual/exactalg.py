@@ -7,7 +7,8 @@ prime fields use Python ints reduced mod p, the rational field uses
 primitive integer rows over QQ and builds Fractions only for its result, and
 rank, inverse and kernel all read it.  ``det`` and ``minors`` are the one
 minor rule (lexicographic k-subsets) for every grid of scalars, Poly or numpy
-arrays.
+arrays.  ``evaluate_batch`` evaluates polynomials over GF(p) at many points at
+once, in int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +763,35 @@ class Poly:
             else:
                 bits.append(str(c))
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def evaluate_batch(polys: Sequence[Poly], points, p: int) -> np.ndarray:
+    """The values mod p of polynomials over one GF(p) ring at a batch of
+    points: an (N, nvars) array of residues -> the (N, len(polys)) int64 array
+    whose column k holds polys[k].  The powers of each variable are built
+    once per batch and shared by every polynomial; each product is reduced
+    mod p, so int64 holds every intermediate for p < 2^31."""
+    if p >= 1 << 31:
+        raise ValueError(f"evaluate_batch needs p < 2^31, got {p}")
+    if any(not isinstance(f.ring.field, GF) or f.ring.field.p != p
+           or f.ring is not polys[0].ring for f in polys):
+        raise ValueError(f"evaluate_batch needs polynomials over one GF({p}) ring")
+    points = np.asarray(points, dtype=np.int64) % p
+    exps = [np.array([f.ring.decode(m) for m in f.terms], dtype=np.int64)
+            for f in polys]                                  # (terms, nvars) each
+    top = max((int(e.max()) for e in exps if e.size), default=0)
+    powers = np.ones((top + 1,) + points.T.shape, dtype=np.int64)   # [e, i, n]
+    for e in range(1, top + 1):
+        powers[e] = powers[e - 1] * points.T % p
+    out = np.zeros((len(points), len(polys)), dtype=np.int64)
+    for k, (f, e) in enumerate(zip(polys, exps)):
+        vals = (np.array(list(f.terms.values()), dtype=np.int64)[:, None]
+                * np.ones(len(points), dtype=np.int64))      # (terms, N)
+        for i in np.flatnonzero(e.any(axis=0)):
+            vals *= powers[e[:, i], i]
+            vals %= p
+        out[:, k] = vals.sum(axis=0) % p
+    return out
 
 
 # ---------------------------------------------------------------------------

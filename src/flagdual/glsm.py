@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import Field, GF, Mat, det
+from .exactalg import Field, GF, Mat, det, evaluate_batch
 from .duality import (QuadricSystem, QuinticTriple, pushforward_to_g25,
                       pushforward_to_g35)
 from .grassflag import (GrassPoint, SectionMatrix, random_grass_point,
@@ -320,16 +320,13 @@ def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
     The orbit of (1,0,0) is every admissible omega (omega_1 != 0), and its
     (q-1)q^2 elements equal the stabilizer order, so the action is free: each
     point of X carries exactly one gauge class, and the number of classes is
-    |X(F_q)|.  This counts X twice, by testing the quadrics on every point of
-    G(2,5)(F_q) and by count_X, and reports whether the two routes agree."""
-    f = GF(q)
-    Sq = S.to_field(f)
-    m = model_for(Sq)
-    enumerated = 0
-    for rep in enumerate_grassmannian(q, 2):
-        pt = GrassPoint(Mat(f, rep.tolist()))
-        if m.quadrics.vanishes_at(pt):
-            enumerated += 1
+    |X(F_q)|.  This counts X twice, by evaluating the quadrics on every point
+    of G(2,5)(F_q) in one batch and by count_X, and reports whether the two
+    routes agree."""
+    Sq = S.to_field(GF(q))
+    vals = evaluate_batch(model_for(Sq).quadrics.quadrics,
+                          minors_batch(enumerate_grassmannian(q, 2), 2, q)[:, :, 0], q)
+    enumerated = int(np.all(vals == 0, axis=1).sum())
     x_count = count_X(Sq, q)
     return {"q": q, "X_enumerated": enumerated, "X_count": x_count,
             "agree": enumerated == x_count}

@@ -6,11 +6,15 @@ Counting is exact integer arithmetic throughout: enumeration runs over
 Schubert-cell echelon representatives as int64 numpy arrays with explicit
 reductions mod p (no floating point is involved anywhere).  The kernels
 stream over ``grassmannian_chunks`` and nothing is cached, so their memory
-does not grow with q.  Every operand is reduced to [0, q) before it enters a
-product, and every intermediate stays below about 100 q^3; the largest is
-the quadratic form x^T C x of ``count_X``, a sum of 100 products of three
-residues.  100 q^3 < 2^63 holds for q < 4.5 * 10^5, far beyond any q whose
-Grassmannian (about q^6 points) can be enumerated, so int64 never wraps.
+does not grow with q.  Every intermediate stays below about 100 q^3 in
+absolute value; the largest is the quadratic form x^T C x of ``count_X``, a
+sum of 100 products of three residues.  Operands are residues in [0, q) with
+one exception: ``count_M_via_g25`` multiplies the products x z < q^2 of two
+residues, with their signs, by the residues of w, and its 18 such terms per
+flag stay below 18 q^3; that kernel never forms the per-A coefficient vector
+(see its docstring).  100 q^3 < 2^63 holds for q < 4.5 * 10^5, far beyond any
+q whose Grassmannian (about q^6 points) can be enumerated, so int64 never
+wraps.
 """
 from __future__ import annotations
 
@@ -363,14 +367,15 @@ def _proj_plane_reps(q: int) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-# psi_t([A|w]) = w_i x_jk - w_j x_ik + w_k x_ij for t = (i,j,k), x = Pl(A):
-# per triple, (D_SIGN[t], rows i,j,k of w (0-based), positions of x_jk, x_ik,
-# x_ij, position of the dual coordinate of t).
-_TRIPLE_EXPANSION = [
-    (D_SIGN[(i, j, k)], [i - 1, j - 1, k - 1],
-     [PAIR_POS[(j, k)], PAIR_POS[(i, k)], PAIR_POS[(i, j)]],
-     PAIR_POS[complement_pair((i, j, k))])
-    for i, j, k in TRIPLES]
+# psi_t([A|w]) = w_i x_jk - w_j x_ik + w_k x_ij for t = (i,j,k), x = Pl(A),
+# and the flag's value is sum_t D_SIGN[t] z_t psi_t, z_t the entry of z = S x
+# at the pair position of the complement of t.  Its 30 products, three per
+# triple in TRIPLES order, are _M_SIGN[m] * x[_M_X[m]] * z[_M_Z[m]] * w[_M_W[m]].
+_M_SIGN = np.array([D_SIGN[(i, j, k)] * s for i, j, k in TRIPLES for s in (1, -1, 1)])
+_M_X = np.array([PAIR_POS[pr] for i, j, k in TRIPLES
+                 for pr in ((j, k), (i, k), (i, j))])
+_M_W = np.array([r - 1 for t in TRIPLES for r in t])
+_M_Z = np.repeat([PAIR_POS[complement_pair(t)] for t in TRIPLES], 3)
 
 
 def count_M_via_g25(S: SectionMatrix, q: int) -> int:
@@ -378,28 +383,29 @@ def count_M_via_g25(S: SectionMatrix, q: int) -> int:
     cell representative A the complement rows give canonical coset
     representatives w of V5 / col(A).
 
-    Every flag (A, A+w) is evaluated on its own: the ten triple minors of
-    [A | w], each reduced mod q, are paired with z = S x(A).  The route stays
-    a per-flag evaluation, not a per-A test, because it is the cross-check of
-    the G(3,5)-side count: factoring it through the quadrics of X would make
-    the fibration identity for X true by construction."""
+    Every flag (A, A+w) is evaluated on its own: its value is the sum over
+    the ten triple minors of [A | w], each paired with z = S x(A), taken as
+    one matmul per block of the products x z against the entries of every w.
+    The route stays a per-flag evaluation, not a per-A test, because it is
+    the cross-check of the G(3,5)-side count: the kernel never sums the
+    products of one A into a coefficient vector of w, since that vector is
+    the quadrics of X, and factoring through it would make the fibration
+    identity for X true by construction.  Of the 30 products x z w of a
+    flag, the 18 with w off the pivot rows can be nonzero, so every value
+    lies below 18 q^3 < 30 q^3 in absolute value."""
     S_arr = _section_array(S, q)
-    lamT = np.ascontiguousarray(_proj_plane_reps(q).T)   # (3, P)
+    lamT = _proj_plane_reps(q).T                   # (3, P)
     total = 0
     for pivots, A in grassmannian_chunks(q, 2):
-        # w_p = sum_s lamT[s, p] e_comp[s] vanishes off the rows comp, so
-        # the triple minor R @ w_p needs only the columns comp of R
-        comp = [r for r in range(5) if r not in pivots]
+        # w_p = sum_s lamT[s, p] e_comp[s] vanishes on the pivot rows, so
+        # only the 18 products whose w entry lies off them count
+        W = np.zeros((5, lamT.shape[1]), dtype=np.int64)
+        W[[r for r in range(5) if r not in pivots]] = lamT
+        live = ~np.isin(_M_W, pivots)
         x = minors_batch(A, 2, q)[:, :, 0]         # (n,10)
         z = (x @ S_arr.T) % q                      # z[n, row] = (S x)_row
-        vals = np.zeros((len(x), lamT.shape[1]), dtype=np.int64)
-        for sign, wrows, xpos, ycoord in _TRIPLE_EXPANSION:
-            R = np.zeros((len(x), 5), dtype=np.int64)
-            R[:, wrows] = x[:, xpos] * [1, -1, 1]
-            minor = R[:, comp] @ lamT              # psi_t([A_n | w_p])
-            minor %= q
-            minor *= sign * z[:, ycoord, None]
-            vals += minor
+        prods = _M_SIGN[live] * x[:, _M_X[live]] * z[:, _M_Z[live]]
+        vals = prods @ W[_M_W[live]]               # (n, P): one value per flag
         total += int((vals % q == 0).sum())
     return total
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from flagdual.cli import STAGES, RunConfig, main
+from flagdual import bwb, cli
+from flagdual.cli import STAGES, RunConfig, main, verify_paper
 from flagdual.exactalg import GF, QQ, Mat, format_matrix
 from flagdual.glsm import okonek_scan
 from flagdual.grassflag import flag_ideal_space, random_hf_section, script_matrix
@@ -227,6 +228,35 @@ def test_verify_paper_matches_golden(runner, tmp_path):
     got = json.loads(out.read_text())
     expected = json.loads(GOLDEN.read_text())
     assert got == expected
+
+
+def test_failed_stage_records_type_and_place(monkeypatch):
+    # the middle stage raises a KeyError inside the package; the stages
+    # around it still run
+    ran = []
+
+    def passing(name):
+        def stage(cfg, rng):
+            ran.append(name)
+            return {"ok": True, "details": {}}
+        return stage
+
+    monkeypatch.setattr(cli, "STAGES", [
+        ("spaces", passing("spaces")),
+        ("bwb_lemmas", lambda cfg, rng: bwb.on_F("no-such-bundle", 0, 0)),
+        ("glsm", passing("glsm"))])
+    report = verify_paper(RunConfig())
+    assert ran == ["spaces", "glsm"]
+    assert not report["ok"]
+    failed = report["stages"]["bwb_lemmas"]
+    assert failed["ok"] is False
+    details = failed["details"]
+    assert details["error"] == "'no-such-bundle'"
+    assert details["error_type"] == "KeyError"
+    module, line = details["where"].split(":")
+    assert module == "bwb.py"
+    source = pathlib.Path(bwb.__file__).read_text().splitlines()
+    assert "F_BUNDLES[kind]" in source[int(line) - 1]
 
 
 def test_verify_paper_seed_4001_passes(runner):

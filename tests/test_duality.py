@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
+from flagdual import duality
 from flagdual.exactalg import (GF, QQ, Mat, Poly, PolyRing, det,
                                exterior_square, groebner_basis)
 from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
                               _unknowns, fiber_class, intertwiner_conditions,
                               is_symmetric, nonbirational_certificate,
                               pushforward_to_g25, pushforward_to_g35,
-                              section_of_fiber_point, selfdual_test)
+                              section_of_fiber_point, selfdual_test,
+                              verify_pushforwards)
 from flagdual.grassflag import (D_SIGN, PAIR_POS, TRIPLES, DualityMap, GrassPoint,
                                 SectionMatrix, complement_pair, dual_coordinates,
                                 flag_ideal_space, hf_project, hf_space, perm_sign,
@@ -140,6 +142,44 @@ def test_gauge_covariance():
         gs = g.apply(st.evaluate(B))
         rhs = tuple(F13.mul(d2, x) for x in gs)
         assert lhs == rhs
+
+
+def test_verify_pushforwards_passes_in_batches(monkeypatch):
+    def no_scalar_evaluate(self, point):
+        raise AssertionError("the check called Poly.evaluate")
+
+    monkeypatch.setattr(Poly, "evaluate", no_scalar_evaluate)
+    assert verify_pushforwards(random.Random(0), 200)["ok"]
+
+
+def test_verify_pushforwards_fails_on_a_wrong_quintic(monkeypatch):
+    # one extra monomial in component 0 breaks the det^-2 covariance
+    real = duality.pushforward_to_g35
+
+    def corrupted(S):
+        st = real(S)
+        extra = st.ring.monomial([5] + [0] * 14)
+        assert extra.leading_monomial() not in st.components[0].terms
+        st.components[0] = st.components[0] + extra
+        return st
+
+    monkeypatch.setattr(duality, "pushforward_to_g35", corrupted)
+    assert not verify_pushforwards(random.Random(0), 200)["ok"]
+
+
+def test_verify_pushforwards_fails_on_a_wrong_quadric(monkeypatch):
+    real = duality.pushforward_to_g25
+
+    def corrupted(S):
+        qs = real(S)
+        q0 = qs.quadrics[0]
+        m = max(q0.terms)
+        qs.quadrics[0] = q0 + Poly(q0.ring, {m: 1})     # one coefficient moves
+        assert qs.quadrics[0].terms.keys() - {m} == q0.terms.keys() - {m}
+        return qs
+
+    monkeypatch.setattr(duality, "pushforward_to_g25", corrupted)
+    assert not verify_pushforwards(random.Random(0), 200)["ok"]
 
 
 def test_fiber_class_zero_section_all_p2():

@@ -1,10 +1,12 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from flagdual.exactalg import GF, QQ, Mat
-from flagdual.duality import pushforward_to_g25
+from flagdual import glsm
+from flagdual.exactalg import GF, QQ, Mat, Poly
+from flagdual.duality import QuadricSystem, pushforward_to_g25
 from flagdual.glsm import (GLSMPoint, _singular_rows, critical_gauge_class_count,
                            critical_member, gauge_reduce, gauge_transform,
                            instability_certificate, model_for, okonek_scan,
@@ -222,12 +224,31 @@ def test_scan_reduces_a_rational_section():
         okonek_scan(script_matrix(GF(13)), 7)
 
 
-def test_critical_gauge_classes_biject_with_X():
+def test_critical_gauge_classes_biject_with_X(monkeypatch):
+    def no_scalar_evaluate(self, point):
+        raise AssertionError("the count called Poly.evaluate")
+
+    # the enumerated route evaluates the quadrics in one batch
+    monkeypatch.setattr(Poly, "evaluate", no_scalar_evaluate)
     rng = random.Random(43)
     q = 3
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
     rep = critical_gauge_class_count(s, q)
     assert rep["agree"] and rep["X_enumerated"] == rep["X_count"], rep
+
+
+def test_critical_gauge_class_count_sees_a_wrong_quadric(monkeypatch):
+    rng = random.Random(43)
+    q = 3
+    s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
+    real = model_for(s)
+    q0 = real.quadrics.quadrics[0]
+    m = max(q0.terms)
+    wrong = QuadricSystem(real.quadrics.ring,
+                          [q0 + Poly(q0.ring, {m: 1})] + real.quadrics.quadrics[1:])
+    monkeypatch.setattr(glsm, "model_for", lambda S: SimpleNamespace(quadrics=wrong))
+    rep = critical_gauge_class_count(s, q)
+    assert rep["X_count"] > 0 and not rep["agree"], rep
 
 
 def test_model_cache_is_bounded():

@@ -271,6 +271,11 @@ def test_M_counts_match_reference_routes(q, kind):
     assert count_M_via_g35(s, q) == _ref_count_M_via_g35(s, q)
 
 
+def test_M_count_via_g25_matches_reference_route_at_q7():
+    s = _section("random", 7, 48)
+    assert count_M_via_g25(s, 7) == _ref_count_M_via_g25(s, 7)
+
+
 def test_M_count_matches_brute_force_over_gf2():
     # every flag (A, A+w) of F_2^5, found as the vectors w outside col(A):
     # each 3-space A+w arises from q^3 - q^2 of them, all giving the same
