@@ -341,6 +341,14 @@ def glsm():
               help="file with 5 rows of B then one row omega")
 @report_option
 def glsm_stability(section, field, chamber, samples, seed, point_path, report):
+    """Semistability, instability certificates and criticality in one chamber.
+
+    With --point, report whether that point (B, omega) is semistable; if so,
+    whether it is critical, i.e. dW = 0 for W = omega . shat(B); if not, a
+    checked instability certificate.  Otherwise draw --samples random points:
+    stats.critical counts the critical points among the semistable ones with
+    rank B = 2 in the minus chamber (the points over X), and is 0 in the
+    plus chamber."""
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "samples": samples,

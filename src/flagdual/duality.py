@@ -40,16 +40,8 @@ class QuadricSystem:
         self.ring = ring
         self.quadrics = list(quadrics)
 
-    @property
-    def field(self):
-        return self.ring.field
-
     def evaluate(self, pluecker_vec):
         return tuple(q.evaluate(pluecker_vec) for q in self.quadrics)
-
-    def vanishes_at(self, point: GrassPoint) -> bool:
-        f = self.field
-        return all(f.is_zero(v) for v in self.evaluate(point.pluecker))
 
 
 class QuinticTriple:
@@ -62,10 +54,6 @@ class QuinticTriple:
     def __init__(self, ring: PolyRing, components):
         self.ring = ring
         self.components = list(components)
-
-    @property
-    def field(self):
-        return self.ring.field
 
     def evaluate(self, B: Mat):
         flat = B.flatten()

@@ -1,13 +1,15 @@
-"""The two-phase gauged linear sigma model: superpotential evaluation,
-chamber-dependent GIT semistability with one-parameter-subgroup instability
-certificates, critical-locus membership in both phases, and the gauge
-reduction identifying the negative chamber with the G(2,5)-side threefold.
+"""The two-phase gauged linear sigma model: chamber-dependent GIT
+semistability with one-parameter-subgroup instability certificates, and the
+critical locus of the superpotential W = omega . shat(B) in both phases.
 
 One-parameter subgroups are monomial families g_n^{-1} = C diag(n^w) C^{-1}
 with integer weights; limits are checked by exact valuation bookkeeping.
 
-The plus chamber is the G(3,5)-side threefold Y when the section is regular;
-``okonek_scan`` decides that exactly over F_p, at every point of Y(F_p).
+Both phases read their critical locus from dW = 0.  In the plus chamber it is
+the G(3,5)-side threefold Y when the section is regular; ``okonek_scan``
+decides that exactly over F_p, at every point of Y(F_p).  In the minus chamber
+the rank-2 critical classes are the points of the G(2,5)-side threefold X,
+which ``critical_gauge_class_count`` counts against ``count_X``.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exactalg import Field, GF, Mat, det, evaluate_batch
-from .duality import (QuadricSystem, QuinticTriple, pushforward_to_g25,
-                      pushforward_to_g35)
-from .grassflag import (GrassPoint, SectionMatrix, random_grass_point,
-                        random_hf_section)
+from .duality import QuinticTriple, pushforward_to_g35
+from .grassflag import SectionMatrix, random_grass_point, random_hf_section
 from .motivic import (_pushforward_vectors, _section_array, count_X,
                       enumerate_grassmannian, minors_batch, y_points)
 
@@ -58,7 +58,6 @@ class _Model:
     """Cached symbolic data attached to one section matrix."""
 
     def __init__(self, S: SectionMatrix):
-        self.quadrics: QuadricSystem = pushforward_to_g25(S)
         self.quintics: QuinticTriple = pushforward_to_g35(S)
         self.jacobian = self.quintics.jacobian()    # 3 x 15 derivative polys
 
@@ -67,16 +66,6 @@ class _Model:
 def model_for(S: SectionMatrix) -> _Model:
     """The model of S, cached for the few most recent sections."""
     return _Model(S)
-
-
-def superpotential(pt: GLSMPoint, S: SectionMatrix):
-    """W(B, omega) = omega . shat(B); gauge-invariant."""
-    f = pt.field
-    sh = model_for(S).quintics.evaluate(pt.B)
-    acc = f.zero
-    for w, v in zip(pt.omega, sh):
-        acc = f.add(acc, f.mul(w, v))
-    return acc
 
 
 def semistable(pt: GLSMPoint, chamber: str) -> bool:
@@ -174,57 +163,24 @@ def verify_certificate(pt: GLSMPoint, cert: OnePSCertificate, chamber: str) -> d
 # ---------------------------------------------------------------------------
 
 def critical_member(pt: GLSMPoint, S: SectionMatrix, chamber: str) -> bool:
-    """Plus chamber: shat(B) = 0 and omega . d shat(B) = 0.  Minus chamber:
-    rank B = 2 and the gauge-reduced span lies on the quadric zero locus."""
+    """Whether the semistable point (B, omega) is critical for W = omega . shat(B):
+    dW = 0, that is shat(B) = 0 (the omega-derivatives) and omega . d shat(B) = 0
+    (the B-derivatives).  The rule is the same in both chambers; the chamber
+    only decides which points are semistable."""
     f = pt.field
     if not semistable(pt, chamber):
         raise ValueError("critical membership is defined on the semistable locus")
     m = model_for(S)
-    if chamber == "plus":
-        sh = m.quintics.evaluate(pt.B)
-        if any(not f.is_zero(v) for v in sh):
-            return False
-        flat = pt.B.flatten()
-        for col in range(15):
-            acc = f.zero
-            for r in range(3):
-                acc = f.add(acc, f.mul(pt.omega[r], m.jacobian[r][col].evaluate(flat)))
-            if not f.is_zero(acc):
-                return False
-        return True
-    if pt.B.rank() != 2:
+    if any(not f.is_zero(v) for v in m.quintics.evaluate(pt.B)):
         return False
-    reduced = gauge_reduce(pt)
-    return m.quadrics.vanishes_at(reduced)
-
-
-def gauge_reduce(pt: GLSMPoint) -> GrassPoint:
-    """For the minus-chamber critical shape (rank B = 2, kernels transverse)
-    return the G(2,5) point spanned by B's columns, canonically represented.
-
-    Well-definedness: the span is gauge-invariant, and the representative is
-    the reduced column echelon basis of the span."""
-    f = pt.field
-    if pt.B.rank() != 2:
-        raise ValueError("gauge reduction needs rank B = 2")
-    ker = pt.B.kernel()
-    if len(ker) != 1:
-        raise ValueError("unexpected kernel dimension")
-    pairing = sum((f.mul(a, b) for a, b in zip(pt.omega, ker[0])), f.zero)
-    if f.is_zero(pairing):
-        raise ValueError("omega kills ker B: point is not in the critical shape")
-    # canonical representative: reduced row echelon of the transpose, read
-    # back as columns
-    rr, pivots = pt.B.transpose().rref()
-    basis = [rr.data[i] for i in range(len(pivots))]
-    return GrassPoint(Mat(f, list(zip(*basis))))
-
-
-def reduced_quartics(S: SectionMatrix):
-    """The five quartics d shat_1 / d b_{p1} as polynomials; on the normal
-    form B = (0 | A) they coincide with the pushforward quadrics at [A]."""
-    m = model_for(S)
-    return [m.quintics.components[0].derivative(3 * p) for p in range(5)]
+    flat = pt.B.flatten()
+    for col in range(15):
+        acc = f.zero
+        for r in range(3):
+            acc = f.add(acc, f.mul(pt.omega[r], m.jacobian[r][col].evaluate(flat)))
+        if not f.is_zero(acc):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +190,6 @@ def reduced_quartics(S: SectionMatrix):
 def random_point(field: Field, rng: random.Random) -> GLSMPoint:
     return GLSMPoint(Mat.random(field, 5, 3, rng),
                      tuple(field.rand(rng) for _ in range(3)))
-
-
-def random_semistable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
-    while True:
-        pt = random_point(field, rng)
-        if semistable(pt, chamber):
-            return pt
 
 
 def random_unstable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
@@ -267,16 +216,6 @@ def random_unstable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint
                 pt = gauge_transform(GLSMPoint(B0, om0), C.inverse())
         if not semistable(pt, chamber):
             return pt
-
-
-def rank2_point_over(span: Mat, field: Field, rng: random.Random) -> GLSMPoint:
-    """A random minus-chamber semistable point whose column span is `span`."""
-    while True:
-        B = span * Mat.random(field, 2, 3, rng)
-        if B.rank() == 2:
-            pt = GLSMPoint(B, tuple(field.rand(rng) for _ in range(3)))
-            if semistable(pt, "minus"):
-                return pt
 
 
 def _singular_rows(S_arr, pivots, B, p: int) -> np.ndarray:
@@ -311,21 +250,30 @@ def okonek_scan(S: SectionMatrix, p: int) -> dict:
 
 
 def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
-    """Count gauge classes of minus-chamber critical points over F_q.
+    """Count the gauge classes of rank-2 minus-chamber critical points over F_q.
 
-    Every such class has a normal form B0 = (0 | A) with [A] a point of the
-    G(2,5)-side threefold X.  The stabilizer of B0 is
+    A semistable point with rank B = 2 has omega nonzero on ker B, so it has a
+    normal form B0 = (0 | A), omega = (1, 0, 0).  The stabilizer of B0 is
     g^{-1} = [[a,b,c],[0,1,0],[0,0,1]], a != 0, acting on omega by
     omega -> det(g)^2 omega g^{-1} = a^{-2} (a w1, b w1 + w2, c w1 + w3).
     The orbit of (1,0,0) is every admissible omega (omega_1 != 0), and its
     (q-1)q^2 elements equal the stabilizer order, so the action is free: each
-    point of X carries exactly one gauge class, and the number of classes is
-    |X(F_q)|.  This counts X twice, by evaluating the quadrics on every point
-    of G(2,5)(F_q) in one batch and by count_X, and reports whether the two
-    routes agree."""
+    point [A] of G(2,5) carries exactly one class.  At B0, dW = 0 reads
+    d shat_1 / d b_{p1} (B0) = 0 for p = 1..5: shat(B0) and every other
+    derivative vanish identically.  These five quartics in A are the
+    pushforward quadrics at the Pluecker coordinates of A, so the classes are
+    the points of X.  The three identities hold for every section, and the
+    tests prove them over QQ on the unit matrices.
+
+    This evaluates the five quartics of the quintic triple at B0 for every
+    point of G(2,5)(F_q) in one batch, counts the common zeros, and reports
+    whether that count agrees with count_X, built from the quadrics of the
+    G(2,5)-side pushforward."""
     Sq = S.to_field(GF(q))
-    vals = evaluate_batch(model_for(Sq).quadrics.quadrics,
-                          minors_batch(enumerate_grassmannian(q, 2), 2, q)[:, :, 0], q)
+    A = enumerate_grassmannian(q, 2)
+    B0 = np.zeros((len(A), 5, 3), dtype=np.int64)
+    B0[:, :, 1:] = A
+    vals = evaluate_batch(model_for(Sq).jacobian[0][0::3], B0.reshape(-1, 15), q)
     enumerated = int(np.all(vals == 0, axis=1).sum())
     x_count = count_X(Sq, q)
     return {"q": q, "X_enumerated": enumerated, "X_count": x_count,
@@ -333,9 +281,10 @@ def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
 
 
 def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
-    """Gauge-invariant semistability and valid instability certificates over GF(13),
-    two counts of X (= critical gauge classes) over GF(3), and a generic Y
-    with no singular F_7-point."""
+    """Gauge-invariant semistability and valid instability certificates over
+    GF(13); over GF(3), the rank-2 minus-chamber critical classes (dW = 0 at
+    the normal form) counted against X; and a generic Y with no singular
+    F_7-point, where the plus-chamber critical locus is Y itself."""
     f = GF(13)
     inv_ok = True
     for _ in range(samples):

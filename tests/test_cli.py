@@ -197,6 +197,25 @@ def test_glsm_stability_point_input(runner, tmp_path):
     assert rep["point"]["instability"]["valid"]
 
 
+@pytest.mark.parametrize("chamber", ["plus", "minus"])
+def test_glsm_stability_point_at_a_singular_point_of_Y(runner, tmp_path, chamber):
+    # B is the first point of Y(F_7) of the script matrix whose Jacobian
+    # has rank < 3, and omega lies in its left kernel: dW = 0 in both chambers
+    pt = tmp_path / "point.mat"
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    pt.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
+    res = runner.invoke(main, ["glsm", "stability", "--field", "7", "--chamber", chamber,
+                               "--point", str(pt)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["point"] == {"semistable": True, "critical": True}
+
+
+def test_glsm_stability_help_describes_the_command(runner):
+    res = runner.invoke(main, ["glsm", "stability", "--help"])
+    assert res.exit_code == 0
+    assert "dW = 0" in res.output and "stats.critical" in res.output
+
+
 @pytest.mark.parametrize("text", [
     "1 0 0\n0 1 0\n",
     "\n".join(["1 0 0 0"] * 6),

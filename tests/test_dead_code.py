@@ -55,11 +55,11 @@ def definitions():
                     yield qualname, member.name
 
 
-def references() -> set:
+def references(scanned=SCANNED) -> set:
     """Names read as a Name, used as an Attribute, an import alias or an
-    identifier string anywhere in the scanned trees."""
+    identifier string anywhere in the trees ``scanned``."""
     names = set()
-    for top in SCANNED:
+    for top in scanned:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -78,6 +78,28 @@ def test_no_unreferenced_definitions():
     used = references()
     unused = [qualname for qualname, name in definitions() if name not in used]
     assert not unused, f"defined but referenced nowhere: {unused}"
+
+
+# Definitions of the package that only tests read.  The list may only shrink:
+# a test-only definition missing from it fails, and so does a listed name
+# that something outside the tests now reads (or that is gone).
+TEST_ONLY = {
+    "bwb.koszul_euler",
+    "bwb.koszul_h0",
+    "duality.fiber_class",
+    "exactalg.PolyRing.monomial",
+    "grassflag.random_flag_point",
+    "grassflag.random_nonincident_pair",
+    "grassflag.SectionMatrix.evaluate_pair",
+    "motivic.schubert_mul",
+}
+
+
+def test_test_only_definitions_are_listed():
+    outside = references(tuple(top for top in SCANNED if top != "tests"))
+    test_only = {qualname for qualname, name in definitions() if name not in outside}
+    assert test_only == TEST_ONLY, (f"test-only, not listed: {sorted(test_only - TEST_ONLY)}; "
+                                    f"listed, not test-only: {sorted(TEST_ONLY - test_only)}")
 
 
 def unused_imports():

@@ -2,20 +2,18 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from flagdual import glsm
-from flagdual.exactalg import GF, QQ, Mat, Poly
-from flagdual.duality import QuadricSystem, pushforward_to_g25
+from flagdual import glsm, motivic
+from flagdual.exactalg import GF, QQ, Field, Mat, Poly, PolyRing, minors
+from flagdual.duality import QUINTIC_VARS, pushforward_to_g25, pushforward_to_g35
 from flagdual.glsm import (GLSMPoint, _singular_rows, critical_gauge_class_count,
-                           critical_member, gauge_reduce, gauge_transform,
-                           instability_certificate, model_for, okonek_scan,
-                           random_semistable, random_unstable, rank2_point_over,
-                           reduced_quartics, semistable, superpotential,
-                           verify_certificate)
-from flagdual.grassflag import (GrassPoint, SectionMatrix, pluecker,
-                                random_grass_point, random_hf_section,
-                                script_matrix)
+                           critical_member, gauge_transform, instability_certificate,
+                           model_for, okonek_scan, random_point, random_unstable,
+                           semistable, verify_certificate)
+from flagdual.grassflag import (GrassPoint, SectionMatrix, random_grass_point,
+                                random_hf_section, script_matrix)
 from flagdual.motivic import (_section_array, count_M_via_g25, eval_poly,
                               gauss_binomial, y_points)
 
@@ -25,6 +23,33 @@ F11 = GF(11)
 
 def unit_cols(field, idx):
     return Mat(field, [[1 if r == i else 0 for i in idx] for r in range(5)])
+
+
+def superpotential(pt: GLSMPoint, S: SectionMatrix):
+    """W(B, omega) = omega . shat(B); gauge-invariant."""
+    f = pt.field
+    sh = model_for(S).quintics.evaluate(pt.B)
+    acc = f.zero
+    for w, v in zip(pt.omega, sh):
+        acc = f.add(acc, f.mul(w, v))
+    return acc
+
+
+def random_semistable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
+    while True:
+        pt = random_point(field, rng)
+        if semistable(pt, chamber):
+            return pt
+
+
+def rank2_point_over(span: Mat, field: Field, rng: random.Random) -> GLSMPoint:
+    """A random minus-chamber semistable point whose column span is `span`."""
+    while True:
+        B = span * Mat.random(field, 2, 3, rng)
+        if B.rank() == 2:
+            pt = GLSMPoint(B, tuple(field.rand(rng) for _ in range(3)))
+            if semistable(pt, "minus"):
+                return pt
 
 
 def test_superpotential_zero_omega():
@@ -106,27 +131,6 @@ def test_certificate_on_semistable_errors():
         instability_certificate(pt, "minus")
 
 
-def test_gauge_reduce_examples():
-    B = Mat(F13, [[0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    pt = GLSMPoint(B, (1, 0, 0))
-    g = gauge_reduce(pt)
-    assert g.pluecker == pluecker(unit_cols(F13, (0, 1)))
-
-
-def test_gauge_reduce_well_defined():
-    rng = random.Random(23)
-    s = random_hf_section(F13, rng)
-    span = random_grass_point(F13, 2, rng).rep
-    base = rank2_point_over(span, F13, rng)
-    ref = gauge_reduce(base).pluecker
-    for _ in range(50):
-        g = Mat.random_invertible(F13, 3, rng)
-        moved = gauge_transform(base, g)
-        if not semistable(moved, "minus"):
-            continue
-        assert gauge_reduce(moved).pluecker == ref
-
-
 def test_critical_member_minus_matches_quadrics():
     rng = random.Random(29)
     s = random_hf_section(F11, rng)
@@ -136,13 +140,26 @@ def test_critical_member_minus_matches_quadrics():
         span = random_grass_point(F11, 2, rng).rep
         pt = rank2_point_over(span, F11, rng)
         member = critical_member(pt, s, "minus")
-        expected = qs.vanishes_at(GrassPoint(span))
+        expected = all(F11.is_zero(v) for v in qs.evaluate(GrassPoint(span).pluecker))
         assert member == expected
         hits += member
-    # rank-3 B is never critical in the minus chamber
-    pt3 = random_semistable(F11, "minus", rng)
-    if pt3.B.rank() == 3:
-        assert not critical_member(pt3, s, "minus")
+
+
+def test_critical_member_minus_is_critical_over_X():
+    # the F_11 draws above almost never land on X; over F_3 walk X itself:
+    # every point of X carries critical rank-2 points, and 41 points off X none
+    rng = random.Random(43)
+    f = GF(3)
+    s = SectionMatrix(Mat.random(f, 10, 10, rng))
+    qs = pushforward_to_g25(s)
+    on_X = {True: [], False: []}
+    for rep in motivic.enumerate_grassmannian(3, 2):
+        span = Mat(f, rep.tolist())
+        on_X[all(f.is_zero(v) for v in qs.evaluate(GrassPoint(span).pluecker))].append(span)
+    assert len(on_X[True]) == motivic.count_X(s, 3) == 41
+    for expected, spans in on_X.items():
+        for span in spans[:41]:
+            assert critical_member(rank2_point_over(span, f, rng), s, "minus") == expected
 
 
 def test_critical_member_gauge_invariant():
@@ -157,18 +174,45 @@ def test_critical_member_gauge_invariant():
         assert critical_member(moved, s, "minus") == val
 
 
-def test_reduced_quartics_equal_pushforward_quadrics():
-    rng = random.Random(37)
-    s = random_hf_section(F11, rng)
-    quartics = reduced_quartics(s)
-    qs = pushforward_to_g25(s)
-    for _ in range(50):
-        a = random_grass_point(F11, 2, rng).rep
-        B0 = Mat(F11, [[0] + list(a.data[r]) for r in range(5)])
-        flat = [B0.data[r][c] for r in range(5) for c in range(3)]
-        vals = [p.evaluate(flat) for p in quartics]
-        expected = qs.evaluate(pluecker(a))
-        assert tuple(vals) == tuple(expected)
+def _at_normal_form(poly, ring):
+    """poly in the common ring with the first column b_{p1} of B set to 0."""
+    return Poly(ring, {m: c for m, c in poly.terms.items()
+                       if not any(ring.decode(m)[0::3])})
+
+
+def _compose(poly, subs):
+    """poly with its variables replaced by the polynomials ``subs``."""
+    ring = subs[0].ring
+    acc = ring.zero()
+    for m, c in poly.terms.items():
+        term = ring.const(c)
+        for sub, e in zip(subs, poly.ring.decode(m)):
+            term = term * sub ** e
+        acc = acc + term
+    return acc
+
+
+def test_dW_at_normal_form_is_the_pushforward_quadrics():
+    # at B0 = (0 | A): shat(B0) = 0, every d shat_c / d b vanishes except
+    # d shat_1 / d b_{p1}, and that one is q_p(Pl(A)), as polynomials in the
+    # entries of A.  All three sides are linear in S, so the 100 unit
+    # matrices over QQ prove it for every S.
+    ring = PolyRing(QQ, QUINTIC_VARS)
+    b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
+    pl = [row[0] for row in minors([row[1:] for row in b], 2)]
+    for a in range(10):
+        for c in range(10):
+            E = Mat(QQ, [[int((i, j) == (a, c)) for j in range(10)] for i in range(10)])
+            shat = pushforward_to_g35(SectionMatrix(E))
+            quadrics = pushforward_to_g25(SectionMatrix(E)).quadrics
+            for k, (component, row) in enumerate(zip(shat.components, shat.jacobian())):
+                assert _at_normal_form(component, ring).is_zero()
+                for col, d in enumerate(row):
+                    d0 = _at_normal_form(d, ring)
+                    if k == 0 and col % 3 == 0:
+                        assert d0 == _compose(quadrics[col // 3], pl), (a, c, col)
+                    else:
+                        assert d0.is_zero(), (a, c, k, col)
 
 
 def test_plus_chamber_critical_forces_omega_zero():
@@ -182,6 +226,42 @@ def test_plus_chamber_critical_forces_omega_zero():
         assert critical_member(GLSMPoint(B7, (0, 0, 0)), s, "plus")
         for omega in ((1, 0, 0), (0, 3, 0), (2, 5, 6)):
             assert not critical_member(GLSMPoint(B7, omega), s, "plus")
+    # off Y, omega = 0 is not critical: dW = 0 also asks shat(B) = 0
+    off_Y = [B for B in (Mat.random(GF(7), 5, 3, rng) for _ in range(20))
+             if B.rank() == 3 and any(model_for(s).quintics.evaluate(B))]
+    assert len(off_Y) >= 5
+    for B in off_Y:
+        assert not critical_member(GLSMPoint(B, (0, 0, 0)), s, "plus")
+
+
+def _first_point_of_Y(s, p, singular):
+    """The first point of Y(F_p) that ``_singular_rows`` flags (or passes)."""
+    S_arr = _section_array(s, p)
+    for pivots, B in y_points(s, p):
+        for b, sing in zip(B, _singular_rows(S_arr, pivots, B, p)):
+            if sing == singular:
+                return Mat(GF(p), b.tolist())
+
+
+def test_one_critical_rule_in_both_chambers():
+    # dW = 0 in both phases, on the script matrix over GF(7): at the first
+    # singular point of Y every omega in the left kernel of the Jacobian is
+    # critical in both chambers; at the first regular point no omega != 0 is
+    f = GF(7)
+    s = script_matrix(f)
+    B = _first_point_of_Y(s, 7, True)
+    flat = B.flatten()
+    jac = Mat(f, [[d.evaluate(flat) for d in row] for row in model_for(s).jacobian])
+    kernel = jac.transpose().kernel()
+    assert B.rank() == 3 and (1, 0, 0) in kernel
+    combined = tuple(f.add(x, y) for x, y in zip(*kernel))
+    for omega in kernel + [combined]:
+        for chamber in ("plus", "minus"):
+            assert critical_member(GLSMPoint(B, tuple(omega)), s, chamber)
+    B = _first_point_of_Y(s, 7, False)
+    for omega in ((1, 0, 0), (0, 3, 0), (2, 5, 6)):
+        for chamber in ("plus", "minus"):
+            assert not critical_member(GLSMPoint(B, omega), s, chamber)
 
 
 def test_singular_verdict_matches_symbolic_jacobian():
@@ -228,7 +308,7 @@ def test_critical_gauge_classes_biject_with_X(monkeypatch):
     def no_scalar_evaluate(self, point):
         raise AssertionError("the count called Poly.evaluate")
 
-    # the enumerated route evaluates the quadrics in one batch
+    # the enumerated route evaluates the five quartics in one batch
     monkeypatch.setattr(Poly, "evaluate", no_scalar_evaluate)
     rng = random.Random(43)
     q = 3
@@ -237,18 +317,38 @@ def test_critical_gauge_classes_biject_with_X(monkeypatch):
     assert rep["agree"] and rep["X_enumerated"] == rep["X_count"], rep
 
 
-def test_critical_gauge_class_count_sees_a_wrong_quadric(monkeypatch):
+def test_critical_gauge_class_count_sees_a_wrong_quartic(monkeypatch):
+    # the W side: one coefficient of d shat_1 / d b_11 moved, on a monomial
+    # free of A_12 and A_21 (entries 2 and 4 of B), so that it is read on the
+    # chart of G(2,5) where the top 2x2 block of A is the identity
     rng = random.Random(43)
     q = 3
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
-    real = model_for(s)
-    q0 = real.quadrics.quadrics[0]
-    m = max(q0.terms)
-    wrong = QuadricSystem(real.quadrics.ring,
-                          [q0 + Poly(q0.ring, {m: 1})] + real.quadrics.quadrics[1:])
-    monkeypatch.setattr(glsm, "model_for", lambda S: SimpleNamespace(quadrics=wrong))
+    jac = [list(row) for row in model_for(s.to_field(GF(q))).jacobian]
+    quartic = jac[0][0]
+    m = max(t for t in quartic.terms if not any(quartic.ring.decode(t)[2:5:2]))
+    jac[0][0] = quartic + Poly(quartic.ring, {m: 1})
+    monkeypatch.setattr(glsm, "model_for", lambda S: SimpleNamespace(jacobian=jac))
     rep = critical_gauge_class_count(s, q)
     assert rep["X_count"] > 0 and not rep["agree"], rep
+
+
+def test_critical_gauge_class_count_sees_a_wrong_quadric(monkeypatch):
+    # the X side: one coefficient of count_X's first quadric moved
+    real = motivic._quadric_arrays
+
+    def wrong(S, q):
+        mats = real(S, q)
+        i, j = np.argwhere(mats[0])[0]
+        mats[0][i, j] = (mats[0][i, j] + 1) % q
+        return mats
+
+    monkeypatch.setattr(motivic, "_quadric_arrays", wrong)
+    rng = random.Random(43)
+    q = 3
+    s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
+    rep = critical_gauge_class_count(s, q)
+    assert rep["X_enumerated"] > 0 and not rep["agree"], rep
 
 
 def test_model_cache_is_bounded():
