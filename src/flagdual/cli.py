@@ -164,16 +164,16 @@ def duality():
 def duality_build(section, field, out):
     """Emit the five quadrics and three quintics as polynomial text files."""
     s = load_section(RunConfig(section=section), field)
-    qs = pushforward_to_g25(s)
-    st = pushforward_to_g35(s)
+    quadrics = pushforward_to_g25(s)
+    quintics = pushforward_to_g35(s)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "quadrics.txt"), "w") as fh:
-        fh.write(f"# quadrics on G(2,5), variables {qs.ring.names}\n")
-        for q in qs.quadrics:
+        fh.write(f"# quadrics on G(2,5), variables {quadrics[0].ring.names}\n")
+        for q in quadrics:
             fh.write(q.format() + "\n")
     with open(os.path.join(out, "quintics.txt"), "w") as fh:
-        fh.write(f"# quintics on Hom(C^3,V5), variables {st.ring.names}\n")
-        for q in st.components:
+        fh.write(f"# quintics on Hom(C^3,V5), variables {quintics[0].ring.names}\n")
+        for q in quintics:
             fh.write(q.format() + "\n")
     click.echo(f"wrote quadrics.txt and quintics.txt to {out}")
 
@@ -351,8 +351,7 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
     plus chamber."""
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
-    out = {"schema": SCHEMA, "chamber": chamber, "samples": samples,
-           "seed": seed, "conventions": conventions_block()}
+    out = {"schema": SCHEMA, "chamber": chamber, "conventions": conventions_block()}
     if point_path:
         pt = _read_matrix(point_path, field, "'--point'", _glsm_point)
         ss = glsm_mod.semistable(pt, chamber)
@@ -364,6 +363,7 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
             out["point"]["instability"] = glsm_mod.verify_certificate(pt, cert, chamber)
         emit_report(out, report)
         return
+    out.update(samples=samples, seed=seed)
     stats = {"semistable": 0, "critical": 0, "unstable_certified": 0}
     for _ in range(samples):
         pt = glsm_mod.random_point(field, rng)

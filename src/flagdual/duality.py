@@ -1,10 +1,10 @@
 """Dual threefold pair from one section matrix: the five quadrics on G(2,5),
-the three quintics on G(3,5), fiber classification of the hyperplane section,
-the self-duality test, and the non-birationality certificate.
+the three quintics on G(3,5), the self-duality test, and the
+non-birationality certificate.
 
 The pushforward conventions: a point of the fiber of F over [A] in G(2,5) is
 represented by B = [A | w]; the section restricted to that fiber is linear in
-w and its coefficient vector is the quadric system.  With these conventions
+w and its coefficient vector is the five quadrics.  With these conventions
 the contraction identities hold with constant exactly 1 (see tests), which
 pins the normalization the antisymmetrized index formulas leave open.
 
@@ -25,7 +25,7 @@ from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
                        PolyRing, _dot, det, evaluate_batch, is_unit_ideal,
                        minors, rref_kernel, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
-                        GrassPoint, MatrixSubspace, SectionMatrix, complement_pair,
+                        MatrixSubspace, SectionMatrix, complement_pair,
                         dual_coordinates, hf_project, hf_space, iota_action,
                         pluecker, random_grass_point, random_hf_section, to_dual)
 
@@ -33,40 +33,10 @@ QUADRIC_VARS = tuple(f"p{i}{j}" for (i, j) in PAIRS)
 QUINTIC_VARS = tuple(f"b{r}{c}" for r in range(1, 6) for c in range(1, 4))
 
 
-class QuadricSystem:
-    """Five quadrics in the ten Pluecker coordinates of G(2,5), cutting out X."""
-
-    def __init__(self, ring: PolyRing, quadrics):
-        self.ring = ring
-        self.quadrics = list(quadrics)
-
-    def evaluate(self, pluecker_vec):
-        return tuple(q.evaluate(pluecker_vec) for q in self.quadrics)
-
-
-class QuinticTriple:
-    """The three quintics in the fifteen entries of a G(3,5) representative.
-
-    Component c is linear in column c and quadratic in the other two columns,
-    and the triple satisfies  sum_c  shat_c(B) * column_c(B) = v(B)  with v
-    the quadrics of S^T at the dual coordinates of B."""
-
-    def __init__(self, ring: PolyRing, components):
-        self.ring = ring
-        self.components = list(components)
-
-    def evaluate(self, B: Mat):
-        flat = B.flatten()
-        return tuple(s.evaluate(flat) for s in self.components)
-
-    def jacobian(self):
-        """3x15 matrix of derivative polynomials."""
-        return [[s.derivative(i) for i in range(15)] for s in self.components]
-
-
-def pushforward_to_g25(S: SectionMatrix) -> QuadricSystem:
-    """Quadric vector of the pushforward to G(2,5): component r is the
-    w_r-coefficient of s([A], [A|w])."""
+def pushforward_to_g25(S: SectionMatrix) -> list:
+    """The five quadrics of the pushforward to G(2,5), in the ten Pluecker
+    coordinates: quadric r is the w_r-coefficient of s([A], [A|w]), and
+    together they cut out X."""
     f = S.field
     ring = PolyRing(f, QUADRIC_VARS)
     psi = ring.gens()
@@ -92,12 +62,14 @@ def pushforward_to_g25(S: SectionMatrix) -> QuadricSystem:
             term = psi[PAIR_POS[rest]] * Sx[row]
             acc = acc + (term if sgn == 1 else -term)
         quadrics.append(acc)
-    return QuadricSystem(ring, quadrics)
+    return quadrics
 
 
-def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
-    """Quintic triple of the pushforward to G(3,5), defined so that
-    sum_c shat_c(B) b_{pc} = v_p(B) holds identically."""
+def pushforward_to_g35(S: SectionMatrix) -> list:
+    """The three quintics of the pushforward to G(3,5), in the fifteen entries
+    of a representative B.  Component c is linear in column c and quadratic in
+    the other two columns, and  sum_c shat_c(B) * column_c(B) = v(B)  holds
+    identically, with v the quadrics of S^T at the dual coordinates of B."""
     f = S.field
     ring = PolyRing(f, QUINTIC_VARS)
     b = [[ring.var(3 * r + c) for c in range(3)] for r in range(5)]
@@ -109,7 +81,7 @@ def pushforward_to_g35(S: SectionMatrix) -> QuinticTriple:
     for c in range(3):
         acc = sum((za * m[2 - c] for za, m in zip(z, pair_minors) if za), ring.zero())
         components.append(acc if c % 2 == 0 else -acc)     # (-1)^{1+c}, c 1-based
-    return QuinticTriple(ring, components)
+    return components
 
 
 def section_of_fiber_point(S: SectionMatrix, A: Mat, w):
@@ -117,16 +89,6 @@ def section_of_fiber_point(S: SectionMatrix, A: Mat, w):
     f = S.field
     B = Mat(f, [list(A.data[r]) + [w[r]] for r in range(5)])
     return S.evaluate(pluecker(A), dual_coordinates(B))
-
-
-def fiber_class(S: SectionMatrix, x: GrassPoint) -> str:
-    """'P2' when the hyperplane section contains the whole fiber over x,
-    'P1' otherwise; equivalently P2 iff x lies on the corresponding zero locus."""
-    if x.space == "G25":
-        vals = pushforward_to_g25(S).evaluate(x.pluecker)
-    else:                             # Y_S is X_{S^T} in dual coordinates
-        vals = pushforward_to_g25(S.transpose()).evaluate(dual_coordinates(x.rep))
-    return "P2" if all(S.field.is_zero(v) for v in vals) else "P1"
 
 
 def selfdual_test(S: SectionMatrix, f: DualityMap) -> bool:
@@ -262,7 +224,7 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     report = CertificateReport(status="budget_exceeded", route=route,
                                dim_commutant=dimW, symmetric=sym,
                                saturation_result="not-computed",
-                               hf_member=hf_space(field).contains_section(S),
+                               hf_member=hf_space(field).contains(S.mat),
                                charpoly_squarefree=sqfree)
 
     # symmetric S is self-dual via the identity: immediate counterexample
@@ -302,11 +264,11 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
               for _ in range(samples)]
     gauges = [(Mat.random(f, 5, 3, rng), Mat.random_invertible(f, 3, rng))
               for _ in range(min(samples, 100))]
-    quadrics = evaluate_batch(pushforward_to_g25(s).quadrics,
+    quadrics = evaluate_batch(pushforward_to_g25(s),
                               [a.pluecker for a, _ in fibers], f.p)
     ok = all(section_of_fiber_point(s, a.rep, w) == _dot(f, w, v.tolist())
              for (a, w), v in zip(fibers, quadrics, strict=True))
-    st = pushforward_to_g35(s).components
+    st = pushforward_to_g35(s)
     moved = evaluate_batch(st, [(B * g.inverse()).flatten() for B, g in gauges], f.p)
     fixed = evaluate_batch(st, [B.flatten() for B, _ in gauges], f.p)
     for (_, g), lhs, v in zip(gauges, moved, fixed, strict=True):

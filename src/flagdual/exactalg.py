@@ -577,10 +577,6 @@ class PolyRing:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def monomial(self, exps, coeff=1):
-        c = self.field.coerce(coeff)
-        return Poly(self, {} if self.field.is_zero(c) else {self.encode(exps): c})
-
     def __repr__(self):
         return f"PolyRing({self.field!r}, {self.names})"
 

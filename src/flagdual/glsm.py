@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactalg import Field, GF, Mat, det, evaluate_batch
-from .duality import QuinticTriple, pushforward_to_g35
+from .duality import pushforward_to_g35
 from .grassflag import SectionMatrix, random_grass_point, random_hf_section
 from .motivic import (_pushforward_vectors, _section_array, count_X,
                       enumerate_grassmannian, minors_batch, y_points)
@@ -54,18 +54,13 @@ def gauge_transform(pt: GLSMPoint, g: Mat) -> GLSMPoint:
     return GLSMPoint(B2, om)
 
 
-class _Model:
-    """Cached symbolic data attached to one section matrix."""
-
-    def __init__(self, S: SectionMatrix):
-        self.quintics: QuinticTriple = pushforward_to_g35(S)
-        self.jacobian = self.quintics.jacobian()    # 3 x 15 derivative polys
-
-
 @lru_cache(maxsize=8)
-def model_for(S: SectionMatrix) -> _Model:
-    """The model of S, cached for the few most recent sections."""
-    return _Model(S)
+def model_for(S: SectionMatrix) -> tuple:
+    """(quintics, jacobian) of S: its three quintics and their 3x15 matrix of
+    derivative polynomials, cached for the few most recent sections.  Tuples,
+    as every caller shares them."""
+    quintics = tuple(pushforward_to_g35(S))
+    return quintics, tuple(tuple(s.derivative(i) for i in range(15)) for s in quintics)
 
 
 def semistable(pt: GLSMPoint, chamber: str) -> bool:
@@ -170,14 +165,14 @@ def critical_member(pt: GLSMPoint, S: SectionMatrix, chamber: str) -> bool:
     f = pt.field
     if not semistable(pt, chamber):
         raise ValueError("critical membership is defined on the semistable locus")
-    m = model_for(S)
-    if any(not f.is_zero(v) for v in m.quintics.evaluate(pt.B)):
-        return False
+    quintics, jacobian = model_for(S)
     flat = pt.B.flatten()
+    if any(not f.is_zero(s.evaluate(flat)) for s in quintics):
+        return False
     for col in range(15):
         acc = f.zero
         for r in range(3):
-            acc = f.add(acc, f.mul(pt.omega[r], m.jacobian[r][col].evaluate(flat)))
+            acc = f.add(acc, f.mul(pt.omega[r], jacobian[r][col].evaluate(flat)))
         if not f.is_zero(acc):
             return False
     return True
@@ -273,7 +268,8 @@ def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
     A = enumerate_grassmannian(q, 2)
     B0 = np.zeros((len(A), 5, 3), dtype=np.int64)
     B0[:, :, 1:] = A
-    vals = evaluate_batch(model_for(Sq).jacobian[0][0::3], B0.reshape(-1, 15), q)
+    _, jacobian = model_for(Sq)
+    vals = evaluate_batch(jacobian[0][0::3], B0.reshape(-1, 15), q)
     enumerated = int(np.all(vals == 0, axis=1).sum())
     x_count = count_X(Sq, q)
     return {"q": q, "X_enumerated": enumerated, "X_count": x_count,

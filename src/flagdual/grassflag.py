@@ -14,7 +14,7 @@ import functools
 import random
 from typing import Sequence
 
-from .exactalg import Field, GF, QQ, Mat, exterior_square, minors
+from .exactalg import Field, GF, QQ, Mat, _dot, exterior_square, minors
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 TRIPLES = [(i, j, k) for i in range(1, 6)
@@ -97,34 +97,8 @@ class GrassPoint:
     def field(self):
         return self.rep.field
 
-    def dual_coordinates(self):
-        if self.space != "G35":
-            raise ValueError("dual coordinates only for G(3,5) points")
-        return dual_coordinates(self.rep)
-
-    def column_space_contains(self, vec) -> bool:
-        aug = self.rep.augment(Mat(self.field, [[x] for x in vec]))
-        return aug.rank() == self.rep.rank()
-
     def __repr__(self):
         return f"GrassPoint({self.space}, {self.pluecker})"
-
-
-class FlagPoint:
-    """An incident pair V subset W, dim V = 2, dim W = 3."""
-
-    def __init__(self, inner: GrassPoint, outer: GrassPoint):
-        if inner.space != "G25" or outer.space != "G35":
-            raise ValueError("flag needs a G(2,5) point inside a G(3,5) point")
-        for c in range(2):
-            col = tuple(inner.rep.data[r][c] for r in range(5))
-            if not outer.column_space_contains(col):
-                raise ValueError("not incident: V is not contained in W")
-        self.inner = inner
-        self.outer = outer
-
-    def __repr__(self):
-        return f"FlagPoint({self.inner!r}, {self.outer!r})"
 
 
 # -- deterministic samplers ---------------------------------------------------
@@ -136,28 +110,6 @@ def random_grass_point(field: Field, k: int, rng: random.Random) -> GrassPoint:
             return GrassPoint(rep)
         except ValueError:
             continue
-
-
-def random_flag_point(field: Field, rng: random.Random) -> FlagPoint:
-    while True:
-        inner = random_grass_point(field, 2, rng)
-        w = [field.rand(rng) for _ in range(5)]
-        rep3 = Mat(field, [list(inner.rep.data[r]) + [w[r]] for r in range(5)])
-        try:
-            outer = GrassPoint(rep3)
-        except ValueError:
-            continue
-        return FlagPoint(inner, outer)
-
-
-def random_nonincident_pair(field: Field, rng: random.Random):
-    while True:
-        a = random_grass_point(field, 2, rng)
-        b = random_grass_point(field, 3, rng)
-        try:
-            FlagPoint(a, b)
-        except ValueError:
-            return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +130,8 @@ class SectionMatrix:
         return self.mat.field
 
     def evaluate(self, xvec, yvec):
-        f = self.field
-        acc = f.zero
-        for q in range(10):
-            yq = yvec[q]
-            if f.is_zero(yq):
-                continue
-            row = self.mat.data[q]
-            s = f.zero
-            for p in range(10):
-                s = f.add(s, f.mul(row[p], xvec[p]))
-            acc = f.add(acc, f.mul(yq, s))
-        return acc
-
-    def evaluate_pair(self, a: GrassPoint, b: GrassPoint):
-        """s([A], [B]) for [A] in G(2,5), [B] in G(3,5)."""
-        return self.evaluate(a.pluecker, b.dual_coordinates())
+        """s(x, y) = y^T S x."""
+        return _dot(self.field, yvec, self.mat.apply(xvec))
 
     def transpose(self):
         return SectionMatrix(self.mat.transpose())
@@ -279,9 +217,6 @@ class MatrixSubspace:
                 continue
             v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
         return all(f.is_zero(x) for x in v)
-
-    def contains_section(self, s: SectionMatrix) -> bool:
-        return self.contains(s.mat)
 
     def sum_rank(self, other: "MatrixSubspace") -> int:
         stacked = Mat(self.field, [m.flatten() for m in self.basis] +
@@ -381,7 +316,6 @@ class DualityMap:
             raise ValueError("T must be 5x5")
         if T.rank() != 5:
             raise ValueError("T must be invertible")
-        self.T = T
         self.M = exterior_square(T)
 
     @functools.cached_property

@@ -82,17 +82,6 @@ class MotivicClass:
                 tgt[k] = tgt.get(k, 0) + v
         return MotivicClass(out)
 
-    def is_zero(self):
-        return not self.data
-
-    def evaluate(self, L: int, values: dict) -> int:
-        """Point-counting realization: L = q, generators = their counts."""
-        total = 0
-        for g, poly in self.data.items():
-            base = 1 if g == "1" else values[g]
-            total += base * sum(v * L ** k for k, v in poly.items())
-        return total
-
     def __eq__(self, other):
         return isinstance(other, MotivicClass) and self.data == other.data
 
@@ -304,14 +293,11 @@ def _section_array(S: SectionMatrix, q: int) -> np.ndarray:
 
 def _quadric_arrays(S: SectionMatrix, q: int):
     """The five quadrics as 10x10 coefficient arrays over F_q."""
-    f = GF(q)
-    qs = pushforward_to_g25(S.to_field(f))
     mats = []
-    ring = qs.ring
-    for poly in qs.quadrics:
+    for poly in pushforward_to_g25(S.to_field(GF(q))):
         C = np.zeros((10, 10), dtype=np.int64)
         for m, c in poly.terms.items():
-            exps = ring.decode(m)
+            exps = poly.ring.decode(m)
             idx = [i for i, e in enumerate(exps) for _ in range(e)]
             if len(idx) == 1:
                 idx = [idx[0], idx[0]]

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -32,6 +33,21 @@ def test_duality_build(runner, tmp_path):
     quint = (tmp_path / "quintics.txt").read_text().strip().splitlines()
     assert len([l for l in quad if not l.startswith("#")]) == 5
     assert len([l for l in quint if not l.startswith("#")]) == 3
+
+
+@pytest.mark.parametrize("field, quadrics, quintics", [
+    ("17", "479e48aff248a2d4a012eb7fa9575ba7f51b03c4d5d012d8e2f22ae25e7a3bd8",
+     "2325019edda1c18c7cc65b84040b8033b1a2ae5898976c1b537cb39de439d92a"),
+    ("qq", "781c235ea93c9865ecb2563606157617759abdea760407e4e0b951c53ce91901",
+     "369db3997a713fc9f87f349828f24e3db63ea312e66336e09c8071f7a4787542"),
+])
+def test_duality_build_output_is_pinned(runner, tmp_path, field, quadrics, quintics):
+    # sha256 of both files for the script matrix: the header and every term
+    res = runner.invoke(main, ["duality", "build", "--field", field, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("quadrics.txt", "quintics.txt")}
+    assert digest == {"quadrics.txt": quadrics, "quintics.txt": quintics}
 
 
 def test_duality_nonbirational(runner, tmp_path):
@@ -208,6 +224,18 @@ def test_glsm_stability_point_at_a_singular_point_of_Y(runner, tmp_path, chamber
                                "--point", str(pt)])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["point"] == {"semistable": True, "critical": True}
+
+
+def test_glsm_stability_echoes_only_the_options_it_ran(runner, tmp_path):
+    # --samples and --seed drive the sampling run only, not a --point run
+    pt = tmp_path / "point.mat"
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    pt.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
+    args = ["glsm", "stability", "--field", "7", "--samples", "20", "--seed", "3"]
+    point = json.loads(runner.invoke(main, args + ["--point", str(pt)]).output)
+    sampled = json.loads(runner.invoke(main, args).output)
+    assert "point" in point and not {"samples", "seed"} & set(point)
+    assert "stats" in sampled and (sampled["samples"], sampled["seed"]) == (20, 3)
 
 
 def test_glsm_stability_help_describes_the_command(runner):

@@ -82,15 +82,12 @@ def test_no_unreferenced_definitions():
 
 # Definitions of the package that only tests read.  The list may only shrink:
 # a test-only definition missing from it fails, and so does a listed name
-# that something outside the tests now reads (or that is gone).
+# that something outside the tests now reads (or that is gone).  These three
+# wait for the Hodge-equivalence check (ROADMAP item 3), which gives them a
+# stage.
 TEST_ONLY = {
     "bwb.koszul_euler",
     "bwb.koszul_h0",
-    "duality.fiber_class",
-    "exactalg.PolyRing.monomial",
-    "grassflag.random_flag_point",
-    "grassflag.random_nonincident_pair",
-    "grassflag.SectionMatrix.evaluate_pair",
     "motivic.schubert_mul",
 }
 

@@ -267,7 +267,7 @@ def rand_poly(ring, rng, nterms=4, deg=3):
         exps = [0] * ring.nvars
         for _ in range(rng.randrange(deg + 1)):
             exps[rng.randrange(ring.nvars)] += 1
-        out = out + ring.monomial(exps, rng.randrange(1, 17))
+        out = out + Poly(ring, {ring.encode(exps): 1}) * rng.randrange(1, 17)
     return out
 
 
@@ -352,12 +352,12 @@ def _random_poly(ring, rng, terms, degree):
     """A sum of ``terms`` random monomials of degree at most ``degree`` with
     random coefficients, one of them of degree exactly ``degree``."""
     f = ring.field
-    acc = ring.monomial([degree] + [0] * (ring.nvars - 1), f.rand(rng) or 1)
+    acc = Poly(ring, {ring.encode([degree] + [0] * (ring.nvars - 1)): f.rand(rng) or 1})
     for _ in range(terms - 1):
         exps = [0] * ring.nvars
         for _ in range(rng.randrange(degree + 1)):
             exps[rng.randrange(ring.nvars)] += 1
-        acc = acc + ring.monomial(exps, f.rand(rng))
+        acc = acc + Poly(ring, {ring.encode(exps): 1}) * f.rand(rng)
     return acc
 
 
@@ -377,7 +377,7 @@ def test_evaluate_batch_matches_evaluate(p):
     assert got.tolist() == [[g.evaluate(pt) for g in polys] for pt in points]
     assert not got[:, 0].any() and (got[:, 1] == p - 3).all()
     # the quintic triple of a generic section, with shared variable powers
-    st = pushforward_to_g35(random_hf_section(f, rng)).components
+    st = pushforward_to_g35(random_hf_section(f, rng))
     points = [Mat.random(f, 5, 3, rng).flatten() for _ in range(10)]
     assert evaluate_batch(st, points, p).tolist() == [
         [s.evaluate(pt) for s in st] for pt in points]
@@ -524,7 +524,7 @@ def test_saturate_matches_sympy(p):
     rng = random.Random(53 + p)
 
     def from_sympy(expr):
-        return sum((R3.monomial(e, int(c) % p) for e, c in
+        return sum((Poly(R3, {R3.encode(e): int(c) % p}) for e, c in
                     sympy.Poly(expr, *syms, modulus=p).terms()), R3.zero())
 
     grew = 0

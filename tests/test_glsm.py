@@ -1,13 +1,12 @@
 import itertools
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flagdual import glsm, motivic
 from flagdual.exactalg import GF, QQ, Field, Mat, Poly, PolyRing, minors
-from flagdual.duality import QUINTIC_VARS, pushforward_to_g25, pushforward_to_g35
+from flagdual.duality import QUINTIC_VARS, pushforward_to_g25
 from flagdual.glsm import (GLSMPoint, _singular_rows, critical_gauge_class_count,
                            critical_member, gauge_transform, instability_certificate,
                            model_for, okonek_scan, random_point, random_unstable,
@@ -28,7 +27,8 @@ def unit_cols(field, idx):
 def superpotential(pt: GLSMPoint, S: SectionMatrix):
     """W(B, omega) = omega . shat(B); gauge-invariant."""
     f = pt.field
-    sh = model_for(S).quintics.evaluate(pt.B)
+    quintics, _ = model_for(S)
+    sh = [c.evaluate(pt.B.flatten()) for c in quintics]
     acc = f.zero
     for w, v in zip(pt.omega, sh):
         acc = f.add(acc, f.mul(w, v))
@@ -140,7 +140,8 @@ def test_critical_member_minus_matches_quadrics():
         span = random_grass_point(F11, 2, rng).rep
         pt = rank2_point_over(span, F11, rng)
         member = critical_member(pt, s, "minus")
-        expected = all(F11.is_zero(v) for v in qs.evaluate(GrassPoint(span).pluecker))
+        x = GrassPoint(span).pluecker
+        expected = all(F11.is_zero(quad.evaluate(x)) for quad in qs)
         assert member == expected
         hits += member
 
@@ -155,7 +156,8 @@ def test_critical_member_minus_is_critical_over_X():
     on_X = {True: [], False: []}
     for rep in motivic.enumerate_grassmannian(3, 2):
         span = Mat(f, rep.tolist())
-        on_X[all(f.is_zero(v) for v in qs.evaluate(GrassPoint(span).pluecker))].append(span)
+        x = GrassPoint(span).pluecker
+        on_X[all(f.is_zero(quad.evaluate(x)) for quad in qs)].append(span)
     assert len(on_X[True]) == motivic.count_X(s, 3) == 41
     for expected, spans in on_X.items():
         for span in spans[:41]:
@@ -203,9 +205,9 @@ def test_dW_at_normal_form_is_the_pushforward_quadrics():
     for a in range(10):
         for c in range(10):
             E = Mat(QQ, [[int((i, j) == (a, c)) for j in range(10)] for i in range(10)])
-            shat = pushforward_to_g35(SectionMatrix(E))
-            quadrics = pushforward_to_g25(SectionMatrix(E)).quadrics
-            for k, (component, row) in enumerate(zip(shat.components, shat.jacobian())):
+            shat, jacobian = model_for(SectionMatrix(E))
+            quadrics = pushforward_to_g25(SectionMatrix(E))
+            for k, (component, row) in enumerate(zip(shat, jacobian)):
                 assert _at_normal_form(component, ring).is_zero()
                 for col, d in enumerate(row):
                     d0 = _at_normal_form(d, ring)
@@ -228,7 +230,7 @@ def test_plus_chamber_critical_forces_omega_zero():
             assert not critical_member(GLSMPoint(B7, omega), s, "plus")
     # off Y, omega = 0 is not critical: dW = 0 also asks shat(B) = 0
     off_Y = [B for B in (Mat.random(GF(7), 5, 3, rng) for _ in range(20))
-             if B.rank() == 3 and any(model_for(s).quintics.evaluate(B))]
+             if B.rank() == 3 and any(c.evaluate(B.flatten()) for c in model_for(s)[0])]
     assert len(off_Y) >= 5
     for B in off_Y:
         assert not critical_member(GLSMPoint(B, (0, 0, 0)), s, "plus")
@@ -251,7 +253,7 @@ def test_one_critical_rule_in_both_chambers():
     s = script_matrix(f)
     B = _first_point_of_Y(s, 7, True)
     flat = B.flatten()
-    jac = Mat(f, [[d.evaluate(flat) for d in row] for row in model_for(s).jacobian])
+    jac = Mat(f, [[d.evaluate(flat) for d in row] for row in model_for(s)[1]])
     kernel = jac.transpose().kernel()
     assert B.rank() == 3 and (1, 0, 0) in kernel
     combined = tuple(f.add(x, y) for x, y in zip(*kernel))
@@ -275,7 +277,7 @@ def test_singular_verdict_matches_symbolic_jacobian():
         for b, sing in zip(B, _singular_rows(S_arr, pivots, B, 7)):
             points[bool(sing)].append(b)
     rng = random.Random(0)
-    jac = model_for(s).jacobian
+    _, jac = model_for(s)
     for sing, pts in points.items():
         assert len(pts) >= 75
         for b in rng.sample(pts, 75):
@@ -324,11 +326,11 @@ def test_critical_gauge_class_count_sees_a_wrong_quartic(monkeypatch):
     rng = random.Random(43)
     q = 3
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
-    jac = [list(row) for row in model_for(s.to_field(GF(q))).jacobian]
+    jac = [list(row) for row in model_for(s.to_field(GF(q)))[1]]
     quartic = jac[0][0]
     m = max(t for t in quartic.terms if not any(quartic.ring.decode(t)[2:5:2]))
     jac[0][0] = quartic + Poly(quartic.ring, {m: 1})
-    monkeypatch.setattr(glsm, "model_for", lambda S: SimpleNamespace(jacobian=jac))
+    monkeypatch.setattr(glsm, "model_for", lambda S: (None, jac))
     rep = critical_gauge_class_count(s, q)
     assert rep["X_count"] > 0 and not rep["agree"], rep
 

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from flagdual.exactalg import GF, QQ, Mat
-from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, FlagPoint,
-                                GrassPoint, SectionMatrix,
+from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap,
+                                GrassPoint, SectionMatrix, dual_coordinates,
                                 flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
-                                iota_action, pluecker, random_flag_point,
+                                iota_action, pluecker,
                                 random_grass_point, random_hf_section,
-                                random_nonincident_pair, script_matrix)
+                                script_matrix)
 
 F7 = GF(7)
 F11 = GF(11)
@@ -46,22 +46,14 @@ def test_pluecker_relations(field):
             assert field.is_zero(lhs)
 
 
-def test_flag_point_incidence_enforced():
-    rng = random.Random(7)
-    fp = random_flag_point(F11, rng)
-    assert fp.inner.space == "G25"
-    a, b = random_nonincident_pair(F11, rng)
-    with pytest.raises(ValueError):
-        FlagPoint(a, b)
-
-
 def test_flag_equations_vanish_on_flags():
     rng = random.Random(13)
     e = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
     s11 = flag_equation(e[0], e[0], F11)
     for _ in range(500):
-        fp = random_flag_point(F11, rng)
-        assert F11.is_zero(s11.evaluate_pair(fp.inner, fp.outer))
+        A = random_grass_point(F11, 2, rng).rep
+        B = A.augment(Mat.random(F11, 5, 1, rng))       # col(A) in col([A | w])
+        assert F11.is_zero(s11.evaluate(pluecker(A), dual_coordinates(B)))
 
 
 def test_flag_equations_detect_nonincidence():
@@ -69,8 +61,11 @@ def test_flag_equations_detect_nonincidence():
     e = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
     eqs = [flag_equation(e[i], e[j], F11) for i in range(5) for j in range(5)]
     for _ in range(30):
-        a, b = random_nonincident_pair(F11, rng)
-        assert any(not F11.is_zero(s.evaluate_pair(a, b)) for s in eqs)
+        A = random_grass_point(F11, 2, rng).rep
+        B = random_grass_point(F11, 3, rng).rep
+        assert A.augment(B).rank() > 3      # col(A) is not in col(B)
+        assert any(not F11.is_zero(s.evaluate(pluecker(A), dual_coordinates(B)))
+                   for s in eqs)
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F11, F17])
@@ -86,9 +81,10 @@ def test_all_ideal_elements_vanish_on_flags():
     rng = random.Random(19)
     ideal = flag_ideal_space(F7)
     for _ in range(50):
-        fp = random_flag_point(F7, rng)
+        A = random_grass_point(F7, 2, rng).rep
+        B = A.augment(Mat.random(F7, 5, 1, rng))
         for m in ideal.basis[:5]:
-            assert F7.is_zero(SectionMatrix(m).evaluate_pair(fp.inner, fp.outer))
+            assert F7.is_zero(SectionMatrix(m).evaluate(pluecker(A), dual_coordinates(B)))
 
 
 def test_iota_identity_and_scalar():
@@ -117,9 +113,9 @@ def test_script_matrix_canonical_representative():
     for field in (QQ, F17):
         raw = script_matrix(field)
         canon = hf_project(raw)
-        assert hf_space(field).contains_section(canon)
+        assert hf_space(field).contains(canon.mat)
         assert flag_ideal_space(field).contains(raw.mat - canon.mat)
-        assert not hf_space(field).contains_section(raw)
+        assert not hf_space(field).contains(raw.mat)
 
 
 def test_hf_space_rejects_characteristic_3():
