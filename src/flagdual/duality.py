@@ -22,7 +22,7 @@ import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
-                       PolyRing, _dot, det, evaluate_batch, is_unit_ideal,
+                       PolyRing, det, evaluate_batch, is_unit_ideal,
                        minors, rref_kernel, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
                         MatrixSubspace, SectionMatrix, complement_pair,
@@ -266,7 +266,7 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
               for _ in range(min(samples, 100))]
     quadrics = evaluate_batch(pushforward_to_g25(s),
                               [a.pluecker for a, _ in fibers], f.p)
-    ok = all(section_of_fiber_point(s, a.rep, w) == _dot(f, w, v.tolist())
+    ok = all(section_of_fiber_point(s, a.rep, w) == f.dot(w, v.tolist())
              for (a, w), v in zip(fibers, quadrics, strict=True))
     st = pushforward_to_g35(s)
     moved = evaluate_batch(st, [(B * g.inverse()).flatten() for B, g in gauges], f.p)

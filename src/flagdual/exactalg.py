@@ -3,12 +3,16 @@ and a small Buchberger kernel.
 
 Everything downstream is built on this module.  No floating point anywhere:
 prime fields use Python ints reduced mod p, the rational field uses
-``fractions.Fraction``.  ``Mat.rref`` is the one elimination loop: it works on
-primitive integer rows over QQ and builds Fractions only for its result, and
-rank, inverse and kernel all read it.  ``det`` and ``minors`` are the one
-minor rule (lexicographic k-subsets) for every grid of scalars, Poly or numpy
-arrays.  ``evaluate_batch`` evaluates polynomials over GF(p) at many points at
-once, in int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.
+``fractions.Fraction``.  Every ``Mat`` holds canonical field elements (an int
+in [0, p), a Fraction): the public constructor coerces outside data, and the
+operations here, whose entries are canonical already, skip that pass.
+``Field.dot`` is the one dot product; over GF(p) it sums the int products and
+reduces once.  ``Mat.rref`` is the one elimination loop: it works on primitive
+integer rows over QQ and builds Fractions only for its result, and rank,
+inverse and kernel all read it.  ``det`` and ``minors`` are the one minor rule
+(lexicographic k-subsets) for every grid of scalars, Poly or numpy arrays.
+``evaluate_batch`` evaluates polynomials over GF(p) at many points at once, in
+int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.
 """
 from __future__ import annotations
 
@@ -58,6 +62,10 @@ class Field:
     def is_zero(self, a):
         return a == self.zero
 
+    def dot(self, a, b):
+        """sum_i a_i b_i of two sequences of field elements."""
+        return sum(map(operator.mul, a, b), self.zero)
+
     def rand(self, rng):
         raise NotImplementedError
 
@@ -98,9 +106,15 @@ class GF(Field):
         return self
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             return self.div(x.numerator % self.p, x.denominator % self.p)
         return int(x) % self.p
+
+    def dot(self, a, b):
+        # Python ints do not overflow: one reduction for the whole sum
+        return sum(map(operator.mul, a, b)) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -140,7 +154,7 @@ class Rationals(Field):
     one = Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -178,31 +192,46 @@ QQ = Rationals()
 # ---------------------------------------------------------------------------
 
 class Mat:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
+
+    Its entries are canonical field elements.  ``Mat(field, rows)`` coerces
+    every entry; the operations below build their results with ``_of``, which
+    takes rows of canonical entries as they are."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: Sequence[Sequence]):
-        self.field = field
-        self.data = tuple(tuple(field.coerce(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
+        self._set(field, tuple(tuple(map(field.coerce, row)) for row in data))
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged rows")
+
+    def _set(self, field: Field, data: tuple):
+        self.field = field
+        self.data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+
+    @classmethod
+    def _of(cls, field: Field, rows) -> "Mat":
+        """The matrix of equal-length rows of canonical entries, not coerced."""
+        m = cls.__new__(cls)
+        m._set(field, tuple(map(tuple, rows)))
+        return m
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls(field, [[field.zero] * cols for _ in range(rows)])
+        return cls._of(field, [(field.zero,) * cols] * rows)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)]
-                           for i in range(n)])
+        return cls._of(field, [[field.one if i == j else field.zero for j in range(n)]
+                               for i in range(n)])
 
     @classmethod
     def random(cls, field, rows, cols, rng):
-        return cls(field, [[field.rand(rng) for _ in range(cols)] for _ in range(rows)])
+        return cls._of(field, [[field.rand(rng) for _ in range(cols)]
+                               for _ in range(rows)])
 
     @classmethod
     def random_invertible(cls, field, n, rng):
@@ -225,17 +254,15 @@ class Mat:
 
     def __add__(self, other):
         f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(f, [map(f.add, r1, r2) for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
         f = self.field
-        return Mat(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(f, [map(f.sub, r1, r2) for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
         f = self.field
-        return Mat(f, [[f.neg(a) for a in r] for r in self.data])
+        return Mat._of(f, [map(f.neg, r) for r in self.data])
 
     def __mul__(self, other):
         f = self.field
@@ -243,21 +270,22 @@ class Mat:
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
             bt = other.transpose().data
-            return Mat(f, [[_dot(f, r, c) for c in bt] for r in self.data])
-        return Mat(f, [[f.mul(a, f.coerce(other)) for a in r] for r in self.data])
+            return Mat._of(f, [[f.dot(r, c) for c in bt] for r in self.data])
+        c = f.coerce(other)
+        return Mat._of(f, [[f.mul(a, c) for a in r] for r in self.data])
 
     __rmul__ = __mul__
 
     def apply(self, vec):
         """Matrix times column vector (tuple)."""
-        f = self.field
-        return tuple(_dot(f, r, vec) for r in self.data)
+        dot = self.field.dot
+        return tuple(dot(r, vec) for r in self.data)
 
     def transpose(self):
-        return Mat(self.field, list(zip(*self.data)))
+        return Mat._of(self.field, zip(*self.data))
 
     def augment(self, other):
-        return Mat(self.field, [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def flatten(self):
         return tuple(x for row in self.data for x in row)
@@ -317,7 +345,9 @@ class Mat:
                 m[r] = [x * inv % p for x in m[r]]
             else:
                 m[r] = [Fraction(x, a) for x in m[r]]
-        return Mat(f, m), pivots
+        # the zero rows: int 0 over QQ until here
+        m[len(pivots):] = [(f.zero,) * self.cols] * (self.rows - len(pivots))
+        return Mat._of(f, m), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -329,7 +359,7 @@ class Mat:
         aug, pivots = self.augment(Mat.identity(f, self.rows)).rref()
         if pivots != list(range(self.rows)):
             raise ZeroDivisionError("matrix is singular")
-        return Mat(f, [row[self.rows:] for row in aug.data])
+        return Mat._of(f, [row[self.rows:] for row in aug.data])
 
     def kernel(self):
         """Basis of the right kernel, as a list of tuples."""
@@ -353,8 +383,8 @@ class Mat:
             v = C[:]
             Ak = [row[: k - 1] for row in A[: k - 1]]
             for _ in range(k - 1):
-                entries.append(f.neg(_dot(f, R, v)))
-                v = [_dot(f, row, v) for row in Ak]
+                entries.append(f.neg(f.dot(R, v)))
+                v = [f.dot(row, v) for row in Ak]
             new = [f.zero] * (k + 1)
             for i, c in enumerate(coeffs):
                 for j, e in enumerate(entries):
@@ -381,13 +411,6 @@ def rref_kernel(R: Mat, pivots: list) -> list:
             v[pc] = f.neg(R.data[r][fc])
         basis.append(tuple(v))
     return basis
-
-
-def _dot(f, a, b):
-    acc = f.zero
-    for x, y in zip(a, b):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def exterior_square(T: Mat) -> Mat:

@@ -237,8 +237,12 @@ def okonek_scan(S: SectionMatrix, p: int) -> dict:
     if p == 2:
         raise ValueError("the Jacobian scan needs an odd prime")
     S_arr = _section_array(S, p)
-    found = singular = 0
+    cells: dict = {}
     for pivots, B in y_points(S, p):
+        cells.setdefault(pivots, []).append(B)
+    found = singular = 0
+    for pivots, blocks in cells.items():     # one Jacobian check per cell
+        B = np.concatenate(blocks)
         found += len(B)
         singular += int(_singular_rows(S_arr, pivots, B, p).sum())
     return {"prime": p, "found": found, "singular": singular}

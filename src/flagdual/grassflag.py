@@ -14,7 +14,7 @@ import functools
 import random
 from typing import Sequence
 
-from .exactalg import Field, GF, QQ, Mat, _dot, exterior_square, minors
+from .exactalg import Field, GF, QQ, Mat, exterior_square, minors
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 TRIPLES = [(i, j, k) for i in range(1, 6)
@@ -87,7 +87,6 @@ class GrassPoint:
     def __init__(self, rep: Mat):
         if rep.rows != 5 or rep.cols not in (2, 3):
             raise ValueError("representative must be 5x2 or 5x3")
-        self.space = "G25" if rep.cols == 2 else "G35"
         self.rep = rep
         self.pluecker = pluecker(rep)
         if all(rep.field.is_zero(c) for c in self.pluecker):
@@ -98,7 +97,7 @@ class GrassPoint:
         return self.rep.field
 
     def __repr__(self):
-        return f"GrassPoint({self.space}, {self.pluecker})"
+        return f"GrassPoint(G{self.rep.cols}5, {self.pluecker})"
 
 
 # -- deterministic samplers ---------------------------------------------------
@@ -131,7 +130,7 @@ class SectionMatrix:
 
     def evaluate(self, xvec, yvec):
         """s(x, y) = y^T S x."""
-        return _dot(self.field, yvec, self.mat.apply(xvec))
+        return self.field.dot(yvec, self.mat.apply(xvec))
 
     def transpose(self):
         return SectionMatrix(self.mat.transpose())
@@ -200,23 +199,22 @@ class MatrixSubspace:
         self.field = field
         self.basis = list(basis)
         flat = Mat(field, [m.flatten() for m in self.basis])
-        self._rref, self._pivots = flat.rref()
+        rref, self._pivots = flat.rref()
         if len(self._pivots) != len(self.basis):
             raise ValueError("basis is linearly dependent")
+        self._rref_cols = tuple(zip(*rref.data))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, m: Mat) -> bool:
-        f = self.field
-        v = list(m.flatten())
-        for row, pc in zip(self._rref.data, self._pivots):
-            c = v[pc]
-            if f.is_zero(c):
-                continue
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return all(f.is_zero(x) for x in v)
+        """The RREF rows R_r are the identity on their pivot columns pc_r, so
+        v lies in their span iff v = sum_r v[pc_r] R_r: one dot per column."""
+        v = m.flatten()
+        coeffs = [v[pc] for pc in self._pivots]
+        dot = self.field.dot
+        return all(dot(coeffs, col) == x for col, x in zip(self._rref_cols, v))
 
     def sum_rank(self, other: "MatrixSubspace") -> int:
         stacked = Mat(self.field, [m.flatten() for m in self.basis] +
@@ -271,17 +269,12 @@ def hf_project(s: SectionMatrix) -> SectionMatrix:
     f = s.field
     ideal = flag_ideal_space(f)      # also the basis of the dual flag ideal
 
-    def pair(a: Mat, b: Mat):
-        acc = f.zero
-        for i in range(10):
-            for j in range(10):
-                acc = f.add(acc, f.mul(a.data[i][j], b.data[j][i]))
-        return acc
-
-    n = ideal.dim
-    gram = Mat(f, [[pair(ideal.basis[k], ideal.basis[j]) for k in range(n)]
-                   for j in range(n)])
-    rhs = tuple(pair(s.mat, ideal.basis[j]) for j in range(n))
+    # gram[j][k] = tr(K_k K_j): K_k and K_j^T flattened, dotted
+    flat = [k.flatten() for k in ideal.basis]
+    flat_t = [k.transpose().flatten() for k in ideal.basis]
+    gram = Mat(f, [[f.dot(a, b) for a in flat] for b in flat_t])
+    v = s.mat.flatten()
+    rhs = tuple(f.dot(v, b) for b in flat_t)
     try:
         coeffs = gram.inverse().apply(rhs)
     except ZeroDivisionError:     # characteristic 2: the ideal meets its annihilator

@@ -277,6 +277,16 @@ def test_verify_paper_matches_golden(runner, tmp_path):
     assert got == expected
 
 
+def test_verify_paper_q7_report_is_pinned(runner, tmp_path):
+    # sha256 of the --qs 2,3,5,7 report: the q = 5, 7 counts and every
+    # seeded stage, which the golden report (q = 2, 3) does not cover
+    out = tmp_path / "verify.json"
+    res = runner.invoke(main, ["verify-paper", "--qs", "2,3,5,7", "--report", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6c9355d504b11165f4089afe8cfc7487d39a5c31e07968796af7c8b95b689108")
+
+
 def test_failed_stage_records_type_and_place(monkeypatch):
     # the middle stage raises a KeyError inside the package; the stages
     # around it still run

@@ -55,6 +55,54 @@ def test_rank_nullity(field, shape):
         assert m.rank() + len(m.kernel()) == shape[1]
 
 
+def _assert_canonical(field, entries):
+    if field is QQ:
+        assert all(type(x) is Fraction for x in entries)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in entries)
+
+
+@pytest.mark.parametrize("field", [QQ, F17])
+def test_mat_results_have_canonical_entries(field):
+    # the operations that skip coercion must still return canonical entries;
+    # the rank-deficient rref has zero rows, which must be field.zero too
+    rng = random.Random(3)
+    a = Mat.random_invertible(field, 4, rng)
+    b = Mat.random(field, 4, 4, rng)
+    deficient = Mat(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
+    R, pivots = deficient.rref()
+    assert pivots == [0, 1] and R.data[2:] == ((field.zero,) * 3,) * 2
+    results = [R, Mat(field, [[1, 2], [2, 4]]).rref()[0], a.rref()[0], a.inverse(),
+               a.transpose(), a.augment(b), a + b, a - b, -a, a * b, a * -20,
+               3 * a, a * Fraction(1, 2), Mat.zero(field, 2, 3),
+               Mat.identity(field, 3), b]
+    for m in results:
+        _assert_canonical(field, m.flatten())
+    kernel = deficient.kernel()
+    assert len(kernel) == 1
+    _assert_canonical(field, kernel[0])
+
+
+def _dot_by_add_mul(f, a, b):
+    acc = f.zero
+    for x, y in zip(a, b):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("field, n", [(F17, 30), (GF(2 ** 61 - 1), 100), (QQ, 30)])
+def test_field_dot_matches_add_mul_loop(field, n):
+    rng = random.Random(n)
+    top = field.coerce(-1)            # p - 1 over GF(p): the largest products
+    cases = [([top] * n, [top] * n), ([], [])]
+    cases += [([field.rand(rng) for _ in range(n)], [field.rand(rng) for _ in range(n)])
+              for _ in range(20)]
+    for a, b in cases:
+        assert field.dot(a, b) == _dot_by_add_mul(field, a, b)
+    if field is not QQ and field.p > 2 ** 32:
+        assert (field.p - 1) ** 2 * n > 2 ** 63    # past int64, no wrap
+
+
 def _assert_rref_matches_sympy(field, data):
     """Mat.rref against sympy: Matrix.rref over QQ, DomainMatrix.rref over
     GF(p); the pivot list and every entry must agree."""

@@ -135,7 +135,6 @@ def test_critical_member_minus_matches_quadrics():
     rng = random.Random(29)
     s = random_hf_section(F11, rng)
     qs = pushforward_to_g25(s)
-    hits = 0
     for _ in range(300):
         span = random_grass_point(F11, 2, rng).rep
         pt = rank2_point_over(span, F11, rng)
@@ -143,7 +142,6 @@ def test_critical_member_minus_matches_quadrics():
         x = GrassPoint(span).pluecker
         expected = all(F11.is_zero(quad.evaluate(x)) for quad in qs)
         assert member == expected
-        hits += member
 
 
 def test_critical_member_minus_is_critical_over_X():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flagdual.duality import commutant_space
 from flagdual.exactalg import GF, QQ, Mat
 from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap,
                                 GrassPoint, SectionMatrix, dual_coordinates,
@@ -107,6 +108,35 @@ def test_iota_preserves_both_subspaces(field):
             assert ideal.contains(iota_action(SectionMatrix(m), f).mat)
         for m in (hf.basis[0], hf.basis[40]):
             assert hf.contains(iota_action(SectionMatrix(m), f).mat)
+
+
+def _contains_by_elimination(space, m):
+    f = space.field
+    R, pivots = Mat(f, [b.flatten() for b in space.basis]).rref()
+    v = list(m.flatten())
+    for row, pc in zip(R.data, pivots):
+        c = v[pc]
+        if f.is_zero(c):
+            continue
+        v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return all(f.is_zero(x) for x in v)
+
+
+@pytest.mark.parametrize("space", ["hf17", "idealqq", "commutant17"])
+def test_contains_matches_elimination(space):
+    rng = random.Random(37)
+    sp = {"hf17": lambda: hf_space(F17),
+          "idealqq": lambda: flag_ideal_space(QQ),
+          "commutant17": lambda: commutant_space(random_hf_section(F17, rng))}[space]()
+    f = sp.field
+    for k in (99, 0, 57, 38, 81, 12):
+        member = Mat.zero(f, 10, 10)
+        for b in sp.basis:
+            member = member + b * f.rand(rng)
+        unit = Mat(f, [[int(10 * i + j == k) for j in range(10)] for i in range(10)])
+        assert sp.contains(member) and _contains_by_elimination(sp, member)
+        for m in (Mat.random(f, 10, 10, rng), member + unit):
+            assert not sp.contains(m) and not _contains_by_elimination(sp, m)
 
 
 def test_script_matrix_canonical_representative():
