@@ -2,9 +2,11 @@
 flag F(2,3,5), with Koszul-based vanishing certificates on the hyperplane
 section M of F.
 
-A bundle is a formal non-negative sum of blocked weights.  The weight
-(a | c | b) on F stands for  S^a U2*  (x)  ((U3/U2)*)^c  (x)  S^b (V/U3)*;
-on the Grassmannians the middle block is absorbed into the three-row block.
+A bundle is a formal non-negative sum of GL(5) weights, plain 5-tuples that
+the space's parabolic blocks (``BLOCKS``) split and that are non-increasing
+within each block.  The weight (a | c | b) on F stands for
+S^a U2*  (x)  ((U3/U2)*)^c  (x)  S^b (V/U3)*; on the Grassmannians the middle
+block is absorbed into the three-row block.
 Pinned anchors: h0(O(1,0)) = h0(O(0,1)) = 10 and h0(O(1,1)) = 75 on F.
 
 Two primitives carry the engine.  ``_dot_sort`` is the rho-shifted dot
@@ -37,54 +39,13 @@ def _twist_weight(space, twist) -> tuple:
     return (a,) * k + (0,) * rest
 
 
-class BlockedWeight:
-    """A GL(5) weight split into parabolic blocks, non-increasing per block."""
-
-    __slots__ = ("entries", "blocks")
-
-    def __init__(self, entries, blocks):
-        self.entries = tuple(int(e) for e in entries)
-        self.blocks = tuple(blocks)
-        if sum(self.blocks) != 5 or len(self.entries) != 5:
-            raise ValueError("blocked weight must have 5 entries")
-        pos = 0
-        for b in self.blocks:
-            seg = self.entries[pos:pos + b]
-            if any(seg[i] < seg[i + 1] for i in range(len(seg) - 1)):
-                raise ValueError(f"not dominant per block: {self.entries} {self.blocks}")
-            pos += b
-
-    def dual(self) -> "BlockedWeight":
-        out = []
-        pos = 0
-        for b in self.blocks:
-            seg = self.entries[pos:pos + b]
-            out.extend(-e for e in reversed(seg))
-            pos += b
-        return BlockedWeight(out, self.blocks)
-
-    def shift(self, delta) -> "BlockedWeight":
-        return BlockedWeight(tuple(e + d for e, d in zip(self.entries, delta)),
-                             self.blocks)
-
-    def block_parts(self):
-        out = []
-        pos = 0
-        for b in self.blocks:
-            out.append(self.entries[pos:pos + b])
-            pos += b
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, BlockedWeight)
-                and self.entries == other.entries and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.entries, self.blocks))
-
-    def __repr__(self):
-        parts = ["{}".format(",".join(str(e) for e in seg)) for seg in self.block_parts()]
-        return "(" + "|".join(parts) + ")"
+def _blocks(space, w) -> list:
+    """The weight w cut into the parabolic blocks of ``space``."""
+    out, pos = [], 0
+    for b in BLOCKS[space]:
+        out.append(w[pos:pos + b])
+        pos += b
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -130,11 +91,11 @@ def _dot_sort(v: tuple):
 
 
 @lru_cache(maxsize=None)
-def bott(w: BlockedWeight) -> tuple:
+def bott(w: tuple) -> tuple:
     """Cohomology of the irreducible bundle E_w as ((degree, dim), ...):
     nothing on a wall, else the Weyl dimension of the dot-sorted weight in
     degree l."""
-    dot = _dot_sort(w.entries)
+    dot = _dot_sort(w)
     if dot is None:
         return ()
     length, mu = dot
@@ -147,7 +108,7 @@ def _check_space(space):
 
 
 class BundleExpr:
-    """Formal non-negative sum of blocked weights on one space."""
+    """Formal non-negative sum of weights (5-tuples) on one space."""
 
     def __init__(self, space: str, terms: dict):
         _check_space(space)
@@ -155,13 +116,17 @@ class BundleExpr:
         self.terms = {w: int(m) for w, m in terms.items() if m}
         if any(m < 0 for m in self.terms.values()):
             raise ValueError("negative multiplicity")
-        if any(w.blocks != BLOCKS[space] for w in self.terms):
-            raise ValueError("weight blocks do not match the space")
+        for w in self.terms:
+            if len(w) != 5:
+                raise ValueError("blocked weight must have 5 entries")
+            if any(seg[i] < seg[i + 1] for seg in _blocks(space, w)
+                   for i in range(len(seg) - 1)):
+                raise ValueError(f"not dominant per block: {w} {BLOCKS[space]}")
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_weight(cls, space, entries, mult=1):
-        return cls(space, {BlockedWeight(entries, BLOCKS[space]): mult})
+        return cls(space, {tuple(entries): mult})
 
     @classmethod
     def line(cls, space, *twist):
@@ -172,29 +137,30 @@ class BundleExpr:
         total = 0
         for w, m in self.terms.items():
             r = 1
-            for seg in w.block_parts():
+            for seg in _blocks(self.space, w):
                 r *= weyl_dim(seg)
             total += m * r
         return total
 
     def dual(self) -> "BundleExpr":
-        return BundleExpr(self.space, {w.dual(): m for w, m in self.terms.items()})
+        return BundleExpr(self.space, {
+            tuple(-e for seg in _blocks(self.space, w) for e in reversed(seg)): m
+            for w, m in self.terms.items()})
 
     def twist(self, *twist) -> "BundleExpr":
         delta = _twist_weight(self.space, twist)
-        return BundleExpr(self.space, {w.shift(delta): m for w, m in self.terms.items()})
+        return BundleExpr(self.space, {tuple(e + d for e, d in zip(w, delta)): m
+                                       for w, m in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, BundleExpr) and self.space == other.space
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items(), key=repr))))
+        return hash((self.space, frozenset(self.terms.items())))
 
     def __repr__(self):
-        bits = [f"{m}x{w}" if m > 1 else f"{w}" for w, m in
-                sorted(self.terms.items(), key=repr)]
-        return f"BundleExpr({self.space}, {' + '.join(bits) or '0'})"
+        return f"BundleExpr({self.space!r}, {self.terms!r})"
 
 
 # -- Littlewood-Richardson via the Klimyk weight formula ----------------------
@@ -245,17 +211,15 @@ def tensor_decompose(a: BundleExpr, b: BundleExpr) -> BundleExpr:
     """Littlewood-Richardson expansion per block; total rank is preserved."""
     if a.space != b.space:
         raise ValueError("mixed spaces")
-    blocks = BLOCKS[a.space]
     out: dict = {}
     for wa, ma in a.terms.items():
         for wb, mb in b.terms.items():
             partials = [((), 1)]
-            for seg_a, seg_b in zip(wa.block_parts(), wb.block_parts()):
-                expand = _tensor_block(tuple(seg_a), tuple(seg_b))
+            for seg_a, seg_b in zip(_blocks(a.space, wa), _blocks(a.space, wb)):
+                expand = _tensor_block(seg_a, seg_b)
                 partials = [(ent + k, m * mm) for ent, m in partials
                             for k, mm in expand]
-            for ent, m in partials:
-                w = BlockedWeight(ent, blocks)
+            for w, m in partials:
                 out[w] = out.get(w, 0) + ma * mb * m
     result = BundleExpr(a.space, out)
     assert result.rank() == a.rank() * b.rank()
@@ -349,8 +313,7 @@ F_BUNDLES = {
 
 def on_F(kind: str, a: int, b: int) -> BundleExpr:
     """The named bundle ``kind`` of F_BUNDLES twisted by O(a, b)."""
-    return BundleExpr("F", {BlockedWeight(w, BLOCKS["F"]): 1
-                            for w in F_BUNDLES[kind]}).twist(a, b)
+    return BundleExpr("F", dict.fromkeys(F_BUNDLES[kind], 1)).twist(a, b)
 
 
 def vanishing_QO(a: int, b: int) -> bool:

@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
-from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Ideal, Mat,
+from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Mat,
                        PolyRing, det, evaluate_batch, is_unit_ideal,
                        minors, rref_kernel, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
@@ -241,7 +241,7 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     gens = [sum((w * c for c, w in zip(row, wedge) if not field.is_zero(c)), ring.zero())
             for row in ann]
     try:
-        sat = saturate(Ideal(ring, gens), det(grid), max_reductions)
+        sat = saturate(gens, det(grid), max_reductions)
     except BudgetExceeded as exc:
         report.notes.append(f"{exc}; commutant facts stand")
         return report
@@ -265,8 +265,8 @@ def verify_pushforwards(rng: random.Random, samples: int) -> dict:
     gauges = [(Mat.random(f, 5, 3, rng), Mat.random_invertible(f, 3, rng))
               for _ in range(min(samples, 100))]
     quadrics = evaluate_batch(pushforward_to_g25(s),
-                              [a.pluecker for a, _ in fibers], f.p)
-    ok = all(section_of_fiber_point(s, a.rep, w) == f.dot(w, v.tolist())
+                              [pluecker(a) for a, _ in fibers], f.p)
+    ok = all(section_of_fiber_point(s, a, w) == f.dot(w, v.tolist())
              for (a, w), v in zip(fibers, quadrics, strict=True))
     st = pushforward_to_g35(s)
     moved = evaluate_batch(st, [(B * g.inverse()).flatten() for B, g in gauges], f.p)

@@ -12,7 +12,9 @@ integer rows over QQ and builds Fractions only for its result, and rank,
 inverse and kernel all read it.  ``det`` and ``minors`` are the one minor rule
 (lexicographic k-subsets) for every grid of scalars, Poly or numpy arrays.
 ``evaluate_batch`` evaluates polynomials over GF(p) at many points at once, in
-int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.
+int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.  An ideal is the
+list of its generators: ``groebner_basis`` and ``saturate`` read the ring from
+them and refuse a list that mixes rings.
 """
 from __future__ import annotations
 
@@ -614,9 +616,6 @@ class Poly:
         self.terms = terms
         self._eval_terms = None
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -828,22 +827,17 @@ class GroebnerStats:
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, message, stats: GroebnerStats):
-        super().__init__(message)
-        self.stats = stats
+    """A basis computation ran past its cap on S-pair reductions."""
 
 
-class Ideal:
-    """Ideal given by generators in one PolyRing."""
-
-    def __init__(self, ring: PolyRing, gens: Sequence[Poly]):
-        self.ring = ring
-        self.gens = [g for g in gens if g]
-        if any(g.ring is not ring for g in self.gens):
-            raise ValueError("generators from a different ring")
-
-    def __repr__(self):
-        return f"Ideal({len(self.gens)} gens in {self.ring.names})"
+def _common_ring(polys: Sequence[Poly]) -> PolyRing:
+    """The one ring that every polynomial of ``polys`` lies in."""
+    if not polys:
+        raise ValueError("no polynomials to read a ring from")
+    ring = polys[0].ring
+    if any(g.ring is not ring for g in polys):
+        raise ValueError("polynomials from different rings")
+    return ring
 
 
 def _prime_field(ring: PolyRing, what: str) -> int:
@@ -961,8 +955,9 @@ def _spolynomial(ring: PolyRing, l: int, i: int, j: int,
     return Poly(ring, s)
 
 
-def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
-    """Reduced Groebner basis by Buchberger with Gebauer-Moeller pruning.
+def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -> list:
+    """Reduced Groebner basis of the ideal that ``gens`` generate, by
+    Buchberger with Gebauer-Moeller pruning.
 
     Monomial order is the ring's (degrevlex, or 1-variable elimination block).
     Pair selection: lowest lcm degree first (normal strategy), ties by lcm.
@@ -970,10 +965,10 @@ def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
     reductions; the cap counts work, never time, so the result is a function
     of the input alone.
     """
-    ring = ideal.ring
+    ring = _common_ring(gens)
     _prime_field(ring, "groebner_basis")
     f = ring.field
-    stats = GroebnerStats()
+    stats = groebner_basis.last_stats = GroebnerStats()
 
     G: list[Poly] = []
     lts: list[int] = []
@@ -1005,7 +1000,7 @@ def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
             if l != ring.mono_mul(lts[i], ltk):
                 heapq.heappush(pairs, (d, l, i, k))
 
-    for g in interreduce(ideal.gens):
+    for g in interreduce(gens):
         G.append(g)
         lts.append(g.leading_monomial())
         lcinvs.append(f.inv(g.leading_coeff()))
@@ -1013,7 +1008,6 @@ def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
         add_pairs(len(G) - 1)
         if ring.mono_deg(lts[-1]) == 0:
             stats.basis_size = 1
-            groebner_basis.last_stats = stats
             return [ring.one()]
 
     while pairs:
@@ -1023,12 +1017,11 @@ def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
                          lts, lcinvs, gterms, first_divisor)
         stats.reductions += 1
         if stats.reductions > max_reductions:
-            raise BudgetExceeded("reduction budget exceeded", stats)
+            raise BudgetExceeded("reduction budget exceeded")
         if not r:
             continue
         if ring.mono_deg(r.leading_monomial()) == 0:
             stats.basis_size = 1
-            groebner_basis.last_stats = stats
             return [ring.one()]
         G.append(_monic(r))
         lts.append(r.leading_monomial())
@@ -1044,7 +1037,6 @@ def groebner_basis(ideal: Ideal, max_reductions: int = MAX_REDUCTIONS) -> list:
             keep.append(g)
     reduced = interreduce(keep)
     stats.basis_size = len(reduced)
-    groebner_basis.last_stats = stats
     return reduced
 
 
@@ -1070,25 +1062,24 @@ def spolynomials_reduce_to_zero(basis: Sequence[Poly]) -> bool:
     return True
 
 
-def saturate(ideal: Ideal, fpoly: Poly, max_reductions: int = MAX_REDUCTIONS) -> Ideal:
-    """I : f^infinity by the Rabinowitsch trick.
+def saturate(gens: Sequence[Poly], fpoly: Poly,
+             max_reductions: int = MAX_REDUCTIONS) -> list:
+    """I : f^infinity by the Rabinowitsch trick, for I generated by ``gens``.
 
     Adjoin z, add z*f - 1, compute a Groebner basis in the elimination order
-    z >> degrevlex(rest), keep the z-free part.  A result of <1> certifies
+    z >> degrevlex(rest), return the z-free part.  A result of <1> certifies
     V(I) is contained in V(f).  The z block sits above the ring's fields, so
     a z-free monomial has the same packed key in both rings; the z-free part
     of the reduced basis is the reduced basis of the saturation.
     ``max_reductions`` caps the one basis computation (``groebner_basis``).
     """
-    ring = ideal.ring
+    ring = _common_ring([*gens, fpoly])
     ext = PolyRing(ring.field, ("_z",) + ring.names, elim_first=True)
-    gens = [Poly(ext, dict(g.terms)) for g in ideal.gens]
-    gens.append(ext.var(0) * Poly(ext, dict(fpoly.terms)) - ext.one())
-    basis = groebner_basis(Ideal(ext, gens), max_reductions)
-    return Ideal(ring, [Poly(ring, dict(g.terms)) for g in basis
-                        if not any(m >> ext._z_shift for m in g.terms)])
+    lifted = [Poly(ext, dict(g.terms)) for g in gens]
+    lifted.append(ext.var(0) * Poly(ext, dict(fpoly.terms)) - ext.one())
+    return [Poly(ring, dict(g.terms)) for g in groebner_basis(lifted, max_reductions)
+            if not any(m >> ext._z_shift for m in g.terms)]
 
 
-def is_unit_ideal(ideal_or_basis) -> bool:
-    gens = ideal_or_basis.gens if isinstance(ideal_or_basis, Ideal) else ideal_or_basis
-    return any(g and g.degree() == 0 for g in gens)
+def is_unit_ideal(gens: Sequence[Poly]) -> bool:
+    return any(g.degree() == 0 for g in gens)

@@ -193,7 +193,7 @@ def random_unstable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint
     f = field
     while True:
         if chamber == "plus":
-            a = random_grass_point(f, 2, rng).rep
+            a = random_grass_point(f, 2, rng)
             mix = Mat.random(f, 2, 3, rng)
             pt = GLSMPoint(a * mix, tuple(f.rand(rng) for _ in range(3)))
         else:

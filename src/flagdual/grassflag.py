@@ -59,7 +59,7 @@ def _contract(i: int, t: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Pluecker coordinates and points
+# Pluecker coordinates
 # ---------------------------------------------------------------------------
 
 def pluecker(rep: Mat) -> tuple:
@@ -81,34 +81,15 @@ def dual_coordinates(B: Mat) -> tuple:
     return tuple(map(B.field.coerce, to_dual(pluecker(B))))
 
 
-class GrassPoint:
-    """A point of G(2,5) or G(3,5) with a full-rank representative."""
-
-    def __init__(self, rep: Mat):
-        if rep.rows != 5 or rep.cols not in (2, 3):
-            raise ValueError("representative must be 5x2 or 5x3")
-        self.rep = rep
-        self.pluecker = pluecker(rep)
-        if all(rep.field.is_zero(c) for c in self.pluecker):
-            raise ValueError("rank-deficient representative")
-
-    @property
-    def field(self):
-        return self.rep.field
-
-    def __repr__(self):
-        return f"GrassPoint(G{self.rep.cols}5, {self.pluecker})"
-
-
 # -- deterministic samplers ---------------------------------------------------
 
-def random_grass_point(field: Field, k: int, rng: random.Random) -> GrassPoint:
+def random_grass_point(field: Field, k: int, rng: random.Random) -> Mat:
+    """A full-rank 5 x k representative: ``Mat.random`` draws, redrawn while
+    every Pluecker coordinate is 0."""
     while True:
         rep = Mat.random(field, 5, k, rng)
-        try:
-            return GrassPoint(rep)
-        except ValueError:
-            continue
+        if any(pluecker(rep)):
+            return rep
 
 
 # ---------------------------------------------------------------------------

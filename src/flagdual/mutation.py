@@ -132,8 +132,7 @@ _NORMALIZE = {
 def _weights_mod_det(expr: BundleExpr):
     out = []
     for w, m in expr.terms.items():
-        e = w.entries
-        out.append((tuple(x - e[4] for x in e), m))
+        out.append((tuple(x - w[4] for x in w), m))
     return sorted(out)
 
 

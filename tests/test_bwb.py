@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from flagdual.bwb import (BLOCKS, BlockedWeight, BundleExpr, _irrep_weights,
+from flagdual.bwb import (BLOCKS, BundleExpr, _irrep_weights,
                           _tensor_block, cohomology_table, ext_on_F,
                           ext_on_M_vanishing_certificate, ext_on_M_table,
                           gl_dim_branching, koszul_euler, koszul_h0, on_F,
@@ -58,8 +58,11 @@ def test_bott_single_degree():
 
 
 def test_dominance_enforced():
-    with pytest.raises(ValueError):
-        BlockedWeight((0, 1, 0, 0, 0), BLOCKS["G25"])
+    with pytest.raises(ValueError, match="not dominant"):
+        BundleExpr.from_weight("G25", (0, 1, 0, 0, 0))
+    BundleExpr.from_weight("F", (0, 0, 1, 0, 0))      # its own block on F
+    with pytest.raises(ValueError, match="5 entries"):
+        BundleExpr("F", {(0, 0, 0, 0): 1})
 
 
 def test_weyl_dim_against_branching():
@@ -109,8 +112,8 @@ def test_tensor_u2_square():
     u2 = BundleExpr.from_weight("G25", (0, -1, 0, 0, 0))
     sq = tensor_decompose(u2, u2)
     assert sq.terms == {
-        BlockedWeight((0, -2, 0, 0, 0), BLOCKS["G25"]): 1,   # Sym^2 U2
-        BlockedWeight((-1, -1, 0, 0, 0), BLOCKS["G25"]): 1,  # wedge^2 U2
+        (0, -2, 0, 0, 0): 1,   # Sym^2 U2
+        (-1, -1, 0, 0, 0): 1,  # wedge^2 U2
     }
     assert sq.rank() == 4
 
@@ -119,7 +122,7 @@ def test_tensor_q2_with_dual():
     q2 = BundleExpr.from_weight("G25", (0, 0, 0, 0, -1))
     q2d = BundleExpr.from_weight("G25", (0, 0, 1, 0, 0))
     prod = tensor_decompose(q2, q2d)
-    ranks = sorted((weyl_dim(w.block_parts()[0]) * weyl_dim(w.block_parts()[1]), m)
+    ranks = sorted((weyl_dim(w[:2]) * weyl_dim(w[2:]), m)
                    for w, m in prod.terms.items())
     assert prod.rank() == 9
     assert ranks == [(1, 1), (8, 1)]
@@ -162,16 +165,14 @@ def test_vanishing_oo_band():
 
 def test_serre_duality_on_F():
     rng = random.Random(7)
-    (omega,) = BundleExpr.line("F", -3, -3).terms
     for _ in range(100):
         entries = []
         for size in BLOCKS["F"]:
             seg = sorted((rng.randrange(-4, 5) for _ in range(size)), reverse=True)
             entries.extend(seg)
-        w = BlockedWeight(tuple(entries), BLOCKS["F"])
-        t = cohomology_table(BundleExpr("F", {w: 1}))
-        wd = w.dual().shift(omega.entries)
-        td = cohomology_table(BundleExpr("F", {wd: 1}))
+        e = BundleExpr.from_weight("F", entries)
+        t = cohomology_table(e)
+        td = cohomology_table(e.dual().twist(-3, -3))    # E* (x) K_F
         assert t == {8 - d: v for d, v in td.items()}
 
 

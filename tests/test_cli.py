@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -459,6 +460,32 @@ def test_benchmark_tracer_hooks_resolve():
     res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_benchmark_generic_pass_passes_its_checks(tmp_path):
+    # one generic_sections pass of perfbench/run.py, graded by its checks:
+    # a break in what perfbench/child.py calls fails here, not only as a
+    # failed benchmark workload
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("checks", root / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    child = str(root / "perfbench" / "child.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    setup = subprocess.run([sys.executable, child, "setup", "-"], env=env,
+                           capture_output=True, text=True)
+    assert (setup.returncode, setup.stdout) == (0, "ready\n"), setup.stderr
+    s = random_hf_section(QQ, random.Random(3))
+    assert checks.generic_at(s.mat.data, 17)
+    section, out = tmp_path / "section.txt", tmp_path / "generic.json"
+    section.write_text(format_matrix(s.mat))
+    res = subprocess.run([sys.executable, child, "generic", str(section), str(out)],
+                         env=env, capture_output=True, text=True)
+    result = json.loads(out.read_text()) if out.exists() else None
+    found = checks.check_generic(s.mat.data, result, res.returncode)
+    assert len(found) == 8
+    assert [name for name, ok in found if not ok] == [], res.stderr
 
 
 def test_stage_names_match_benchmark_tracer():

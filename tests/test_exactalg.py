@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from flagdual.exactalg import (GF, QQ, BudgetExceeded, Ideal, Mat,
+from flagdual.exactalg import (GF, QQ, BudgetExceeded, Mat,
                                Poly, PolyRing, evaluate_batch, exterior_square,
                                format_matrix, det, groebner_basis, interreduce,
                                is_prime, is_unit_ideal, minors, normal_form,
@@ -446,29 +446,29 @@ def test_evaluate_batch_is_gf_p_only():
 
 
 def test_groebner_single_var():
-    basis = groebner_basis(Ideal(R2, [X]))
+    basis = groebner_basis([X])
     assert [g.format() for g in basis] == ["x"]
 
 
 def test_groebner_unit_ideal():
     # x*(xy+1) - y*x^2 = x, then 1 in the ideal
-    basis = groebner_basis(Ideal(R2, [X * X, X * Y + 1]))
+    basis = groebner_basis([X * X, X * Y + 1])
     assert is_unit_ideal(basis)
 
 
 def test_groebner_last_stats_follow_unit_ideals():
-    groebner_basis(Ideal(R2, [X * Y - 1, Y * Y - 1]))
+    groebner_basis([X * Y - 1, Y * Y - 1])
     assert groebner_basis.last_stats.basis_size == 2
-    groebner_basis(Ideal(R2, [X * X, X * Y + 1]))     # 1 found by an S-pair
+    groebner_basis([X * X, X * Y + 1])     # 1 found by an S-pair
     stats = groebner_basis.last_stats
     assert stats.basis_size == 1 and stats.reductions > 0
-    groebner_basis(Ideal(R2, [X, R2.one()]))          # 1 among the generators
+    groebner_basis([X, R2.one()])          # 1 among the generators
     stats = groebner_basis.last_stats
     assert stats.basis_size == 1 and stats.reductions == 0
 
 
 def test_groebner_hand_example():
-    basis = groebner_basis(Ideal(R2, [X * Y - 1, Y * Y - 1]))
+    basis = groebner_basis([X * Y - 1, Y * Y - 1])
     assert basis == [X - Y, Y * Y - 1]
 
 
@@ -480,10 +480,10 @@ def test_groebner_spolys_reduce_and_membership():
         gens = [g for g in gens if g]
         if not gens:
             continue
-        basis = groebner_basis(Ideal(R3, gens))
+        basis = groebner_basis(gens)
         assert spolynomials_reduce_to_zero(basis)
         for g in gens:
-            assert normal_form(g, basis).is_zero()
+            assert not normal_form(g, basis)
     # S(xy - 1, y^2 - 1) = x - y does not reduce: not a Groebner basis
     assert not spolynomials_reduce_to_zero([X * Y - 1, Y * Y - 1])
 
@@ -505,7 +505,7 @@ def test_groebner_matches_sympy(p):
         if not gens:
             continue
         ours = {canonical({R3.decode(m): c for m, c in g.terms.items()})
-                for g in groebner_basis(Ideal(R3, gens))}
+                for g in groebner_basis(gens)}
         exprs = [sympy_expr(g, syms) for g in gens]
         oracle = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
         theirs = {canonical({e: int(c) % p for e, c in
@@ -519,13 +519,35 @@ def test_groebner_budget():
     R4 = PolyRing(F7, tuple("abcd"))
     gens = [rand_poly(R4, rng, nterms=5, deg=4) for _ in range(4)]
     with pytest.raises(BudgetExceeded):
-        groebner_basis(Ideal(R4, gens), max_reductions=2)
+        groebner_basis(gens, max_reductions=2)
+
+
+def test_groebner_last_stats_after_budget_exceeded():
+    # the capped run records its own stats, not those of the run before it
+    groebner_basis([X])
+    rng = random.Random(29)
+    R4 = PolyRing(F7, tuple("abcd"))
+    gens = [rand_poly(R4, rng, nterms=5, deg=4) for _ in range(4)]
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, max_reductions=2)
+    assert groebner_basis.last_stats.reductions == 3
+
+
+def test_ideal_calls_refuse_mixed_rings():
+    other = PolyRing(F17, ("x", "y"))
+    with pytest.raises(ValueError, match="different rings"):
+        groebner_basis([X, other.var(0)])
+    with pytest.raises(ValueError, match="different rings"):
+        saturate([X * Y, other.var(1)], X)
+    with pytest.raises(ValueError, match="different rings"):
+        saturate([X * Y], other.var(0))      # f from another ring
+    assert saturate([], X) == []              # (0) : x^inf, in the ring of x
 
 
 def test_groebner_requires_prime_field():
     RQ = PolyRing(QQ, ("x",))
     with pytest.raises(ValueError):
-        groebner_basis(Ideal(RQ, [RQ.var(0)]))
+        groebner_basis([RQ.var(0)])
 
 
 def test_reduction_requires_prime_field():
@@ -538,15 +560,15 @@ def test_reduction_requires_prime_field():
 
 
 def test_saturate_examples():
-    sat = saturate(Ideal(R2, [X * Y]), X)
-    assert sat.gens == [Y]
-    assert is_unit_ideal(saturate(Ideal(R2, [X]), X))
+    sat = saturate([X * Y], X)
+    assert sat == [Y]
+    assert is_unit_ideal(saturate([X], X))
 
 
 def test_saturate_removes_component():
     # <x^2 y> : y^inf = <x^2>
-    sat = saturate(Ideal(R2, [X * X * Y]), Y)
-    assert sat.gens == [X * X]
+    sat = saturate([X * X * Y], Y)
+    assert sat == [X * X]
 
 
 @pytest.mark.parametrize("n", [1, 3, 15, 25])
@@ -581,15 +603,15 @@ def test_saturate_matches_sympy(p):
         if not (a and b) or h.degree() < 1:
             continue
         gens = [a * h, b * rand_poly(R3, rng, nterms=2, deg=1) + a]
-        ours = saturate(Ideal(R3, gens), h).gens
+        ours = saturate(gens, h)
         assert interreduce(ours) == ours        # the z-free part comes reduced
         lex = sympy.groebner([sympy_expr(g, syms) for g in gens]
                              + [t * sympy_expr(h, syms) - 1],
                              t, *syms, order="lex", modulus=p)
         theirs = [from_sympy(g) for g in lex.exprs if not g.has(t)]
-        theirs_basis = groebner_basis(Ideal(R3, theirs))
-        assert all(normal_form(g, ours).is_zero() for g in theirs)
-        assert all(normal_form(g, theirs_basis).is_zero() for g in ours)
-        I_basis = groebner_basis(Ideal(R3, gens))
+        theirs_basis = groebner_basis(theirs)
+        assert all(not normal_form(g, ours) for g in theirs)
+        assert all(not normal_form(g, theirs_basis) for g in ours)
+        I_basis = groebner_basis(gens)
         grew += any(normal_form(g, I_basis) for g in ours)
     assert grew >= 4

@@ -5,7 +5,7 @@ import pytest
 from flagdual.duality import commutant_space
 from flagdual.exactalg import GF, QQ, Mat
 from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap,
-                                GrassPoint, SectionMatrix, dual_coordinates,
+                                SectionMatrix, dual_coordinates,
                                 flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, pluecker,
@@ -30,15 +30,19 @@ def test_pluecker_unit():
 def test_rank_deficient_rep_rejected():
     rep = Mat(QQ, [[1, 1], [0, 0], [0, 0], [0, 0], [0, 0]])
     assert all(c == 0 for c in pluecker(rep))
-    with pytest.raises(ValueError):
-        GrassPoint(rep)
+    # a rank-deficient draw is redrawn; over F_2 that is about one 5x2 draw
+    # in eleven and one 5x3 draw in five
+    rng = random.Random(3)
+    for k in (2, 3):
+        for _ in range(50):
+            assert random_grass_point(GF(2), k, rng).rank() == k
 
 
 @pytest.mark.parametrize("field", [F7, F11, QQ])
 def test_pluecker_relations(field):
     rng = random.Random(101)
     for _ in range(40):
-        p = random_grass_point(field, 2, rng).pluecker
+        p = pluecker(random_grass_point(field, 2, rng))
         pos = {pr: n for n, pr in enumerate(PAIRS)}
         for (i, j, k, l) in [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)]:
             lhs = field.sub(field.mul(p[pos[(i, j)]], p[pos[(k, l)]]),
@@ -52,7 +56,7 @@ def test_flag_equations_vanish_on_flags():
     e = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
     s11 = flag_equation(e[0], e[0], F11)
     for _ in range(500):
-        A = random_grass_point(F11, 2, rng).rep
+        A = random_grass_point(F11, 2, rng)
         B = A.augment(Mat.random(F11, 5, 1, rng))       # col(A) in col([A | w])
         assert F11.is_zero(s11.evaluate(pluecker(A), dual_coordinates(B)))
 
@@ -62,8 +66,8 @@ def test_flag_equations_detect_nonincidence():
     e = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
     eqs = [flag_equation(e[i], e[j], F11) for i in range(5) for j in range(5)]
     for _ in range(30):
-        A = random_grass_point(F11, 2, rng).rep
-        B = random_grass_point(F11, 3, rng).rep
+        A = random_grass_point(F11, 2, rng)
+        B = random_grass_point(F11, 3, rng)
         assert A.augment(B).rank() > 3      # col(A) is not in col(B)
         assert any(not F11.is_zero(s.evaluate(pluecker(A), dual_coordinates(B)))
                    for s in eqs)
@@ -82,7 +86,7 @@ def test_all_ideal_elements_vanish_on_flags():
     rng = random.Random(19)
     ideal = flag_ideal_space(F7)
     for _ in range(50):
-        A = random_grass_point(F7, 2, rng).rep
+        A = random_grass_point(F7, 2, rng)
         B = A.augment(Mat.random(F7, 5, 1, rng))
         for m in ideal.basis[:5]:
             assert F7.is_zero(SectionMatrix(m).evaluate(pluecker(A), dual_coordinates(B)))

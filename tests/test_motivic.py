@@ -10,8 +10,8 @@ from flagdual import motivic
 from flagdual.exactalg import GF, Mat, minors
 from flagdual.duality import pushforward_to_g25, section_of_fiber_point
 from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLES,
-                                GrassPoint, SectionMatrix, complement_pair,
-                                dual_coordinates, random_hf_section)
+                                SectionMatrix, complement_pair, dual_coordinates,
+                                pluecker, random_hf_section)
 from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               count_X, count_Y, degree_check,
                               derive_l_relation, enumerate_grassmannian,
@@ -121,8 +121,8 @@ def test_count_X_matches_pointwise_quadrics():
     qs = pushforward_to_g25(s)
     brute = 0
     for rep in enumerate_grassmannian(q, 2):
-        pt = GrassPoint(Mat(f, rep.tolist()))
-        if all(f.is_zero(quad.evaluate(pt.pluecker)) for quad in qs):
+        x = pluecker(Mat(f, rep.tolist()))
+        if all(f.is_zero(quad.evaluate(x)) for quad in qs):
             brute += 1
     assert count_X(s, q) == brute
 

@@ -1,3 +1,7 @@
+import pathlib
+import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -220,3 +224,19 @@ def test_full_rotations_are_in_range():
     for move in ({"move": "rotate", "count": 20},
                  {"move": "rotate_back", "count": 20}):
         assert len(apply_move(c, move).bundle_symbols) == 20
+
+
+def test_move_list_regenerates_byte_for_byte(tmp_path):
+    # scripts/gen_mutation_moves.py, run on a copy of scripts/ and src/,
+    # writes the shipped move list again
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for top in ("scripts", "src"):
+        shutil.copytree(root / top, tmp_path / top,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    written = tmp_path / "src" / "flagdual" / "data" / "mutation_moves.json"
+    written.unlink()
+    res = subprocess.run([sys.executable, str(tmp_path / "scripts" / "gen_mutation_moves.py")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    shipped = root / "src" / "flagdual" / "data" / "mutation_moves.json"
+    assert written.read_bytes() == shipped.read_bytes()
