@@ -348,7 +348,9 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
     checked instability certificate.  Otherwise draw --samples random points:
     stats.critical counts the critical points among the semistable ones with
     rank B = 2 in the minus chamber (the points over X), and is 0 in the
-    plus chamber."""
+    plus chamber.  stats.unstable_certified counts the unstable samples whose
+    certificate checks; every certificate built for an unstable point checks,
+    so it always equals samples - stats.semistable."""
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "conventions": conventions_block()}

@@ -7,14 +7,16 @@ prime fields use Python ints reduced mod p, the rational field uses
 in [0, p), a Fraction): the public constructor coerces outside data, and the
 operations here, whose entries are canonical already, skip that pass.
 ``Field.dot`` is the one dot product; over GF(p) it sums the int products and
-reduces once.  ``Mat.rref`` is the one elimination loop: it works on primitive
-integer rows over QQ and builds Fractions only for its result, and rank,
-inverse and kernel all read it.  ``det`` and ``minors`` are the one minor rule
-(lexicographic k-subsets) for every grid of scalars, Poly or numpy arrays.
-``evaluate_batch`` evaluates polynomials over GF(p) at many points at once, in
-int64 numpy arrays; ``Poly.evaluate`` is its scalar oracle.  An ideal is the
-list of its generators: ``groebner_basis`` and ``saturate`` read the ring from
-them and refuse a list that mixes rings.
+reduces once.  ``Mat.rref`` is the one elimination loop, and rank, inverse and
+kernel all read it.  It works on primitive integer rows over QQ and builds
+Fractions only for its result.  It pivots on the sparsest candidate row, runs
+a forward pass and then a back-substitution; since the RREF of a matrix is
+unique, the pivot order changes its cost, never its result.  ``det`` and
+``minors`` are the one minor rule (lexicographic k-subsets) for every grid of
+scalars, Poly or numpy arrays.  ``evaluate_batch`` evaluates polynomials over
+GF(p) at many points at once, in int64 numpy arrays; ``Poly.evaluate`` is its
+scalar oracle.  An ideal is the list of its generators: ``groebner_basis`` and
+``saturate`` read the ring from them and refuse a list that mixes rings.
 """
 from __future__ import annotations
 
@@ -193,6 +195,29 @@ QQ = Rationals()
 # dense matrices
 # ---------------------------------------------------------------------------
 
+def _clear(m: list, k: int, c: int, targets, p) -> None:
+    """Clear column c of the integer rows m[i], i in targets, against the
+    pivot row m[k]: a row with b = m[i][c] nonzero becomes a*m[i] - b*m[k],
+    a = m[k][c].  Over GF(p) the new row is reduced mod p; over QQ (p None)
+    a and b are first divided by their gcd and the new row by the gcd of its
+    entries, so rows stay primitive."""
+    prow = m[k]
+    pa = prow[c]
+    for i in targets:
+        row = m[i]
+        b = row[c]
+        if not b:
+            continue
+        if p:
+            m[i] = [(pa * x - b * y) % p for x, y in zip(row, prow)]
+            continue
+        g = gcd(pa, b)
+        a, b = pa // g, b // g
+        new = [a * x - b * y for x, y in zip(row, prow)]
+        g = gcd(*new)
+        m[i] = [x // g for x in new] if g > 1 else new
+
+
 class Mat:
     """Immutable dense matrix over an exact field.
 
@@ -296,17 +321,27 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list).
 
-        One elimination loop over Python-int rows serves both fields.  A QQ
-        row is first scaled by the lcm of its denominators; a GF(p) row
-        already is ints.  Clearing column c of row i replaces it by
-        a*row_i - b*row_r, where a is the pivot and b the entry of row i.
-        Over QQ, a and b are first divided by their gcd and the new row by
-        the gcd of its entries, so rows stay primitive; over GF(p) the new
-        row is reduced mod p.  At the end each pivot row is divided by its
-        pivot, once.  Every step scales a row by a nonzero constant or adds
-        a multiple of one row to another, so the row space is unchanged,
-        and the RREF of a matrix is unique: the result is exactly that of
-        elimination in field arithmetic.
+        The one elimination loop, over Python-int rows, for both fields: a
+        QQ row is first scaled by the lcm of its denominators, a GF(p) row
+        already is ints.  ``rank``, ``inverse`` and ``kernel`` all read it.
+
+        - Pivot rule (Markowitz): in each column, among the rows that are not
+          pivots yet and are nonzero there, the pivot is the row with the
+          fewest nonzeros, the lowest row index on a tie.  Sparse systems
+          such as the 100x100 commutant one then stay sparse.
+        - Forward pass: the pivot clears its column in the other non-pivot
+          rows only.  Clearing it in the pivot rows above as well
+          (Gauss-Jordan) would copy the pivot row's later entries into each
+          of them, for later pivots to clear again.
+        - Back-substitution: then each pivot, the last one first, clears its
+          column in the pivot rows above it.
+        - Each pivot row is divided by its pivot once, at the end.
+
+        Every step is the row operation of ``_clear`` or a swap: it scales a
+        row by a nonzero constant or adds a multiple of one row to another,
+        so the row space is unchanged.  The RREF of a matrix is unique, so
+        the result, pivots and entries, is exactly that of any elimination
+        in field arithmetic, whatever the pivot order.
         """
         f = self.field
         p = f.p if isinstance(f, GF) else None
@@ -320,26 +355,19 @@ class Mat:
         pivots = []
         for c in range(self.cols):
             r = len(pivots)
-            piv = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if piv is None:
+            # zeros of each candidate row, -1 for a row that is no candidate
+            zeros = [row.count(0) if row[c] else -1 for row in m[r:]]
+            most = max(zeros)
+            if most < 0:
                 continue
+            piv = r + zeros.index(most)
             m[r], m[piv] = m[piv], m[r]
-            prow = m[r]
-            for i, row in enumerate(m):
-                if i == r or not row[c]:
-                    continue
-                a, b = prow[c], row[c]
-                if p:
-                    m[i] = [(a * x - b * y) % p for x, y in zip(row, prow)]
-                    continue
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                new = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
+            _clear(m, r, c, range(r + 1, self.rows), p)
             pivots.append(c)
             if len(pivots) == self.rows:
                 break
+        for k in range(len(pivots) - 1, 0, -1):
+            _clear(m, k, pivots[k], range(k), p)
         for r, c in enumerate(pivots):
             a = m[r][c]
             if p:

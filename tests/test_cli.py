@@ -245,6 +245,22 @@ def test_glsm_stability_help_describes_the_command(runner):
     assert "dW = 0" in res.output and "stats.critical" in res.output
 
 
+@pytest.mark.parametrize("chamber", ["plus", "minus"])
+@pytest.mark.parametrize("field", ["13", "3"])
+def test_glsm_stability_certifies_every_unstable_sample(runner, chamber, field):
+    # the identity the help states; over GF(13) a random point is unstable
+    # with probability about 13^-3, so GF(3) is what draws unstable ones
+    res = runner.invoke(main, ["glsm", "stability", "--field", field,
+                               "--chamber", chamber, "--samples", "300"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    stats = rep["stats"]
+    assert stats["unstable_certified"] == rep["samples"] - stats["semistable"]
+    assert stats["unstable_certified"] > 0 or field == "13"
+    help_text = runner.invoke(main, ["glsm", "stability", "--help"]).output
+    assert "stats.unstable_certified" in help_text
+
+
 @pytest.mark.parametrize("text", [
     "1 0 0\n0 1 0\n",
     "\n".join(["1 0 0 0"] * 6),

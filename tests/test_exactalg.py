@@ -11,8 +11,8 @@ from flagdual.exactalg import (GF, QQ, BudgetExceeded, Mat,
                                format_matrix, det, groebner_basis, interreduce,
                                is_prime, is_unit_ideal, minors, normal_form,
                                parse_matrix, saturate, spolynomials_reduce_to_zero)
-from flagdual.duality import pushforward_to_g35
-from flagdual.grassflag import random_hf_section
+from flagdual.duality import intertwiner_conditions, pushforward_to_g35
+from flagdual.grassflag import random_hf_section, script_matrix
 
 F17 = GF(17)
 F7 = GF(7)
@@ -105,7 +105,7 @@ def test_field_dot_matches_add_mul_loop(field, n):
 
 def _assert_rref_matches_sympy(field, data):
     """Mat.rref against sympy: Matrix.rref over QQ, DomainMatrix.rref over
-    GF(p); the pivot list and every entry must agree."""
+    GF(p); the pivot list and every entry must agree.  Returns the pivots."""
     sympy = pytest.importorskip("sympy")
     rows, cols = len(data), len(data[0]) if data else 0
     R, pivots = Mat(field, data).rref()
@@ -122,22 +122,34 @@ def _assert_rref_matches_sympy(field, data):
         expected = [[K.to_int(x) % field.p for x in row] for row in oracle.to_list()]
     assert pivots == list(opiv)
     assert [list(row) for row in R.data] == expected
+    return pivots
 
 
 @st.composite
 def _rref_cases(draw):
     """(field, data): entries from the field, some matrices a product through
-    a narrow middle (rank deficient), then zero rows and columns spliced in.
-    QQ entries are Fraction(n, d) with d of either sign and often sharing a
-    factor with n."""
+    a narrow middle (rank deficient), some sparse, then zero rows and columns
+    spliced in.  QQ entries are Fraction(n, d) with d of either sign and often
+    sharing a factor with n.  A sparse matrix is up to 10x12, each entry 0
+    with probability at least 2/3, so pivot rows differ in their number of
+    nonzeros and tie often: the pivot search and the back-substitution of
+    ``Mat.rref`` both matter there."""
     field = draw(st.sampled_from([QQ, F7, F17]))
     if field is QQ:
         entry = st.builds(Fraction, st.integers(-12, 12),
                           st.integers(-12, 12).filter(bool))
     else:
         entry = st.integers(0, field.p - 1)
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    if draw(st.booleans()):
+    regime = draw(st.sampled_from(["product", "dense", "sparse"]))
+    if regime == "sparse":
+        rows, cols = draw(st.integers(3, 10)), draw(st.integers(3, 12))
+        zero_p = draw(st.sampled_from([2 / 3, 3 / 4, 7 / 8]))
+        rng = draw(st.randoms(use_true_random=False))
+        data = [[field.zero if rng.random() < zero_p else field.coerce(draw(entry))
+                 for _ in range(cols)] for _ in range(rows)]
+    else:
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if regime == "product":
         inner = draw(st.integers(0, min(rows, cols) - 1))
         left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
                              min_size=rows, max_size=rows))
@@ -145,7 +157,7 @@ def _rref_cases(draw):
                               min_size=inner, max_size=inner))
         data = [[field.coerce(sum(a * right[k][j] for k, a in enumerate(row)))
                  for j in range(cols)] for row in left]
-    else:
+    elif regime == "dense":
         data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
     for _ in range(draw(st.integers(0, 2))):
@@ -162,6 +174,37 @@ def _rref_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_sympy(case):
     _assert_rref_matches_sympy(*case)
+
+
+@given(_rref_cases(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_rref_is_invariant_under_row_permutations(case, rng):
+    # the pivot search sees the rows in another order and may pick other
+    # pivots; the RREF of a matrix is unique, so the result may not change
+    field, data = case
+    shuffled = list(data)
+    rng.shuffle(shuffled)
+    assert Mat(field, shuffled).rref() == Mat(field, data).rref()
+
+
+def _commutant_system(name):
+    """One of the three 100x100 systems S^T M = M S of the full-size oracle
+    test, with its field and rank."""
+    if name == "script-gf17":
+        return F17, intertwiner_conditions(script_matrix(F17)).data, 72
+    system = intertwiner_conditions(random_hf_section(QQ, random.Random(3)))
+    if name == "random3-qq":
+        return QQ, system.data, 90
+    return F17, [[F17.coerce(x) for x in row] for row in system.data], 90
+
+
+@pytest.mark.parametrize("name", ["random3-qq", "random3-gf17", "script-gf17"])
+def test_rref_matches_sympy_on_the_commutant_systems(name):
+    # the 100x100 systems the commutant and certificate solve, at full size:
+    # sparse (under 1,800 nonzeros of 10,000), where the pivot order matters
+    field, data, rank = _commutant_system(name)
+    assert sum(x != 0 for row in data for x in row) < 1800
+    assert len(_assert_rref_matches_sympy(field, data)) == rank
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F17])
