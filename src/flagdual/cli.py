@@ -350,7 +350,11 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
     rank B = 2 in the minus chamber (the points over X), and is 0 in the
     plus chamber.  stats.unstable_certified counts the unstable samples whose
     certificate checks; every certificate built for an unstable point checks,
-    so it always equals samples - stats.semistable."""
+    so it always equals samples - stats.semistable.  A uniform point over
+    GF(q) is unstable with probability about q^-3, so a run at the default
+    --field 13 and --samples 1000 usually draws no unstable point and
+    stats.unstable_certified reads 0; --field 3 draws unstable points and
+    exercises the certificates."""
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "conventions": conventions_block()}

@@ -17,6 +17,8 @@ scalars, Poly or numpy arrays.  ``evaluate_batch`` evaluates polynomials over
 GF(p) at many points at once, in int64 numpy arrays; ``Poly.evaluate`` is its
 scalar oracle.  An ideal is the list of its generators: ``groebner_basis`` and
 ``saturate`` read the ring from them and refuse a list that mixes rings.
+Buchberger selects pairs by lowest lcm degree, except that a new element whose
+leading term divides an older one's reduces it at once, at its own degree.
 """
 from __future__ import annotations
 
@@ -988,7 +990,15 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     Buchberger with Gebauer-Moeller pruning.
 
     Monomial order is the ring's (degrevlex, or 1-variable elimination block).
-    Pair selection: lowest lcm degree first (normal strategy), ties by lcm.
+    Pair selection: lowest lcm degree first (normal strategy), ties by lcm,
+    with one exception: a pair whose lcm is the leading term of its older
+    element is a top-reduction of that element by the new one, and is queued
+    at the new element's degree.  On a non-homogeneous input such as z*f - 1
+    this runs the reduction as soon as it is possible, not at deg(z*f).  The
+    pair criteria hold for any selection order, so the order changes the
+    work, never the reduced basis (which is unique) or the unit verdict.
+    ``last_stats.max_degree_seen`` is the largest lcm degree of a reduced
+    pair, not its queue key.
     Raises BudgetExceeded after more than ``max_reductions`` S-pair
     reductions; the cap counts work, never time, so the result is a function
     of the input alone.
@@ -1002,7 +1012,7 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     lts: list[int] = []
     lcinvs: list = []
     gterms: list = []
-    pairs: list = []            # heap of (lcm degree, lcm, i, j)
+    pairs: list = []            # heap of (selection degree, lcm, i, j)
     first_divisor: dict = {}    # _normal_form's memo; lts only grows
     guards, zs = ring._guards, ring._z_shift
 
@@ -1026,7 +1036,10 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
                 continue
             met.append(l)
             if l != ring.mono_mul(lts[i], ltk):
-                heapq.heappush(pairs, (d, l, i, k))
+                # lcm = LT(g_i): the S-polynomial top-reduces the older g_i
+                # by g_k, so it runs at g_k's degree, not at g_i's
+                heapq.heappush(pairs, (ring.mono_deg(ltk) if l == lts[i] else d,
+                                       l, i, k))
 
     for g in interreduce(gens):
         G.append(g)
@@ -1039,8 +1052,8 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
             return [ring.one()]
 
     while pairs:
-        d, l, i, j = heapq.heappop(pairs)
-        stats.max_degree_seen = max(stats.max_degree_seen, d)
+        _, l, i, j = heapq.heappop(pairs)
+        stats.max_degree_seen = max(stats.max_degree_seen, ring.mono_deg(l))
         r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
                          lts, lcinvs, gterms, first_divisor)
         stats.reductions += 1

@@ -243,6 +243,9 @@ def test_glsm_stability_help_describes_the_command(runner):
     res = runner.invoke(main, ["glsm", "stability", "--help"])
     assert res.exit_code == 0
     assert "dW = 0" in res.output and "stats.critical" in res.output
+    # the sampling path's certificates run only on a small field
+    text = " ".join(res.output.split())
+    assert "probability about q^-3" in text and "--field 3 draws unstable points" in text
 
 
 @pytest.mark.parametrize("chamber", ["plus", "minus"])

@@ -391,9 +391,11 @@ def test_certificate_script_matrix():
     assert rep.saturation_result == "unit"
     assert rep.dim_commutant == 28
     assert not rep.hf_member
-    # pins the strength of the pair criteria: a weaker M, F or B criterion
-    # still gives a correct basis, but after more S-pair reductions
-    assert groebner_basis.last_stats.reductions == 3011
+    # pins the strength of the pair criteria and the selection rule: a weaker
+    # M, F or B criterion, or plain lcm-degree order for a pair whose lcm is
+    # an older leading term, still gives a correct basis, but after more
+    # S-pair reductions
+    assert groebner_basis.last_stats.reductions == 2415
 
 
 def test_certificate_never_certifies_a_self_dual_section():
@@ -425,8 +427,20 @@ def test_certificate_random_hf():
     assert rep.status == "certified_empty"
     assert rep.route == "reduced"
     assert rep.dim_commutant == 10 and rep.symmetric
-    # with the 3011 pin below: the memoised divisor search keeps the reducer
-    assert groebner_basis.last_stats.reductions == 651
+    # with the 2415 pin above: the memoised divisor search keeps the reducer;
+    # z*det - 1 is reduced as soon as a cubic's leading term divides its own,
+    # and that reduction gives 1 (all 242 pairs before it are of degree 3)
+    assert groebner_basis.last_stats.reductions == 243
+
+
+def test_certificate_rabinowitsch_fallback_on_a_generic_section():
+    # the charpoly of this QQ section is not squarefree mod 17, so the
+    # certificate takes the 25-variable route (about 3 in 100 generic draws)
+    rep = nonbirational_certificate(random_hf_section(QQ, random.Random(901)), 17)
+    assert (rep.status, rep.route) == ("certified_empty", "rabinowitsch")
+    assert rep.dim_commutant == 10 and rep.symmetric
+    assert not rep.charpoly_squarefree
+    assert groebner_basis.last_stats.reductions == 687
 
 
 def test_certificate_never_reads_the_clock(monkeypatch):
@@ -436,4 +450,4 @@ def test_certificate_never_reads_the_clock(monkeypatch):
     monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
     rep = nonbirational_certificate(random_hf_section(F17, random.Random(101)), 17)
     assert (rep.status, rep.route) == ("certified_empty", "reduced")
-    assert groebner_basis.last_stats.reductions == 651
+    assert groebner_basis.last_stats.reductions == 243

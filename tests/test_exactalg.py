@@ -510,6 +510,16 @@ def test_groebner_last_stats_follow_unit_ideals():
     assert stats.basis_size == 1 and stats.reductions == 0
 
 
+def test_groebner_stats_read_the_lcm_degree_of_a_lowered_pair():
+    # z*x*y^4 - 1 interreduces to -(z*y^5 + 1); the pair (x^2, xy + y^2)
+    # gives y^3, whose leading term divides z*y^5, so the pair that gives 1
+    # is queued at degree 3 (before the degree-4 pair of xy + y^2 and y^3)
+    # and is recorded at the degree of its lcm z*y^5
+    assert is_unit_ideal(saturate([X * X, X * Y + Y * Y], X * Y ** 4))
+    stats = groebner_basis.last_stats
+    assert (stats.reductions, stats.max_degree_seen) == (2, 6)
+
+
 def test_groebner_hand_example():
     basis = groebner_basis([X * Y - 1, Y * Y - 1])
     assert basis == [X - Y, Y * Y - 1]
@@ -627,25 +637,34 @@ def test_z_free_monomial_keeps_its_key(n):
         assert ring.encode(e) >> ext._z_shift == 0
 
 
+def _form(ring, rng, degree):
+    """A homogeneous form of ``degree`` with a random coefficient on every
+    monomial of that degree."""
+    f = ring.field
+    out = ring.zero()
+    for vs in itertools.combinations_with_replacement(range(ring.nvars), degree):
+        exps = [0] * ring.nvars
+        for v in vs:
+            exps[v] += 1
+        out = out + Poly(ring, {ring.encode(exps): 1}) * f.rand(rng)
+    return out
+
+
 @pytest.mark.parametrize("p", [7, 17])
 def test_saturate_matches_sympy(p):
-    # I : f^inf = (I + (t f - 1)) meet k[x, y, w], the t-free part of a lex
+    # I : f^inf = (I + (t f - 1)) meet k[x, ...], the t-free part of a lex
     # basis with t first; compared with saturate as ideals, by membership
     sympy = pytest.importorskip("sympy")
-    t, *syms = sympy.symbols("t x y w")
-    R3 = PolyRing(GF(p), ("x", "y", "w"))
-    rng = random.Random(53 + p)
 
-    def from_sympy(expr):
-        return sum((Poly(R3, {R3.encode(e): int(c) % p}) for e, c in
-                    sympy.Poly(expr, *syms, modulus=p).terms()), R3.zero())
+    def check(gens, h):
+        """saturate(gens, h), compared with sympy."""
+        ring = h.ring
+        t, *syms = sympy.symbols(("t",) + ring.names)
 
-    grew = 0
-    for _ in range(6):
-        a, b, h = (rand_poly(R3, rng, nterms=3, deg=2) for _ in range(3))
-        if not (a and b) or h.degree() < 1:
-            continue
-        gens = [a * h, b * rand_poly(R3, rng, nterms=2, deg=1) + a]
+        def from_sympy(expr):
+            return sum((Poly(ring, {ring.encode(e): int(c) % p}) for e, c in
+                        sympy.Poly(expr, *syms, modulus=p).terms()), ring.zero())
+
         ours = saturate(gens, h)
         assert interreduce(ours) == ours        # the z-free part comes reduced
         lex = sympy.groebner([sympy_expr(g, syms) for g in gens]
@@ -655,6 +674,36 @@ def test_saturate_matches_sympy(p):
         theirs_basis = groebner_basis(theirs)
         assert all(not normal_form(g, ours) for g in theirs)
         assert all(not normal_form(g, theirs_basis) for g in ours)
+        return ours
+
+    def larger(ours, gens):
         I_basis = groebner_basis(gens)
-        grew += any(normal_form(g, I_basis) for g in ours)
+        return any(normal_form(g, I_basis) for g in ours)
+
+    R3 = PolyRing(GF(p), ("x", "y", "w"))
+    rng = random.Random(53 + p)
+    grew = 0
+    for _ in range(6):
+        a, b, h = (rand_poly(R3, rng, nterms=3, deg=2) for _ in range(3))
+        if not (a and b) or h.degree() < 1:
+            continue
+        gens = [a * h, b * rand_poly(R3, rng, nterms=2, deg=1) + a]
+        grew += larger(check(gens, h), gens)
     assert grew >= 4
+    # quadric ideals saturated by a quartic: z*f - 1 has degree 5, and a new
+    # element of lower degree whose leading term divides z*LT(f) reduces it
+    # before the pairs of degree 5 run
+    units = proper = 0
+    for n in (3, 4):
+        ring = PolyRing(GF(p), ("x", "y", "w", "v")[:n])
+        # n general quadratic forms cut out the origin, where f vanishes
+        quadrics = [_form(ring, rng, 2) for _ in range(n)]
+        units += is_unit_ideal(check(quadrics, _form(ring, rng, 4)))
+        # l*x_1, ..., l*x_{n-1}, q: for general coefficients f = l*c removes
+        # the hyperplane l = 0 and leaves the two points of q on the last axis
+        l = _form(ring, rng, 1)
+        q = _form(ring, rng, 2) + _form(ring, rng, 1) + ring.const(1)
+        gens = [l * ring.var(i) for i in range(n - 1)] + [q]
+        ours = check(gens, l * _form(ring, rng, 3))
+        proper += not is_unit_ideal(ours) and larger(ours, gens)
+    assert units and proper
