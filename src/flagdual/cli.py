@@ -212,7 +212,7 @@ def duality_nonbirational(section, prime, budget, report):
     s = load_section(RunConfig(section=section), GF(prime))
     try:
         cert = duality_mod.verify_nonbirational(s, prime, budget)
-    except ValueError as exc:         # characteristic 3: no invariant complement
+    except ValueError as exc:         # characteristic 2 (no transpose split) or 3
         raise click.BadParameter(str(exc)) from None
     out = {"schema": SCHEMA, **cert["details"], "matrix": section_rows(s),
            "conventions": conventions_block()}

@@ -14,6 +14,16 @@ A map f makes the pair self-dual when iota_f(S) is a multiple of S, since
 X_{lambda S} = X_S.  The scan over random maps is evidence, not proof: a map
 hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.  The exact
 statement is the certificate, which covers lambda = 1 only.
+
+The commutant W = W_1 is solved as two blocks.  E(M) = S^T M - M S has
+E(M)^T = -E(M^T): E swaps symmetric and antisymmetric matrices, so W is the
+sum of its symmetric and antisymmetric parts when 2 is invertible
+(characteristic 2 is refused).  The two blocks, 45x55 on symmetric M and
+55x45 on antisymmetric M, are folded from the rows of the full 100x100
+system; their solutions and annihilator rows unfold back to vec(M).  For a
+nonderogatory S every intertwiner is symmetric (Taussky-Zassenhaus), so a
+generic W is 10-dimensional and the antisymmetric block has no kernel.
+``commutant_space`` returns the same basis as a solve of the full system.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, MAX_REDUCTIONS, BudgetExceeded, Field, Mat,
                        PolyRing, det, evaluate_batch, is_unit_ideal,
-                       minors, rref_kernel, saturate)
+                       minors, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
                         MatrixSubspace, SectionMatrix, complement_pair,
                         dual_coordinates, hf_project, hf_space, iota_action,
@@ -118,12 +128,69 @@ def intertwiner_conditions(S: SectionMatrix) -> Mat:
     return Mat(f, rows)
 
 
-def commutant_space(S: SectionMatrix) -> MatrixSubspace:
-    """Solution space of S^T M = M S as 10x10 matrices."""
+# The unknowns m_ab of a symmetric M (a <= b) and of an antisymmetric M
+# (a < b), row-major.  They also index the equations E_ij of the other block.
+_SYM_PAIRS = tuple((a, b) for a in range(10) for b in range(a, 10))
+_ANTI_PAIRS = tuple((a, b) for a in range(10) for b in range(a + 1, 10))
+
+
+def _transpose_blocks(S: SectionMatrix):
+    """S^T M = M S on symmetric M (45 equations E_ij, i < j, in the 55
+    unknowns m_ab, a <= b) and on antisymmetric M (55 equations E_ij, i <= j,
+    in the 45 unknowns m_ab, a < b).
+
+    E(M) = S^T M - M S has E(M)^T = -E(M^T), so E maps symmetric M to
+    antisymmetric matrices and antisymmetric M to symmetric ones.  Since the
+    commutant W is closed under transpose, W = W_sym + W_anti as soon as 2 is
+    invertible, and the two blocks are solved apart.  Each block folds the
+    rows c of ``intertwiner_conditions``: symmetric column (a, b), a < b, is
+    c_ab + c_ba and (a, a) is c_aa; antisymmetric column (a, b) is
+    c_ab - c_ba."""
     f = S.field
-    sys = intertwiner_conditions(S)
-    basis = [Mat(f, [v[10 * i:10 * i + 10] for i in range(10)])
-             for v in sys.kernel()]
+    if isinstance(f, GF) and f.p == 2:
+        raise ValueError("the symmetric/antisymmetric split of S^T M = M S "
+                         "needs 2 invertible: characteristic 2 is refused")
+    rows = intertwiner_conditions(S).data
+    sym = [[f.add(c[10 * a + b], c[10 * b + a]) if a < b else c[11 * a]
+            for a, b in _SYM_PAIRS]
+           for c in (rows[10 * i + j] for i, j in _ANTI_PAIRS)]
+    anti = [[f.sub(c[10 * a + b], c[10 * b + a]) for a, b in _ANTI_PAIRS]
+            for c in (rows[10 * i + j] for i, j in _SYM_PAIRS)]
+    return Mat._of(f, sym), Mat._of(f, anti)
+
+
+def _unfold(f: Field, vec, pairs, sign: int, diagonal: int) -> list:
+    """``vec``, indexed by ``pairs``, as a flattened 10x10 matrix: x at
+    (a, b), sign * x at (b, a), and diagonal * x at (a, a)."""
+    v = [f.zero] * 100
+    for (a, b), x in zip(pairs, vec):
+        if a == b:
+            v[11 * a] = f.mul(diagonal, x)
+        else:
+            v[10 * a + b] = x
+            v[10 * b + a] = f.mul(sign, x)
+    return v
+
+
+def commutant_space(S: SectionMatrix) -> MatrixSubspace:
+    """Solution space W of S^T M = M S as 10x10 matrices, from its two
+    transpose blocks (``_transpose_blocks``).  A kernel vector of the
+    symmetric block unfolds to M_ab = M_ba = m_ab, one of the antisymmetric
+    block to M_ab = m_ab, M_ba = -m_ab.
+
+    The basis is the canonical one: the unique basis of W that is the
+    identity on the free columns of the full 100x100 system, in the order of
+    those columns.  Its vectors have their last nonzero entry, a 1, at their
+    own free column and are zero on the others, so they are the RREF of any
+    basis of W with the columns reversed, in reverse order.  Characteristic 2
+    is refused."""
+    f = S.field
+    sym, anti = _transpose_blocks(S)
+    vecs = ([_unfold(f, k, _SYM_PAIRS, 1, 1) for k in sym.kernel()]
+            + [_unfold(f, k, _ANTI_PAIRS, -1, 1) for k in anti.kernel()])
+    R, _ = Mat._of(f, [v[::-1] for v in vecs]).rref()
+    flat = [row[::-1] for row in reversed(R.data)]
+    basis = [Mat._of(f, [v[10 * i:10 * i + 10] for i in range(10)]) for v in flat]
     return MatrixSubspace(f, basis)
 
 
@@ -174,14 +241,23 @@ class CertificateReport:
 
 
 def _commutant_facts(S: SectionMatrix):
-    """From one reduction of S^T M = M S: the commutant's dimension, whether
-    every commutant basis matrix is symmetric, and the annihilator rows (the
-    nonzero rows of the RREF)."""
-    R, piv = intertwiner_conditions(S).rref()
-    basis = rref_kernel(R, piv)
-    sym = all(v[10 * i + j] == v[10 * j + i]
-              for v in basis for i in range(10) for j in range(i))
-    return len(basis), sym, R.data[:len(piv)]
+    """From one reduction of each transpose block of S^T M = M S
+    (``_transpose_blocks``): the commutant's dimension (the sum of the two
+    kernel dimensions), whether every commutant matrix is symmetric (the
+    antisymmetric block has no kernel), and the annihilator rows in vec(M)
+    coordinates.  These unfold the nonzero RREF rows of the blocks: a
+    symmetric-block row r puts r_ab at (a, b) and (b, a) and 2 r_aa at
+    (a, a), so that it reads r on the symmetric part (M + M^T) / 2, doubled;
+    an antisymmetric-block row r puts r_ab at (a, b) and -r_ab at (b, a).
+    Together they span the row space of the full system, so the reduced
+    echelon basis of the certificate's generators, and hence its Groebner
+    run, is that of the full system.  Characteristic 2 is refused."""
+    f = S.field
+    (Rs, ps), (Ra, pa) = (block.rref() for block in _transpose_blocks(S))
+    dim = 100 - len(ps) - len(pa)
+    ann = ([_unfold(f, r, _SYM_PAIRS, 1, 2) for r in Rs.data[:len(ps)]]
+           + [_unfold(f, r, _ANTI_PAIRS, -1, 1) for r in Ra.data[:len(pa)]])
+    return dim, len(pa) == len(_ANTI_PAIRS), ann
 
 
 def _unknowns(field: Field, route: str):

@@ -613,21 +613,20 @@ class PolyRing:
 
     # -- element constructors ------------------------------------------------
     def zero(self):
-        return Poly(self, {})
+        return Poly._of(self, {})
 
     def one(self):
-        return Poly(self, {self.one_mono: self.field.one})
+        return Poly._of(self, {self.one_mono: self.field.one})
 
     def const(self, c):
-        c = self.field.coerce(c)
-        return Poly(self, {} if self.field.is_zero(c) else {self.one_mono: c})
+        return Poly(self, {self.one_mono: c})
 
     def var(self, i) -> "Poly":
         if isinstance(i, str):
             i = self.names.index(i)
         e = [0] * self.nvars
         e[i] = 1
-        return Poly(self, {self.encode(e): self.field.one})
+        return Poly._of(self, {self.encode(e): self.field.one})
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
@@ -637,14 +636,31 @@ class PolyRing:
 
 
 class Poly:
-    """Sparse multivariate polynomial: dict packed-monomial -> coefficient."""
+    """Sparse multivariate polynomial: dict packed-monomial -> coefficient.
+
+    Its coefficients are canonical and nonzero.  ``Poly(ring, terms)``
+    coerces every coefficient and drops the zeros, so ``Poly(ring, {m: 0})``
+    is the zero polynomial; the operations below build their results with
+    ``_of``, which takes such terms as they are."""
 
     __slots__ = ("ring", "terms", "_eval_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        f = ring.field
+        canonical = ((m, f.coerce(c)) for m, c in terms.items())
+        self._set(ring, {m: c for m, c in canonical if not f.is_zero(c)})
+
+    def _set(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._eval_terms = None
+
+    @classmethod
+    def _of(cls, ring: PolyRing, terms: dict) -> "Poly":
+        """The polynomial of canonical nonzero coefficients, not coerced."""
+        poly = cls.__new__(cls)
+        poly._set(ring, terms)
+        return poly
 
     def __bool__(self):
         return bool(self.terms)
@@ -689,13 +705,13 @@ class Poly:
                 big.pop(m, None)
             else:
                 big[m] = v
-        return Poly(self.ring, big)
+        return Poly._of(self.ring, big)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.ring.field
-        return Poly(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
+        return Poly._of(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -709,7 +725,7 @@ class Poly:
             c = f.coerce(other)
             if f.is_zero(c):
                 return self.ring.zero()
-            return Poly(self.ring, {m: f.mul(cc, c) for m, cc in self.terms.items()})
+            return Poly._of(self.ring, {m: f.mul(cc, c) for m, cc in self.terms.items()})
         other = self._coerce(other)
         if self.degree() + other.degree() > _CMAX:
             raise ValueError("total degree overflow (cap %d)" % _CMAX)
@@ -734,7 +750,7 @@ class Poly:
                         del out[key]
                     else:
                         out[key] = v
-        return Poly(ring, out)
+        return Poly._of(ring, out)
 
     __rmul__ = __mul__
 
@@ -770,7 +786,7 @@ class Poly:
             if f.is_zero(nc):
                 continue
             out[m + (1 << shift) - (1 << ring._deg_shift)] = nc
-        return Poly(ring, out)
+        return Poly._of(ring, out)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point given as raw field values."""
@@ -926,7 +942,7 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
                     work[key] = v
                 else:
                     del work[key]
-    return Poly(ring, rem)
+    return Poly._of(ring, rem)
 
 
 def normal_form(fpoly: Poly, basis: Sequence[Poly]) -> Poly:
@@ -940,7 +956,7 @@ def normal_form(fpoly: Poly, basis: Sequence[Poly]) -> Poly:
 def _monic(p: Poly) -> Poly:
     f = p.ring.field
     inv = f.inv(p.leading_coeff())
-    return Poly(p.ring, {m: f.mul(c, inv) for m, c in p.terms.items()})
+    return Poly._of(p.ring, {m: f.mul(c, inv) for m, c in p.terms.items()})
 
 
 def interreduce(polys: Sequence[Poly]) -> list:
@@ -982,7 +998,7 @@ def _spolynomial(ring: PolyRing, l: int, i: int, j: int,
             s.pop(key, None)
         else:
             s[key] = v
-    return Poly(ring, s)
+    return Poly._of(ring, s)
 
 
 def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -> list:
@@ -1116,9 +1132,9 @@ def saturate(gens: Sequence[Poly], fpoly: Poly,
     """
     ring = _common_ring([*gens, fpoly])
     ext = PolyRing(ring.field, ("_z",) + ring.names, elim_first=True)
-    lifted = [Poly(ext, dict(g.terms)) for g in gens]
-    lifted.append(ext.var(0) * Poly(ext, dict(fpoly.terms)) - ext.one())
-    return [Poly(ring, dict(g.terms)) for g in groebner_basis(lifted, max_reductions)
+    lifted = [Poly(ext, g.terms) for g in gens]
+    lifted.append(ext.var(0) * Poly(ext, fpoly.terms) - ext.one())
+    return [Poly(ring, g.terms) for g in groebner_basis(lifted, max_reductions)
             if not any(m >> ext._z_shift for m in g.terms)]
 
 

@@ -167,6 +167,7 @@ def test_motivic_commands(runner, tmp_path):
     ["verify-paper", "--budget", "0"],
     ["verify-paper", "--qs", "2,2"],                   # one field counted twice
     ["duality", "selfdual", "--field", "2"],           # no unique invariant complement
+    ["duality", "nonbirational", "--prime", "2"],       # no symmetric/antisymmetric split
 ])
 def test_field_sizes_must_be_prime(runner, args):
     res = runner.invoke(main, args)
@@ -505,6 +506,9 @@ def test_benchmark_generic_pass_passes_its_checks(tmp_path):
     found = checks.check_generic(s.mat.data, result, res.returncode)
     assert len(found) == 8
     assert [name for name, ok in found if not ok] == [], res.stderr
+    # the same commutant basis, in the same order, and the same certificate
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2620326568202f7ab6e343f98f24ee2fc6a2219a4e0a404f09c130a5c42ac069")
 
 
 def test_stage_names_match_benchmark_tracer():

@@ -363,6 +363,44 @@ def test_commutant_generic_hf_rational():
     assert [Mat(P, m.data) for m in W.basis] == commutant_space(s.to_field(P)).basis
 
 
+_SPLIT_SECTIONS = {
+    "generic-qq": lambda: random_hf_section(QQ, random.Random(3)),
+    "generic-mod-17": lambda: random_hf_section(QQ, random.Random(3)).to_field(F17),
+    "script": lambda: script_matrix(F17),
+    "script-hf": lambda: hf_project(script_matrix(F17)),
+    "identity": lambda: SectionMatrix(Mat.identity(F17, 10)),
+    "random-gf17": lambda: SectionMatrix(Mat.random(F17, 10, 10, random.Random(23))),
+}
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("generic-qq", (10, 0)), ("generic-mod-17", (10, 0)), ("script", (19, 9)),
+    ("script-hf", (12, 2)), ("identity", (55, 45)), ("random-gf17", (10, 0)),
+])
+def test_transpose_blocks_solve_the_full_system(name, dims):
+    # oracle: the 100x100 system of intertwiner_conditions, solved whole
+    s = _SPLIT_SECTIONS[name]()
+    f = s.field
+    full = intertwiner_conditions(s)
+    sym, anti = duality._transpose_blocks(s)
+    assert (len(sym.kernel()), len(anti.kernel())) == dims
+    # the commutant basis is the full system's kernel basis, in its order
+    expected = [Mat(f, [v[10 * i:10 * i + 10] for i in range(10)]) for v in full.kernel()]
+    assert commutant_space(s).basis == expected
+    # the unfolded annihilator rows span the full system's row space
+    dim, symmetric, ann = duality._commutant_facts(s)
+    assert (dim, symmetric) == (sum(dims), dims[1] == 0)
+    R, pivots = full.rref()
+    assert Mat(f, ann).rref() == (Mat(f, R.data[:len(pivots)]), pivots)
+
+
+def test_transpose_split_refuses_characteristic_2():
+    s = script_matrix(GF(2))
+    for call in (lambda: commutant_space(s), lambda: nonbirational_certificate(s, 2)):
+        with pytest.raises(ValueError, match="characteristic 2"):
+            call()
+
+
 def test_det_of_unknowns_is_the_permutation_sum():
     # the det T that the certificate saturates by, against the Leibniz sum
     ring, grid = _unknowns(F17, "rabinowitsch")

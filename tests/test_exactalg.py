@@ -420,6 +420,22 @@ def test_no_zero_coefficients_stored():
     assert all(c != 0 for c in p.terms.values())
 
 
+def test_zero_coefficients_are_dropped_at_construction():
+    # a zero (or non-canonical) coefficient given to the constructor never
+    # reaches the reductions, which invert leading coefficients
+    R = PolyRing(F7, ("x", "y"))
+    x, y = R.gens()
+    x2 = R.encode([2, 0])
+    assert not Poly(R, {x2: 0}) and Poly(R, {x2: 0}) == R.zero()
+    assert Poly(R, {x2: 14}) == R.zero() and Poly(R, {x2: 8}) == x * x
+    bad = Poly(R, {x2: 0, R.encode([0, 1]): 1})
+    assert bad == y and bad.leading_coeff() == 1
+    for good in (y, bad):
+        assert normal_form(x * x + y, [good]) == x * x
+        assert interreduce([good, x * x + y * 3]) == [y, x * x]
+        assert saturate([good * x, x * x * y], x) == [y]
+
+
 def test_degrevlex_order():
     # x^2 > xy > y^2 > xz-type comparisons in three variables
     R3 = PolyRing(F17, ("x", "y", "z"))
