@@ -392,7 +392,7 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
 # Each stage calls the claim's check in the module that owns its maths; they
 # draw from one shared rng in this order, so the seed fixes the whole report.
 STAGES = [
-    ("spaces", lambda cfg, rng: grassflag.verify_spaces(rng)),
+    ("spaces", lambda cfg, rng: grassflag.verify_spaces()),
     ("duality_build",
      lambda cfg, rng: duality_mod.verify_pushforwards(rng, cfg.samples)),
     ("selfdual_scan",
@@ -403,8 +403,7 @@ STAGES = [
      lambda cfg, rng: motivic_mod.verify_l_equivalence(cfg.qs, rng)),
     ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
     ("mutation_replay", lambda cfg, rng: mutation_mod.verify_replay()),
-    ("glsm", lambda cfg, rng: glsm_mod.verify_phases(
-        load_section(cfg, QQ), rng, cfg.samples)),
+    ("glsm", lambda cfg, rng: glsm_mod.verify_phases(load_section(cfg, QQ), rng)),
 ]
 
 
@@ -447,7 +446,9 @@ def verify_paper(cfg: RunConfig) -> dict:
 
 @main.command("verify-paper")
 @click.option("--seed", default=0)
-@click.option("--samples", default=200, type=click.IntRange(1, 200))
+@click.option("--samples", default=200, type=click.IntRange(1, 200),
+              help="random points of the pushforward and gauge checks; "
+                   "only the duality_build stage reads it")
 @click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
               help="cap on the S-pair reductions of the certificate's one saturation")
 @click.option("--qs", default="2,3", callback=_prime_list_option)

@@ -4,12 +4,14 @@ critical locus of the superpotential W = omega . shat(B) in both phases.
 
 One-parameter subgroups are monomial families g_n^{-1} = C diag(n^w) C^{-1}
 with integer weights; limits are checked by exact valuation bookkeeping.
+``glsm stability`` reports semistability and certificates point by point.
 
 Both phases read their critical locus from dW = 0.  In the plus chamber it is
 the G(3,5)-side threefold Y when the section is regular; ``okonek_scan``
 decides that exactly over F_p, at every point of Y(F_p).  In the minus chamber
 the rank-2 critical classes are the points of the G(2,5)-side threefold X,
-which ``critical_gauge_class_count`` counts against ``count_X``.
+which ``critical_gauge_class_count`` counts against ``count_X``.  These two
+critical-locus checks are what the ``verify-paper`` stage runs.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import Field, GF, Mat, det, evaluate_batch
+from .exactalg import Field, GF, Mat, evaluate_batch
 from .duality import pushforward_to_g35
-from .grassflag import SectionMatrix, random_grass_point, random_hf_section
+from .grassflag import SectionMatrix, random_hf_section
 from .motivic import (_pushforward_vectors, _section_array, count_X,
                       enumerate_grassmannian, minors_batch, y_points)
 
@@ -41,17 +43,6 @@ class GLSMPoint:
             raise ValueError("B must be 5x3")
         if len(self.omega) != 3:
             raise ValueError("omega must have 3 entries")
-
-
-def gauge_transform(pt: GLSMPoint, g: Mat) -> GLSMPoint:
-    """g . (B, omega) = (B g^{-1}, det(g)^2 omega g^{-1})."""
-    f = pt.field
-    gi = g.inverse()
-    B2 = pt.B * gi
-    d = f.coerce(det(g.data))
-    d2 = f.mul(d, d)
-    om = tuple(f.mul(d2, sum_) for sum_ in gi.transpose().apply(pt.omega))
-    return GLSMPoint(B2, om)
 
 
 @lru_cache(maxsize=8)
@@ -187,32 +178,6 @@ def random_point(field: Field, rng: random.Random) -> GLSMPoint:
                      tuple(field.rand(rng) for _ in range(3)))
 
 
-def random_unstable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
-    """Draw from the unstable strata: rank-deficient B (plus chamber);
-    omega = 0 or a common kernel vector (minus chamber)."""
-    f = field
-    while True:
-        if chamber == "plus":
-            a = random_grass_point(f, 2, rng)
-            mix = Mat.random(f, 2, 3, rng)
-            pt = GLSMPoint(a * mix, tuple(f.rand(rng) for _ in range(3)))
-        else:
-            if rng.random() < 0.5:
-                pt = GLSMPoint(Mat.random(f, 5, 3, rng), (f.zero,) * 3)
-            else:
-                # force a common kernel vector
-                v = [f.rand(rng) for _ in range(3)]
-                if all(f.is_zero(x) for x in v):
-                    continue
-                C = _complete_basis(f, v)
-                B0 = Mat(f, [[f.zero] + [f.rand(rng) for _ in range(2)]
-                             for _ in range(5)])
-                om0 = (f.zero, f.rand(rng), f.rand(rng))
-                pt = gauge_transform(GLSMPoint(B0, om0), C.inverse())
-        if not semistable(pt, chamber):
-            return pt
-
-
 def _singular_rows(S_arr, pivots, B, p: int) -> np.ndarray:
     """Which points of a block of Y(F_p) with pivot rows ``pivots`` have a
     quintic Jacobian of rank < 3.  At a zero of shat the gauge directions lie
@@ -280,25 +245,13 @@ def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:
             "agree": enumerated == x_count}
 
 
-def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
-    """Gauge-invariant semistability and valid instability certificates over
-    GF(13); over GF(3), the rank-2 minus-chamber critical classes (dW = 0 at
-    the normal form) counted against X; and a generic Y with no singular
-    F_7-point, where the plus-chamber critical locus is Y itself."""
-    f = GF(13)
-    inv_ok = True
-    for _ in range(samples):
-        pt = random_point(f, rng)
-        g = Mat.random_invertible(f, 3, rng)
-        moved = gauge_transform(pt, g)
-        for chamber in ("plus", "minus"):
-            inv_ok &= semistable(pt, chamber) == semistable(moved, chamber)
-    cert_ok = True
-    for chamber in ("plus", "minus"):
-        for _ in range(min(samples, 100)):
-            pt = random_unstable(f, chamber, rng)
-            cert = instability_certificate(pt, chamber)
-            cert_ok &= verify_certificate(pt, cert, chamber)["valid"]
+def verify_phases(S: SectionMatrix, rng: random.Random) -> dict:
+    """The critical loci of both phases: over GF(3), the rank-2 minus-chamber
+    critical classes (dW = 0 at the normal form) counted against X; and a
+    generic Y with no singular F_7-point, where the plus-chamber critical
+    locus is Y itself.  Gauge invariance of semistability (a rank condition)
+    and the instability certificates (each read off the kernel vector that
+    makes its point unstable) cannot fail, so only the tests check them."""
     two_routes = critical_gauge_class_count(SectionMatrix(
         Mat.random(GF(3), 10, 10, rng)), 3)
     # Okonek's identification needs a regular section.  Regularity is decided
@@ -315,9 +268,7 @@ def verify_phases(S: SectionMatrix, rng: random.Random, samples: int) -> dict:
         okonek_script = okonek_scan(S, 7)
     except ZeroDivisionError as exc:   # a denominator of S divisible by 7
         okonek_script = {"prime": 7, "error": str(exc)}
-    ok = inv_ok and cert_ok and two_routes["agree"] and not okonek["singular"]
-    return {"ok": ok, "details": {"gauge_invariance": inv_ok,
-                                  "certificates": cert_ok,
-                                  "x_two_routes": two_routes,
+    ok = two_routes["agree"] and not okonek["singular"]
+    return {"ok": ok, "details": {"x_two_routes": two_routes,
                                   "okonek_generic": okonek,
                                   "okonek_script_matrix": okonek_script}}

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from flagdual import glsm, motivic
-from flagdual.exactalg import GF, QQ, Field, Mat, Poly, PolyRing, minors
+from flagdual.exactalg import GF, QQ, Field, Mat, Poly, PolyRing, det, minors
 from flagdual.duality import QUINTIC_VARS, pushforward_to_g25
-from flagdual.glsm import (GLSMPoint, _singular_rows, critical_gauge_class_count,
-                           critical_member, gauge_transform, instability_certificate,
-                           model_for, okonek_scan, random_point, random_unstable,
-                           semistable, verify_certificate)
+from flagdual.glsm import (GLSMPoint, _complete_basis, _singular_rows,
+                           critical_gauge_class_count, critical_member,
+                           instability_certificate, model_for, okonek_scan,
+                           random_point, semistable, verify_certificate)
 from flagdual.grassflag import (SectionMatrix, pluecker, random_grass_point,
                                 random_hf_section, script_matrix)
 from flagdual.motivic import (_section_array, count_M_via_g25, eval_poly,
@@ -33,6 +33,40 @@ def superpotential(pt: GLSMPoint, S: SectionMatrix):
     for w, v in zip(pt.omega, sh):
         acc = f.add(acc, f.mul(w, v))
     return acc
+
+
+def gauge_transform(pt: GLSMPoint, g: Mat) -> GLSMPoint:
+    """g . (B, omega) = (B g^{-1}, det(g)^2 omega g^{-1})."""
+    f = pt.field
+    gi = g.inverse()
+    d = f.coerce(det(g.data))
+    d2 = f.mul(d, d)
+    om = tuple(f.mul(d2, x) for x in gi.transpose().apply(pt.omega))
+    return GLSMPoint(pt.B * gi, om)
+
+
+def random_unstable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
+    """Draw from the unstable strata: rank-deficient B (plus chamber);
+    omega = 0 or a common kernel vector (minus chamber)."""
+    f = field
+    while True:
+        if chamber == "plus":
+            a = random_grass_point(f, 2, rng)
+            mix = Mat.random(f, 2, 3, rng)
+            pt = GLSMPoint(a * mix, tuple(f.rand(rng) for _ in range(3)))
+        elif rng.random() < 0.5:
+            pt = GLSMPoint(Mat.random(f, 5, 3, rng), (f.zero,) * 3)
+        else:
+            # force a common kernel vector
+            v = [f.rand(rng) for _ in range(3)]
+            if all(f.is_zero(x) for x in v):
+                continue
+            C = _complete_basis(f, v)
+            B0 = Mat(f, [[f.zero] + [f.rand(rng) for _ in range(2)] for _ in range(5)])
+            om0 = (f.zero, f.rand(rng), f.rand(rng))
+            pt = gauge_transform(GLSMPoint(B0, om0), C.inverse())
+        if not semistable(pt, chamber):
+            return pt
 
 
 def random_semistable(field: Field, chamber: str, rng: random.Random) -> GLSMPoint:
@@ -113,7 +147,6 @@ def test_certificate_weights_match_construction():
     # common-kernel point: the published family diag(n^3, n^-2, n^-2)
     f = F13
     v = (1, 2, 3)
-    from flagdual.glsm import _complete_basis
     C = _complete_basis(f, v)
     B0 = Mat(f, [[0] + [f.rand(rng) for _ in range(2)] for _ in range(5)])
     om0 = (0, 1, 5)

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from flagdual.duality import commutant_space
-from flagdual.exactalg import GF, QQ, Mat
-from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap,
-                                SectionMatrix, dual_coordinates,
+from flagdual.exactalg import GF, QQ, Mat, exterior_square
+from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, MatrixSubspace,
+                                SectionMatrix, _generators, _iota_invariant,
+                                dual_coordinates,
                                 flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, pluecker,
@@ -103,15 +105,50 @@ def test_iota_identity_and_scalar():
 
 @pytest.mark.parametrize("field", [F17, F7])
 def test_iota_preserves_both_subspaces(field):
+    # the stage's generator check on every basis vector of both subspaces;
+    # for the complement it is the oracle of the annihilator lemma in
+    # verify_spaces, which the stage relies on
+    assert _iota_invariant(flag_ideal_space(field))
+    assert _iota_invariant(hf_space(field))
+
+
+def test_iota_check_sees_a_non_invariant_subspace():
+    # the ideal with one basis vector swapped for one of the complement
+    ideal, hf = flag_ideal_space(F17), hf_space(F17)
+    assert not _iota_invariant(MatrixSubspace(F17, [hf.basis[0]] + ideal.basis[1:]))
+
+
+@pytest.mark.parametrize("p", [17, 7])
+def test_three_is_a_primitive_root(p):
+    assert min(k for k in range(1, p) if pow(3, k, p) == 1) == p - 1
+
+
+def test_commutators_give_every_transvection():
+    # [I + E_ij, I + E_jk] = I + E_ik for distinct i, j, k, and from the
+    # adjacent pairs (i, i +- 1) of the generators that rule reaches all 20
+    def elementary(i, j, c=1):
+        return Mat(F17, [[c if (r, k) == (i, j) else int(r == k) for k in range(5)]
+                         for r in range(5)])
+
+    for i, j, k in itertools.permutations(range(5), 3):
+        x, y = elementary(i, j), elementary(j, k)
+        assert x * y * x.inverse() * y.inverse() == elementary(i, k)
+    adjacent = [(i, i + 1) for i in range(4)] + [(i + 1, i) for i in range(4)]
+    assert _generators(F17) == [elementary(i, j) for i, j in adjacent] + [elementary(0, 0, 3)]
+    reached = set(adjacent)
+    for _ in range(4):
+        reached |= {(i, k) for i, j in reached for j2, k in reached if j == j2 and i != k}
+    assert len(reached) == 20
+
+
+def test_iota_of_transpose_is_conjugation():
     rng = random.Random(29)
-    ideal = flag_ideal_space(field)
-    hf = hf_space(field)
-    for _ in range(10):
-        f = DualityMap.random(field, rng)
-        for m in (ideal.basis[0], ideal.basis[13]):
-            assert ideal.contains(iota_action(SectionMatrix(m), f).mat)
-        for m in (hf.basis[0], hf.basis[40]):
-            assert hf.contains(iota_action(SectionMatrix(m), f).mat)
+    s = random_hf_section(F17, rng)
+    ident = DualityMap(Mat.identity(F17, 5))
+    for T in _generators(F17) + [Mat.random_invertible(F17, 5, rng)]:
+        dm = DualityMap(T)
+        M = exterior_square(T)
+        assert iota_action(iota_action(s, ident), dm).mat == M.inverse() * s.mat * M
 
 
 def _contains_by_elimination(space, m):
