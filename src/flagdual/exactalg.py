@@ -17,8 +17,11 @@ scalars, Poly or numpy arrays.  ``evaluate_batch`` evaluates polynomials over
 GF(p) at many points at once, in int64 numpy arrays; ``Poly.evaluate`` is its
 scalar oracle.  An ideal is the list of its generators: ``groebner_basis`` and
 ``saturate`` read the ring from them and refuse a list that mixes rings.
-Buchberger selects pairs by lowest lcm degree, except that a new element whose
-leading term divides an older one's reduces it at once, at its own degree.
+There is one monomial order, degrevlex: ``saturate`` adjoins the Rabinowitsch
+variable as the last variable, and its basis answers whether the saturation
+is the unit ideal, which no order changes.  Buchberger selects pairs by
+lowest lcm degree, except that a new element whose leading term divides an
+older one's reduces it at once, at its own degree.
 """
 from __future__ import annotations
 
@@ -512,45 +515,34 @@ def format_matrix(M: Mat) -> str:
 #
 # Monomials are packed into a single int.  Layout (most significant first):
 #
-#   [ zdeg (16 bits, elimination block, optional) | totdeg (16 bits)
-#     | comp(e_{n-1}) | ... | comp(e_0) ]   with comp(e) = 127 - e, 8 bits each
+#   [ totdeg | comp(e_{n-1}) | ... | comp(e_0) ]   with comp(e) = 127 - e, 8 bits each
 #
-# Integer comparison of packed monomials is exactly the degrevlex order
-# (block-eliminating the first variable when elim_first is set).  Products are
-# packed additions modulo a constant offset.  Bit 7 of every variable field is
-# a guard bit, always clear in a monomial, so whole words act fieldwise:
+# Integer comparison of packed monomials is exactly the degrevlex order.
+# Products are packed additions modulo a constant offset.  Bit 7 of every
+# variable field is a guard bit, always clear in a monomial, so whole words act
+# fieldwise:
 #
-# * b divides a iff ``not (b - a) & guards and b >> zs <= a >> zs``: a field
-#   of b - a borrows exactly where e_i(b) > e_i(a), and the z test compares
-#   the elimination block (zs is the z shift; plain rings have z = 0, so the
-#   same test holds there);
+# * b divides a iff ``not (b - a) & guards``: a field of b - a borrows exactly
+#   where e_i(b) > e_i(a);
 # * lcm is the fieldwise min of the complements: ``((a|guards) - b) & guards``
 #   flags the fields where comp_a >= comp_b, without borrows between fields;
-#   its total degree is 127*n minus the byte sum, its z the larger z.
+#   its total degree is 127*n minus the byte sum.
 #
 # Total degree is capped at 127.
 
 _VB = 8            # bits per variable field
 _CMAX = 127        # max exponent per variable
-_DEGBITS = 16
 
 
 class PolyRing:
-    """Polynomial ring with named variables, degrevlex order.
+    """Polynomial ring with named variables, degrevlex order (the last
+    variable is the smallest)."""
 
-    With ``elim_first=True`` the first variable forms a one-variable
-    elimination block ahead of the degrevlex block (used by saturation).
-    """
-
-    def __init__(self, field: Field, names: Sequence[str], elim_first: bool = False):
+    def __init__(self, field: Field, names: Sequence[str]):
         self.field = field
         self.names = tuple(names)
-        self.nvars = len(self.names)
-        self.elim_first = elim_first
-        n = self.nvars - 1 if elim_first else self.nvars
-        self._nord = n                      # number of degrevlex variables
+        self.nvars = n = len(self.names)
         self._deg_shift = _VB * n
-        self._z_shift = self._deg_shift + _DEGBITS
         self._offset = sum(_CMAX << (_VB * i) for i in range(n))
         self._guards = sum(0x80 << (_VB * i) for i in range(n))
         self._fields = (1 << self._deg_shift) - 1   # all variable fields
@@ -561,55 +553,38 @@ class PolyRing:
     def encode(self, exps: Sequence[int]) -> int:
         if len(exps) != self.nvars:
             raise ValueError("wrong exponent length")
-        if self.elim_first:
-            z, rest = exps[0], exps[1:]
-        else:
-            z, rest = 0, exps
-        tot = sum(rest)
-        if tot > _CMAX or any(e < 0 or e > _CMAX for e in exps) or z > 0xFFFF:
+        tot = sum(exps)
+        if tot > _CMAX or any(e < 0 or e > _CMAX for e in exps):
             raise ValueError("exponent overflow")
-        # degrevlex fields: variable i sits at shift _VB*i, complemented.
-        m = sum((_CMAX - e) << (_VB * i) for i, e in enumerate(rest))
-        m |= tot << self._deg_shift
-        if self.elim_first:
-            m |= z << self._z_shift
-        return m
+        # variable i sits at shift _VB*i, complemented
+        m = sum((_CMAX - e) << (_VB * i) for i, e in enumerate(exps))
+        return m | tot << self._deg_shift
 
     def decode(self, m: int) -> tuple:
         got = self._mono_cache.get(m)
-        if got is not None:
-            return got
-        rest = tuple(_CMAX - ((m >> (_VB * i)) & 0xFF) for i in range(self._nord))
-        if self.elim_first:
-            out = (m >> self._z_shift,) + rest
-        else:
-            out = rest
-        self._mono_cache[m] = out
-        return out
+        if got is None:
+            got = self._mono_cache[m] = tuple(
+                _CMAX - ((m >> (_VB * i)) & 0xFF) for i in range(self.nvars))
+        return got
 
     def mono_mul(self, a: int, b: int) -> int:
         return a + b - self._offset
 
     def mono_divides(self, b: int, a: int) -> bool:
         """Does monomial b divide monomial a?  (Inlined in the Buchberger loop.)"""
-        zs = self._z_shift
-        return not (b - a) & self._guards and b >> zs <= a >> zs
+        return not (b - a) & self._guards
 
     def mono_deg(self, m: int) -> int:
-        d = (m >> self._deg_shift) & 0xFFFF
-        if self.elim_first:
-            d += m >> self._z_shift
-        return d
+        return m >> self._deg_shift
 
     def mono_lcm(self, a: int, b: int) -> int:
         ge = ((a | self._guards) - b) & self._guards
         mask = ge - (ge >> 7)               # 0x7F where comp_a >= comp_b
         m = (a ^ ((a ^ b) & mask)) & self._fields
-        tot = _CMAX * self._nord - sum(m.to_bytes(self._nord, "little"))
+        tot = _CMAX * self.nvars - sum(m.to_bytes(self.nvars, "little"))
         if tot > _CMAX:
             raise ValueError("exponent overflow")
-        zs = self._z_shift
-        return m | tot << self._deg_shift | max(a >> zs, b >> zs) << zs
+        return m | tot << self._deg_shift
 
     # -- element constructors ------------------------------------------------
     def zero(self):
@@ -772,11 +747,8 @@ class Poly:
         ring = self.ring
         if isinstance(i, str):
             i = ring.names.index(i)
-        if ring.elim_first and i == 0:
-            raise ValueError("derivative in the elimination variable is unsupported")
-        vi = i - 1 if ring.elim_first else i
         f = ring.field
-        shift = _VB * vi
+        shift = _VB * i
         out = {}
         for m, c in self.terms.items():
             e = _CMAX - ((m >> shift) & 0xFF)
@@ -904,7 +876,7 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
     """
     ring = fpoly.ring
     p = ring.field.p
-    guards, zs = ring._guards, ring._z_shift
+    guards = ring._guards
     nlts = len(lts)
     work = dict(fpoly.terms)
     heap = [-m for m in work]
@@ -917,10 +889,8 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
             continue
         red = first_divisor.get(m, 0)
         if red <= 0:
-            mz = m >> zs
             for red in range(-red, nlts):
-                lt = lts[red]
-                if not (lt - m) & guards and lt >> zs <= mz:
+                if not (lts[red] - m) & guards:
                     break
             else:
                 first_divisor[m] = -nlts
@@ -1005,7 +975,7 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     """Reduced Groebner basis of the ideal that ``gens`` generate, by
     Buchberger with Gebauer-Moeller pruning.
 
-    Monomial order is the ring's (degrevlex, or 1-variable elimination block).
+    Monomial order is the ring's degrevlex.
     Pair selection: lowest lcm degree first (normal strategy), ties by lcm,
     with one exception: a pair whose lcm is the leading term of its older
     element is a top-reduction of that element by the new one, and is queued
@@ -1030,25 +1000,22 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     gterms: list = []
     pairs: list = []            # heap of (selection degree, lcm, i, j)
     first_divisor: dict = {}    # _normal_form's memo; lts only grows
-    guards, zs = ring._guards, ring._z_shift
+    guards = ring._guards
 
     def add_pairs(k: int):
         """Gebauer-Moeller update for new element index k, in one pass."""
         ltk = lts[k]
-        zk = ltk >> zs
         lcm_k = [ring.mono_lcm(lt, ltk) for lt in lts[:k]]
         # prune old pairs (i,j) whose lcm the new leading term divides, unless
         # it equals lcm(i,k) or lcm(j,k)
         pairs[:] = [(d, l, i, j) for d, l, i, j in pairs
-                    if (ltk - l) & guards or zk > l >> zs
-                    or lcm_k[i] == l or lcm_k[j] == l]
+                    if (ltk - l) & guards or lcm_k[i] == l or lcm_k[j] == l]
         heapq.heapify(pairs)
         # criteria M and F: drop (i,k) when an lcm met earlier in (deg, lcm, i)
         # order divides lcm(i,k); criterion B: drop it when the lts are coprime
         met = []
         for d, l, i in sorted((ring.mono_deg(l), l, i) for i, l in enumerate(lcm_k)):
-            lz = l >> zs
-            if any(not (m - l) & guards and m >> zs <= lz for m in met):
+            if any(not (m - l) & guards for m in met):
                 continue
             met.append(l)
             if l != ring.mono_mul(lts[i], ltk):
@@ -1121,21 +1088,30 @@ def spolynomials_reduce_to_zero(basis: Sequence[Poly]) -> bool:
 
 def saturate(gens: Sequence[Poly], fpoly: Poly,
              max_reductions: int = MAX_REDUCTIONS) -> list:
-    """I : f^infinity by the Rabinowitsch trick, for I generated by ``gens``.
+    """The reduced Groebner basis of I + (z*f - 1) in R[z], for I generated
+    by ``gens`` in R (the Rabinowitsch trick).
 
-    Adjoin z, add z*f - 1, compute a Groebner basis in the elimination order
-    z >> degrevlex(rest), return the z-free part.  A result of <1> certifies
-    V(I) is contained in V(f).  The z block sits above the ring's fields, so
-    a z-free monomial has the same packed key in both rings; the z-free part
-    of the reduced basis is the reduced basis of the saturation.
+    z is adjoined as the last degrevlex variable, and each generator is
+    lifted by decode/encode.  ``is_unit_ideal`` of the result is the verdict
+    I : f^infinity = <1>, that is V(I) contained in V(f): if f^k lies in I,
+    then 1 = (z f)^k + (1 - (z f)^k) lies in I + (z*f - 1), as 1 - (z f)^k
+    is a multiple of 1 - z f; conversely, z = 1/f in a relation for 1,
+    cleared of denominators, puts a power of f in I.  Whether an ideal is
+    the unit ideal does not depend on the monomial order, and its reduced
+    basis is then [1].  The z-free part of a degrevlex basis is not
+    I : f^infinity (that needs an elimination order), so none is returned.
     ``max_reductions`` caps the one basis computation (``groebner_basis``).
     """
     ring = _common_ring([*gens, fpoly])
-    ext = PolyRing(ring.field, ("_z",) + ring.names, elim_first=True)
-    lifted = [Poly(ext, g.terms) for g in gens]
-    lifted.append(ext.var(0) * Poly(ext, fpoly.terms) - ext.one())
-    return [Poly(ring, g.terms) for g in groebner_basis(lifted, max_reductions)
-            if not any(m >> ext._z_shift for m in g.terms)]
+    ext = PolyRing(ring.field, ring.names + ("_z",))
+
+    def lift(g: Poly) -> Poly:
+        return Poly._of(ext, {ext.encode(ring.decode(m) + (0,)): c
+                              for m, c in g.terms.items()})
+
+    lifted = [lift(g) for g in gens]
+    lifted.append(ext.var(ring.nvars) * lift(fpoly) - ext.one())
+    return groebner_basis(lifted, max_reductions)
 
 
 def is_unit_ideal(gens: Sequence[Poly]) -> bool:

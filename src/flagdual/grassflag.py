@@ -203,9 +203,6 @@ class MatrixSubspace:
         return stacked.rank()
 
 
-_BASIS_CACHE: dict = {}
-
-
 def _check_split(field: Field):
     """Characteristic 3 collapses the trace part of the ideal (rank drops to
     24) and the 25 + 75 splitting fails; rejected explicitly."""
@@ -213,31 +210,27 @@ def _check_split(field: Field):
         raise ValueError("the ideal/complement split degenerates in characteristic 3")
 
 
+@functools.lru_cache(maxsize=None)
 def flag_ideal_space(field: Field) -> MatrixSubspace:
     """The 25-dimensional space of section matrices vanishing on the flag."""
     _check_split(field)
-    key = ("ideal", id(field))
-    if key not in _BASIS_CACHE:
-        eis = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
-        basis = [flag_equation(eis[i], eis[j], field).mat
-                 for i in range(5) for j in range(5)]
-        _BASIS_CACHE[key] = MatrixSubspace(field, basis)
-    return _BASIS_CACHE[key]
+    eis = [[1 if r == i else 0 for r in range(5)] for i in range(5)]
+    basis = [flag_equation(eis[i], eis[j], field).mat
+             for i in range(5) for j in range(5)]
+    return MatrixSubspace(field, basis)
 
 
+@functools.lru_cache(maxsize=None)
 def hf_space(field: Field) -> MatrixSubspace:
     """The invariant complement of the flag ideal: matrices S with
     tr(S K) = 0 for every K in the dual flag ideal, which in the dual basis
     has the matrices of the flag ideal.  Dimension 75."""
     _check_split(field)
-    key = ("hf", id(field))
-    if key not in _BASIS_CACHE:
-        rows = [k.transpose().flatten() for k in flag_ideal_space(field).basis]
-        conds = Mat(field, rows)
-        basis = [Mat(field, [v[10 * i:10 * i + 10] for i in range(10)])
-                 for v in conds.kernel()]
-        _BASIS_CACHE[key] = MatrixSubspace(field, basis)
-    return _BASIS_CACHE[key]
+    rows = [k.transpose().flatten() for k in flag_ideal_space(field).basis]
+    conds = Mat(field, rows)
+    basis = [Mat(field, [v[10 * i:10 * i + 10] for i in range(10)])
+             for v in conds.kernel()]
+    return MatrixSubspace(field, basis)
 
 
 def hf_project(s: SectionMatrix) -> SectionMatrix:
