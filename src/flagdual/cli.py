@@ -96,7 +96,7 @@ def _q_option(_ctx, _param, value) -> int:
     """A prime below the bound under which every count is exact."""
     q = _gf(value).p
     if q >= motivic_mod.Q_LIMIT:
-        raise click.BadParameter(f"{q} is above the bound of exact int64 counting")
+        raise click.BadParameter(f"{q} is above the bound of exact float64 counting")
     return q
 
 

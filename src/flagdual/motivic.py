@@ -2,19 +2,33 @@
 L-equivalence relation, Schubert-calculus intersection numbers on G(2,5),
 and exact point counting over small prime fields.
 
-Counting is exact integer arithmetic throughout: enumeration runs over
-Schubert-cell echelon representatives as int64 numpy arrays with explicit
-reductions mod p (no floating point is involved anywhere).  The kernels
-stream over ``grassmannian_chunks`` and nothing is cached, so their memory
-does not grow with q.  Every intermediate stays below about 100 q^3 in
-absolute value; the largest is the quadratic form x^T C x of ``count_X``, a
-sum of 100 products of three residues.  Operands are residues in [0, q) with
-one exception: ``count_M_via_g25`` multiplies the products x z < q^2 of two
-residues, with their signs, by the residues of w, and its 18 such terms per
-flag stay below 18 q^3; that kernel never forms the per-A coefficient vector
-(see its docstring).  100 q^3 < 2^63 holds for q < 4.5 * 10^5, far beyond any
-q whose Grassmannian (about q^6 points) can be enumerated, so int64 never
-wraps.
+Counting is exact integer arithmetic held in float64.  Enumeration runs over
+Schubert-cell echelon representatives as int64 numpy arrays, and their
+Pluecker coordinates are residues mod q; the kernels evaluate their forms on
+those coordinates with float64 matrix products, which numpy hands to BLAS (it
+has none for integers).  A float64 sum of integers is exact while the sum of
+the absolute values of its terms stays below 2^53, whatever the order of
+summation, so every product below is exact if that sum is bounded.  Operands
+are residues of absolute value below q, and the largest intermediate of each
+kernel is its value per point or per flag:
+
+- ``count_X``: the quadratic forms x^T C x, sums of 100 products of three
+  residues, below 100 q^3;
+- ``_pushforward_vectors`` (``count_Y``, ``y_points`` and the Jacobian scan
+  of ``glsm``): the forms pl3^T K_p pl3, 60 products of three residues, below
+  60 q^3;
+- ``count_M_via_g25``: 18 products x z w of residues per flag, z = S x
+  reduced mod q, below 18 q^3 (that kernel never forms the per-A coefficient
+  vector, see its docstring);
+- ``count_M_via_g35``: u . wedge^2(K_p), three products of a residue with a
+  sum u of 10 products of two residues (z = dual(pl3) S again reduced mod
+  q), below 30 q^3.
+
+So every value stays below 100 q^3, and ``divisible`` decides v = 0 mod q
+exactly for |v| + q <= 2^53.  Both hold for q < 44,800 (100 q^3 < 2^53 up to
+q = 44,825), far beyond any q whose Grassmannian (about q^6 points) can be
+enumerated.  The kernels stream over ``grassmannian_chunks`` and nothing is
+cached, so their memory does not grow with q.
 """
 from __future__ import annotations
 
@@ -23,11 +37,11 @@ import itertools
 import numpy as np
 
 from .exactalg import GF, Mat, minors
-from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, TRIPLE_POS,
+from .grassflag import (D_SIGN, PAIR_POS, TRIPLES,
                         SectionMatrix, complement_pair, perm_sign, to_dual)
 from .duality import pushforward_to_g25
 
-Q_LIMIT = 450_000     # the int64 bound of the module docstring
+Q_LIMIT = 44_800      # the float64 bound of the module docstring
 
 GENERATORS = ("1", "[X]", "[Y]", "[G25]", "[G35]", "[M]")
 
@@ -280,9 +294,24 @@ def minors_batch(M: np.ndarray, k: int, q: int) -> np.ndarray:
     return np.moveaxis(np.array(minors(M.transpose(1, 2, 0), k)), 2, 0) % q
 
 
-def dual_batch(PL3: np.ndarray, q: int) -> np.ndarray:
-    """Triple-minor coordinates -> wedge^2 V5* coordinates (pair-indexed)."""
-    return np.stack(to_dual(PL3.T), axis=1) % q
+def divisible(v: np.ndarray, q: int) -> np.ndarray:
+    """v = 0 mod q, elementwise, for a float64 array of integers with
+    |v| + q <= 2^53.  Division is correctly rounded, so v / q is exact where q
+    divides v; elsewhere rint(v / q) q is a multiple of q of absolute value
+    at most |v| + q, exact, and not v."""
+    r = v / q
+    np.rint(r, out=r)
+    r *= q
+    return r == v
+
+
+def _reduce(z: np.ndarray, q: int) -> np.ndarray:
+    """z mod q, in place, for a float64 array of integers with |z| + q <= 2^53:
+    residues in [0, q).  The floor of the rounded z / q is floor(z / q):
+    rounding is monotone and keeps integers, and a z / q that is not one lies
+    at least 1/q below the next, more than its rounding error |z / q| 2^-53."""
+    z -= np.floor(z / q) * q
+    return z
 
 
 def _section_array(S: SectionMatrix, q: int) -> np.ndarray:
@@ -306,31 +335,41 @@ def _quadric_arrays(S: SectionMatrix, q: int):
     return mats
 
 
+def _five_forms(K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The quadratic forms x^T K_p x, p = 0..4, at every row of x (n, 10), for
+    K = [K_0 | ... | K_4] of shape (10, 50): an (n, 5) float64 array."""
+    x = x.astype(np.float64)
+    return np.einsum("npt,nt->np", (x @ K).reshape(-1, 5, 10), x)
+
+
 def count_X(S: SectionMatrix, q: int) -> int:
-    mats = _quadric_arrays(S, q)
+    K = np.concatenate(_quadric_arrays(S, q), axis=1).astype(np.float64)
     total = 0
     for _, A in grassmannian_chunks(q, 2):
-        x = minors_batch(A, 2, q)[:, :, 0]
-        ok = np.ones(len(x), dtype=bool)
-        for C in mats:
-            ok &= np.einsum("ni,ij,nj->n", x, C, x) % q == 0
-        total += int(ok.sum())
+        v = _five_forms(K, minors_batch(A, 2, q)[:, :, 0])
+        total += int(np.count_nonzero(divisible(v, q).all(axis=1)))
     return total
 
 
-# v_p = sum_a sign(p ^ pair a) z_a pl3(p ^ pair a): the signs (0 where p lies
-# in pair a) and the triple positions of p ^ pair a, both (5, 10)
-_V_SIGN = np.array([[perm_sign((p,) + lm) * (p not in lm) for lm in PAIRS]
-                    for p in range(1, 6)])
-_V_TRIPLE = np.array([[TRIPLE_POS.get(tuple(sorted({p, *lm})), 0) for lm in PAIRS]
-                      for p in range(1, 6)])
+# D on triple-indexed coordinates as a matrix: dual(pl3) = pl3 @ _D
+_D = np.array(to_dual(np.eye(10, dtype=np.int64))).T
+
+# v_p = sum_a sign(p ^ pair a) z_a pl3(p ^ pair a), z = pl3 D S.  Each triple
+# t containing p is p ^ pair a for one pair a = t - {p}, so v_p is the
+# quadratic form pl3^T K_p pl3 with K_p[:, t] = sign(p ^ pair a) (D S)[:, a];
+# column 10 p + t of the (10, 50) matrix [K_0 | ... | K_4] is _V_SIGN times
+# column _V_PAIR of D S (sign 0 where t does not contain p).
+_V_PAIR = np.array([PAIR_POS[tuple(sorted(set(t) - {p}))] if p in t else 0
+                    for p in range(1, 6) for t in TRIPLES])
+_V_SIGN = np.array([perm_sign((p,) + tuple(sorted(set(t) - {p}))) * (p in t)
+                    for p in range(1, 6) for t in TRIPLES])
 
 
 def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """(N,5) matrix of v_p(B) values mod q."""
-    pl3 = minors_batch(B, 3, q)[:, :, 0]
-    z = (dual_batch(pl3, q) @ S_arr) % q
-    return np.einsum("na,pa,npa->np", z, _V_SIGN, pl3[:, _V_TRIPLE]) % q
+    """(N,5) float64 matrix of the values v_p(B), integers below 60 q^3 in
+    absolute value; [B] lies on Y where all five are divisible by q."""
+    K = ((_D @ S_arr % q)[:, _V_PAIR] * _V_SIGN).astype(np.float64)
+    return _five_forms(K, minors_batch(B, 3, q)[:, :, 0])
 
 
 def y_points(S: SectionMatrix, q: int):
@@ -338,7 +377,7 @@ def y_points(S: SectionMatrix, q: int):
     yields (pivots, the rows of the block where v vanishes)."""
     S_arr = _section_array(S, q)
     for pivots, B in grassmannian_chunks(q, 3):
-        yield pivots, B[np.all(_pushforward_vectors(S_arr, B, q) == 0, axis=1)]
+        yield pivots, B[divisible(_pushforward_vectors(S_arr, B, q), q).all(axis=1)]
 
 
 def count_Y(S: SectionMatrix, q: int) -> int:
@@ -379,20 +418,25 @@ def count_M_via_g25(S: SectionMatrix, q: int) -> int:
     identity for X true by construction.  Of the 30 products x z w of a
     flag, the 18 with w off the pivot rows can be nonzero, so every value
     lies below 18 q^3 < 30 q^3 in absolute value."""
-    S_arr = _section_array(S, q)
+    ST = _section_array(S, q).T.astype(np.float64)
     lamT = _proj_plane_reps(q).T                   # (3, P)
+    # one array takes the flag values of every block: a new (n, P) array
+    # per block was mapped and faulted in afresh by the allocator, which
+    # took 2.2 of the 6.2 s of count_M_via_g35 at q = 11
+    vals = np.empty((CHUNK_ROWS, lamT.shape[1]))
     total = 0
     for pivots, A in grassmannian_chunks(q, 2):
         # w_p = sum_s lamT[s, p] e_comp[s] vanishes on the pivot rows, so
         # only the 18 products whose w entry lies off them count
-        W = np.zeros((5, lamT.shape[1]), dtype=np.int64)
+        W = np.zeros((5, lamT.shape[1]))
         W[[r for r in range(5) if r not in pivots]] = lamT
         live = ~np.isin(_M_W, pivots)
-        x = minors_batch(A, 2, q)[:, :, 0]         # (n,10)
-        z = (x @ S_arr.T) % q                      # z[n, row] = (S x)_row
-        prods = _M_SIGN[live] * x[:, _M_X[live]] * z[:, _M_Z[live]]
-        vals = prods @ W[_M_W[live]]               # (n, P): one value per flag
-        total += int((vals % q == 0).sum())
+        x = minors_batch(A, 2, q)[:, :, 0].astype(np.float64)   # (n,10)
+        z = _reduce(x @ ST, q)                     # z[n, row] = (S x)_row
+        # (n, P): one value per flag; the products are freed before the test
+        v = np.matmul(_M_SIGN[live] * x[:, _M_X[live]] * z[:, _M_Z[live]],
+                      W[_M_W[live]], out=vals[:len(A)])
+        total += int(np.count_nonzero(divisible(v, q)))
     return total
 
 
@@ -406,17 +450,19 @@ def count_M_via_g35(S: SectionMatrix, q: int) -> int:
     3 minors of K_p.  The section there is z . wedge^2(B K_p) with
     z = dual(wedge^3 B) S, so it equals u(B) . wedge^2(K_p) for the one
     vector u(B) = z wedge^2(B) per point of G(3,5)."""
-    S_arr = _section_array(S, q)
+    DS = (_D @ _section_array(S, q) % q).astype(np.float64)
     f = GF(q)
     K = np.stack([np.array(Mat(f, [[int(v) for v in l]]).kernel(),
                            dtype=np.int64).T
                   for l in _proj_plane_reps(q)])                 # (P,3,2)
-    CK = minors_batch(K, 2, q)[:, :, 0]                          # (P,3)
+    CKT = minors_batch(K, 2, q)[:, :, 0].T.astype(np.float64)    # (3,P)
+    vals = np.empty((CHUNK_ROWS, CKT.shape[1]))   # as in count_M_via_g25
     total = 0
     for _, B in grassmannian_chunks(q, 3):
-        z = (dual_batch(minors_batch(B, 3, q)[:, :, 0], q) @ S_arr) % q
-        u = np.einsum("na,nac->nc", z, minors_batch(B, 2, q)) % q   # (n,3)
-        total += int(((u @ CK.T) % q == 0).sum())
+        z = _reduce(minors_batch(B, 3, q)[:, :, 0] @ DS, q)     # (n,10)
+        u = np.einsum("na,nac->nc", z, minors_batch(B, 2, q))    # (n,3)
+        v = np.matmul(u, CKT, out=vals[:len(B)])                 # (n,P)
+        total += int(np.count_nonzero(divisible(v, q)))
     return total
 
 

@@ -367,11 +367,12 @@ def test_section_not_reducing_mod_7_keeps_the_glsm_stage(runner, tmp_path):
     ["motivic", "count", "--q", "1000000000000000003"],
     ["motivic", "count", "--q", "450001"],
     ["verify-paper", "--qs", "2,450001"],
+    ["motivic", "count", "--q", "44809"],        # the first prime >= Q_LIMIT
 ])
 def test_count_q_above_int64_bound_is_a_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
-    assert "the bound of exact int64 counting" in res.output
+    assert "the bound of exact float64 counting" in res.output
 
 
 def test_verify_paper_has_no_field_option(runner):

@@ -9,9 +9,9 @@ import pytest
 from flagdual import motivic
 from flagdual.exactalg import GF, Mat, minors
 from flagdual.duality import pushforward_to_g25, section_of_fiber_point
-from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLES,
+from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLE_POS, TRIPLES,
                                 SectionMatrix, complement_pair, dual_coordinates,
-                                pluecker, random_hf_section)
+                                perm_sign, pluecker, random_hf_section, to_dual)
 from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               count_X, count_Y, degree_check,
                               derive_l_relation, enumerate_grassmannian,
@@ -242,7 +242,8 @@ def _ref_count_M_via_g35(S, q):
                            dtype=np.int64).T
                   for l in motivic._proj_plane_reps(q)])        # (P,3,2)
     B = enumerate_grassmannian(q, 3)
-    z = (motivic.dual_batch(motivic.minors_batch(B, 3, q)[:, :, 0], q) @ S_arr) % q
+    pl3 = motivic.minors_batch(B, 3, q)[:, :, 0]
+    z = (np.stack(to_dual(pl3.T), axis=1) % q @ S_arr) % q
     A = np.einsum("nij,pjk->npik", B, K) % q                     # (N,P,5,2)
     x = _ref_minors2(A.reshape(-1, 5, 2), q).reshape(len(B), len(K), 10)
     return int((np.einsum("npa,na->np", x, z) % q == 0).sum())
@@ -276,6 +277,73 @@ def test_M_counts_match_reference_routes(q, kind):
 def test_M_count_via_g25_matches_reference_route_at_q7():
     s = _section("random", 7, 48)
     assert count_M_via_g25(s, 7) == _ref_count_M_via_g25(s, 7)
+
+
+def test_M_counts_agree_at_q7():
+    # no reference g35 route runs at q = 7: it holds every flag at once
+    s = _section("hf", 7, 49)
+    assert count_M_via_g35(s, 7) == count_M_via_g25(s, 7)
+
+
+# --- exact float64 arithmetic -------------------------------------------------
+
+def _largest_prime_below(n):
+    return next(p for p in range(n - 1, 1, -1)
+                if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, _largest_prime_below(motivic.Q_LIMIT)])
+def test_divisible_and_reduce_match_int_remainder(q):
+    # k q and k q +- 1 of both signs, up to the kernels' 100 q^3 and up to
+    # the helpers' own |v| + q <= 2^53; the float64 values are exact
+    rng = random.Random(q)
+    top = (2 ** 53 - q) // q
+    ks = {0, 1, 2, 100 * q * q - 1, 100 * q * q, top - 1, top}
+    ks |= {rng.randrange(100 * q * q) for _ in range(500)}
+    ks |= {rng.randrange(top) for _ in range(500)}
+    ints = [0] + [s * (k * q + d) for k in ks for d in (-1, 0, 1) for s in (1, -1)]
+    ints = [v for v in ints if abs(v) + q <= 2 ** 53]
+    assert 2 ** 53 - q - max(map(abs, ints)) < q       # the top is reached
+    v = np.array([-0.0] + ints, dtype=np.float64)
+    assert np.signbit(v[0]) and (v[1:] == ints).all()
+    expected = [x % q == 0 for x in [0] + ints]
+    assert motivic.divisible(v, q).tolist() == expected
+    r = motivic._reduce(v.copy(), q)
+    assert [x % q for x in [0] + ints] == r.tolist()
+
+
+# the gather-einsum of the int64 v_p: sign(p ^ pair a) and the triple
+# position of p ^ pair a, both (5, 10)
+_REF_V_SIGN = np.array([[perm_sign((p,) + lm) * (p not in lm) for lm in PAIRS]
+                        for p in range(1, 6)])
+_REF_V_TRIPLE = np.array([[TRIPLE_POS.get(tuple(sorted({p, *lm})), 0) for lm in PAIRS]
+                          for p in range(1, 6)])
+
+
+@pytest.mark.parametrize("kind", ["random", "hf"])
+def test_float_forms_match_int64_formulation_at_q7(kind):
+    # every point of G(2,5)(F_7) and G(3,5)(F_7): the float64 quadratic forms
+    # in their (n, 5, 10) layout against one int64 einsum per quadric, and
+    # against the int64 gather-einsum of v over the dual coordinates
+    q = 7
+    s = _section(kind, q, 50)
+    mats = motivic._quadric_arrays(s, q)
+    K = np.concatenate(mats, axis=1).astype(np.float64)
+    on_x = 0
+    for _, A in motivic.grassmannian_chunks(q, 2):
+        x = motivic.minors_batch(A, 2, q)[:, :, 0]
+        ref = np.stack([np.einsum("ni,ij,nj->n", x, C, x) % q for C in mats], axis=1)
+        assert np.array_equal(motivic._five_forms(K, x) % q, ref)
+        on_x += int((ref == 0).all(axis=1).sum())
+    S_arr = motivic._section_array(s, q)
+    on_y = 0
+    for _, B in motivic.grassmannian_chunks(q, 3):
+        pl3 = motivic.minors_batch(B, 3, q)[:, :, 0]
+        z = (np.stack(to_dual(pl3.T), axis=1) % q @ S_arr) % q
+        ref = np.einsum("na,pa,npa->np", z, _REF_V_SIGN, pl3[:, _REF_V_TRIPLE]) % q
+        assert np.array_equal(motivic._pushforward_vectors(S_arr, B, q) % q, ref)
+        on_y += int((ref == 0).all(axis=1).sum())
+    assert count_X(s, q) == on_x > 0 and count_Y(s, q) == on_y > 0
 
 
 def test_M_count_matches_brute_force_over_gf2():
