@@ -182,16 +182,17 @@ def commutant_space(S: SectionMatrix) -> MatrixSubspace:
     identity on the free columns of the full 100x100 system, in the order of
     those columns.  Its vectors have their last nonzero entry, a 1, at their
     own free column and are zero on the others, so they are the RREF of any
-    basis of W with the columns reversed, in reverse order.  Characteristic 2
-    is refused."""
+    basis of W with the columns reversed, in reverse order.  Being the
+    identity on the free columns, they serve the space as its reduced rows,
+    with no second elimination.  Characteristic 2 is refused."""
     f = S.field
     sym, anti = _transpose_blocks(S)
     vecs = ([_unfold(f, k, _SYM_PAIRS, 1, 1) for k in sym.kernel()]
             + [_unfold(f, k, _ANTI_PAIRS, -1, 1) for k in anti.kernel()])
-    R, _ = Mat._of(f, [v[::-1] for v in vecs]).rref()
+    R, pivots = Mat._of(f, [v[::-1] for v in vecs]).rref()
     flat = [row[::-1] for row in reversed(R.data)]
     basis = [Mat._of(f, [v[10 * i:10 * i + 10] for i in range(10)]) for v in flat]
-    return MatrixSubspace(f, basis)
+    return MatrixSubspace._of(f, basis, [99 - c for c in reversed(pivots)])
 
 
 def _poly_gcd_degree(a, b, f: Field) -> int:

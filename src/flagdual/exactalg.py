@@ -805,8 +805,12 @@ def evaluate_batch(polys: Sequence[Poly], points, p: int) -> np.ndarray:
     """The values mod p of polynomials over one GF(p) ring at a batch of
     points: an (N, nvars) array of residues -> the (N, len(polys)) int64 array
     whose column k holds polys[k].  The powers of each variable are built
-    once per batch and shared by every polynomial; each product is reduced
-    mod p, so int64 holds every intermediate for p < 2^31."""
+    once per batch and shared by every polynomial.  Each polynomial's terms
+    are one (terms, N) array of coefficients, and x_i^d is multiplied only
+    into the terms of exponent d in x_i: those rows are gathered, multiplied
+    by the row of x_i^d and reduced mod p in place, and written back, so no
+    other temporary of their size is made.  Every product is of two
+    residues, so int64 holds every intermediate for p < 2^31."""
     if p >= 1 << 31:
         raise ValueError(f"evaluate_batch needs p < 2^31, got {p}")
     if any(not isinstance(f.ring.field, GF) or f.ring.field.p != p
@@ -821,11 +825,15 @@ def evaluate_batch(polys: Sequence[Poly], points, p: int) -> np.ndarray:
         powers[e] = powers[e - 1] * points.T % p
     out = np.zeros((len(points), len(polys)), dtype=np.int64)
     for k, (f, e) in enumerate(zip(polys, exps)):
-        vals = (np.array(list(f.terms.values()), dtype=np.int64)[:, None]
-                * np.ones(len(points), dtype=np.int64))      # (terms, N)
+        vals = np.repeat(np.array(list(f.terms.values()), dtype=np.int64)[:, None],
+                         len(points), axis=1)                # (terms, N)
         for i in np.flatnonzero(e.any(axis=0)):
-            vals *= powers[e[:, i], i]
-            vals %= p
+            for d in set(e[:, i].tolist()) - {0}:
+                rows = np.flatnonzero(e[:, i] == d)
+                picked = vals[rows]
+                picked *= powers[d, i]
+                picked %= p
+                vals[rows] = picked
         out[:, k] = vals.sum(axis=0) % p
     return out
 

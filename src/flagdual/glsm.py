@@ -183,14 +183,15 @@ def _singular_rows(S_arr, pivots, B, p: int) -> np.ndarray:
     quintic Jacobian of rank < 3.  At a zero of shat the gauge directions lie
     in its kernel, so only the 6 unit directions E off the pivot rows count;
     v = B shat with B[pivots] = I makes d shat(E) the pivot rows of dv(E),
-    and v of degree <= 2 in each entry gives 2 dv(E) = v(B+E) - v(B-E)."""
+    and v of degree <= 2 in each entry gives 2 dv(E) = v(B+E) - v(B-E).
+    B +- E keeps B[pivots] = I, so its minors are read off the same cell."""
     chart = [(r, c) for r in range(5) if r not in pivots for c in range(3)]
     jac = np.empty((len(B), 3, len(chart)), dtype=np.int64)
     for d, (r, c) in enumerate(chart):
         E = np.zeros((5, 3), dtype=np.int64)
         E[r, c] = 1
-        dv = (_pushforward_vectors(S_arr, (B + E) % p, p)
-              - _pushforward_vectors(S_arr, (B - E) % p, p))
+        dv = (_pushforward_vectors(S_arr, (B + E) % p, p, pivots)
+              - _pushforward_vectors(S_arr, (B - E) % p, p, pivots))
         jac[:, :, d] = dv[:, list(pivots)] % p
     return ~np.any(minors_batch(jac, 3, p), axis=(1, 2))
 

@@ -14,6 +14,8 @@ import functools
 import random
 from typing import Sequence
 
+import numpy as np
+
 from .exactalg import Field, GF, QQ, Mat, exterior_square, minors
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -177,21 +179,35 @@ class MatrixSubspace:
     """A linear subspace of the 100-dimensional space of 10x10 matrices."""
 
     def __init__(self, field: Field, basis: Sequence[Mat]):
+        flat = Mat(field, [m.flatten() for m in basis])
+        rref, pivots = flat.rref()
+        if len(pivots) != len(basis):
+            raise ValueError("basis is linearly dependent")
+        self._set(field, basis, pivots, rref.data)
+
+    def _set(self, field: Field, basis, pivots, rows):
         self.field = field
         self.basis = list(basis)
-        flat = Mat(field, [m.flatten() for m in self.basis])
-        rref, self._pivots = flat.rref()
-        if len(self._pivots) != len(self.basis):
-            raise ValueError("basis is linearly dependent")
-        self._rref_cols = tuple(zip(*rref.data))
+        self._pivots = pivots
+        self._rref_cols = tuple(zip(*rows))
+
+    @classmethod
+    def _of(cls, field: Field, basis: Sequence[Mat], pivots) -> "MatrixSubspace":
+        """The span of ``basis``, whose flattened vectors are already the
+        identity on the columns ``pivots`` (in basis order), not checked and
+        not reduced again."""
+        space = cls.__new__(cls)
+        space._set(field, basis, pivots, [m.flatten() for m in basis])
+        return space
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, m: Mat) -> bool:
-        """The RREF rows R_r are the identity on their pivot columns pc_r, so
-        v lies in their span iff v = sum_r v[pc_r] R_r: one dot per column."""
+        """The rows R_r (the RREF of the basis, or the basis given to ``_of``)
+        are the identity on their pivot columns pc_r, so v lies in their span
+        iff v = sum_r v[pc_r] R_r: one dot per column."""
         v = m.flatten()
         coeffs = [v[pc] for pc in self._pivots]
         dot = self.field.dot
@@ -340,13 +356,34 @@ def _generators(field: GF) -> list:
             + [Mat(field, elementary(0, 0, 3))])
 
 
+def _iota_images_inside(space: MatrixSubspace, maps: Sequence[Mat]) -> np.ndarray:
+    """(len(maps), dim) bool array: entry [i, j] says whether iota_T, T =
+    maps[i], maps basis vector j of ``space`` into ``space``; over GF(p).
+
+    For each map the images M_T^-1 K^T M_T of all the basis matrices K are
+    one stacked int64 product, reduced mod p after each factor.  They are
+    then tested at once as ``contains`` tests one: with R the rows of the
+    space, the identity on its pivot columns, an image v lies in it iff
+    v = v[pivots] R mod p.  Every value is a sum of at most max(10, dim)
+    products of two residues: below 25 p^2 for the 25-dimensional ideal, and
+    below 100 p^2 < 2^63 for any subspace."""
+    p = space.field.p
+    Kt = np.array([K.data for K in space.basis], dtype=np.int64).transpose(0, 2, 1)
+    rows = np.array(space._rref_cols, dtype=np.int64).T
+    inside = []
+    for T in maps:
+        dm = DualityMap(T)
+        M, M_inv = (np.array(m.data, dtype=np.int64) for m in (dm.M, dm.M_inv))
+        img = (M_inv @ Kt % p @ M % p).reshape(len(Kt), 100)
+        inside.append(~((img[:, space._pivots] @ rows - img) % p).any(axis=1))
+    return np.array(inside)
+
+
 def _iota_invariant(space: MatrixSubspace) -> bool:
     """Whether iota_f maps each basis vector of ``space`` into ``space``, for
-    f the identity and every map of ``_generators``."""
-    maps = [DualityMap(Mat.identity(space.field, 5))]
-    maps += [DualityMap(T) for T in _generators(space.field)]
-    return all(space.contains(iota_action(SectionMatrix(K), dm).mat)
-               for dm in maps for K in space.basis)
+    f the identity and every map of ``_generators``; ``space`` over GF(p)."""
+    maps = [Mat.identity(space.field, 5)] + _generators(space.field)
+    return bool(_iota_images_inside(space, maps).all())
 
 
 def verify_spaces() -> dict:

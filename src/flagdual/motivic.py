@@ -3,10 +3,15 @@ L-equivalence relation, Schubert-calculus intersection numbers on G(2,5),
 and exact point counting over small prime fields.
 
 Counting is exact integer arithmetic held in float64.  Enumeration runs over
-Schubert-cell echelon representatives as int64 numpy arrays, and their
-Pluecker coordinates are residues mod q; the kernels evaluate their forms on
-those coordinates with float64 matrix products, which numpy hands to BLAS (it
-has none for integers).  A float64 sum of integers is exact while the sum of
+Schubert-cell echelon representatives as int64 numpy arrays, with
+B[pivots] = I.  Their minors, the Pluecker coordinates and wedge^2 B, are
+residues mod q read off the entries off the pivot rows (``echelon_minors``):
+each is 0, +-1, +-one entry or +-one 2 x 2 determinant, never a general 3 x 3
+one (Fulton, Young Tableaux, section 9.4).  ``minors_batch`` computes the
+minors of general matrices: the glsm Jacobians and the kernels K_p of
+``count_M_via_g35``.  The kernels evaluate their forms on those coordinates
+with float64 matrix products, which numpy hands to BLAS (it has none for
+integers).  A float64 sum of integers is exact while the sum of
 the absolute values of its terms stays below 2^53, whatever the order of
 summation, so every product below is exact if that sum is bounded.  Operands
 are residues of absolute value below q, and the largest intermediate of each
@@ -32,7 +37,9 @@ cached, so their memory does not grow with q.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -294,6 +301,66 @@ def minors_batch(M: np.ndarray, k: int, q: int) -> np.ndarray:
     return np.moveaxis(np.array(minors(M.transpose(1, 2, 0), k)), 2, 0) % q
 
 
+@functools.lru_cache(maxsize=None)
+def _echelon_rule(pivots: tuple, k: int) -> tuple:
+    """How ``echelon_minors`` reads the k x k minors of a 5 x c block with
+    B[pivots] = I, c = len(pivots), pivots increasing: minor m (row subset T,
+    column subset C, in ``minors_batch`` order) is sign * det(B[R, S]), R the
+    rows of T off the pivots and S the columns of C whose pivot row is not in
+    T.  Laplace expansion along the pivot rows of T gives it: pivot row
+    pivots[j] is the unit row e_j, so the minor is 0 unless j lies in C, and
+    otherwise those rows meet C in an identity block (pivots increase with j),
+    with sign (-1)^(positions in T + positions in C).  |R| <= 5 - c and
+    |R| <= k, so |R| <= 2 for G(2,5) and G(3,5).
+
+    Returns (number of minors, ones, singles, pairs): ones (m, sign) where
+    R is empty, singles (m, sign, i) where the minor is sign * B[i], pairs
+    (m, a, b, c, d) where it is B[a] B[b] - B[c] B[d], with entry (r, s) of
+    B at index r * len(pivots) + s and the sign of a pair folded into the
+    order of S.  The minors in none of the three are 0."""
+    c = len(pivots)
+    ones, singles, pairs = [], [], []
+    subsets = itertools.product(itertools.combinations(range(5), k),
+                                itertools.combinations(range(c), k))
+    for m, (T, C) in enumerate(subsets):
+        at = [a for a, r in enumerate(T) if r in pivots]
+        js = [pivots.index(T[a]) for a in at]
+        if not set(js) <= set(C):
+            continue
+        sign = (-1) ** (sum(at) + sum(C.index(j) for j in js))
+        R = [r for r in T if r not in pivots]
+        S = [j for j in C if j not in js][::sign]
+        if not R:
+            ones.append((m, sign))
+        elif len(R) == 1:
+            singles.append((m, sign, R[0] * c + S[0]))
+        else:
+            (r0, r1), (s0, s1) = R, S
+            pairs.append((m, r0 * c + s0, r1 * c + s1, r0 * c + s1, r1 * c + s0))
+    return math.comb(5, k) * math.comb(c, k), ones, singles, pairs
+
+
+def echelon_minors(B: np.ndarray, pivots: tuple, k: int, q: int) -> np.ndarray:
+    """``minors_batch(B, k, q)`` of an (N, 5, c) block with B[pivots] = I, as a
+    block of ``grassmannian_chunks`` is: each minor is read off the entries
+    off the pivot rows by ``_echelon_rule``, so a Pluecker coordinate costs at
+    most one 2 x 2 determinant.  Each minor is one contiguous row of the
+    result, which is returned as a transposed view."""
+    n, _, cols = B.shape
+    size, ones, singles, pairs = _echelon_rule(pivots, k)
+    Bt = B.reshape(n, 5 * cols).T               # entry r * cols + s, a view
+    out = np.zeros((size, n), dtype=np.int64)
+    for m, sign in ones:
+        out[m] = sign
+    for m, sign, i in singles:
+        out[m] = Bt[i] if sign > 0 else -Bt[i]
+    for m, a, b, c, d in pairs:
+        out[m] = Bt[a] * Bt[b] - Bt[c] * Bt[d]
+    out %= q
+    rows = math.comb(5, k)
+    return out.reshape(rows, size // rows, n).transpose(2, 0, 1)
+
+
 def divisible(v: np.ndarray, q: int) -> np.ndarray:
     """v = 0 mod q, elementwise, for a float64 array of integers with
     |v| + q <= 2^53.  Division is correctly rounded, so v / q is exact where q
@@ -345,8 +412,8 @@ def _five_forms(K: np.ndarray, x: np.ndarray) -> np.ndarray:
 def count_X(S: SectionMatrix, q: int) -> int:
     K = np.concatenate(_quadric_arrays(S, q), axis=1).astype(np.float64)
     total = 0
-    for _, A in grassmannian_chunks(q, 2):
-        v = _five_forms(K, minors_batch(A, 2, q)[:, :, 0])
+    for pivots, A in grassmannian_chunks(q, 2):
+        v = _five_forms(K, echelon_minors(A, pivots, 2, q)[:, :, 0])
         total += int(np.count_nonzero(divisible(v, q).all(axis=1)))
     return total
 
@@ -365,11 +432,13 @@ _V_SIGN = np.array([perm_sign((p,) + tuple(sorted(set(t) - {p}))) * (p in t)
                     for p in range(1, 6) for t in TRIPLES])
 
 
-def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """(N,5) float64 matrix of the values v_p(B), integers below 60 q^3 in
-    absolute value; [B] lies on Y where all five are divisible by q."""
+def _pushforward_vectors(S_arr: np.ndarray, B: np.ndarray, q: int,
+                         pivots: tuple) -> np.ndarray:
+    """(N,5) float64 matrix of the values v_p(B) of a block with
+    B[pivots] = I, integers below 60 q^3 in absolute value; [B] lies on Y
+    where all five are divisible by q."""
     K = ((_D @ S_arr % q)[:, _V_PAIR] * _V_SIGN).astype(np.float64)
-    return _five_forms(K, minors_batch(B, 3, q)[:, :, 0])
+    return _five_forms(K, echelon_minors(B, pivots, 3, q)[:, :, 0])
 
 
 def y_points(S: SectionMatrix, q: int):
@@ -377,7 +446,8 @@ def y_points(S: SectionMatrix, q: int):
     yields (pivots, the rows of the block where v vanishes)."""
     S_arr = _section_array(S, q)
     for pivots, B in grassmannian_chunks(q, 3):
-        yield pivots, B[divisible(_pushforward_vectors(S_arr, B, q), q).all(axis=1)]
+        v = _pushforward_vectors(S_arr, B, q, pivots)
+        yield pivots, B[divisible(v, q).all(axis=1)]
 
 
 def count_Y(S: SectionMatrix, q: int) -> int:
@@ -431,7 +501,7 @@ def count_M_via_g25(S: SectionMatrix, q: int) -> int:
         W = np.zeros((5, lamT.shape[1]))
         W[[r for r in range(5) if r not in pivots]] = lamT
         live = ~np.isin(_M_W, pivots)
-        x = minors_batch(A, 2, q)[:, :, 0].astype(np.float64)   # (n,10)
+        x = echelon_minors(A, pivots, 2, q)[:, :, 0].astype(np.float64)
         z = _reduce(x @ ST, q)                     # z[n, row] = (S x)_row
         # (n, P): one value per flag; the products are freed before the test
         v = np.matmul(_M_SIGN[live] * x[:, _M_X[live]] * z[:, _M_Z[live]],
@@ -458,9 +528,9 @@ def count_M_via_g35(S: SectionMatrix, q: int) -> int:
     CKT = minors_batch(K, 2, q)[:, :, 0].T.astype(np.float64)    # (3,P)
     vals = np.empty((CHUNK_ROWS, CKT.shape[1]))   # as in count_M_via_g25
     total = 0
-    for _, B in grassmannian_chunks(q, 3):
-        z = _reduce(minors_batch(B, 3, q)[:, :, 0] @ DS, q)     # (n,10)
-        u = np.einsum("na,nac->nc", z, minors_batch(B, 2, q))    # (n,3)
+    for pivots, B in grassmannian_chunks(q, 3):
+        z = _reduce(echelon_minors(B, pivots, 3, q)[:, :, 0] @ DS, q)  # (n,10)
+        u = np.einsum("na,nac->nc", z, echelon_minors(B, pivots, 2, q))  # (n,3)
         v = np.matmul(u, CKT, out=vals[:len(B)])                 # (n,P)
         total += int(np.count_nonzero(divisible(v, q)))
     return total

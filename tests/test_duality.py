@@ -7,7 +7,7 @@ import pytest
 
 from flagdual import duality
 from flagdual.exactalg import (GF, QQ, Mat, Poly, PolyRing, det,
-                               exterior_square, groebner_basis)
+                               exterior_square, groebner_basis, rref_kernel)
 from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
                               _unknowns, intertwiner_conditions,
                               is_symmetric, nonbirational_certificate,
@@ -298,10 +298,17 @@ def test_selfdual_up_to_sign():
     on_x = np.ones(len(x), dtype=bool)
     for C in _quadric_arrays(s, 5):
         on_x &= np.einsum("ni,ij,nj->n", x, C, x) % 5 == 0
-    images = [list(zip(*(Mat(F5, A.tolist()).transpose() * T).kernel()))
-              for A in G[on_x]]
-    v = _pushforward_vectors(_section_array(s, 5), np.array(images, dtype=np.int64), 5)
-    assert len(images) == count_Y(s, 5) == 188
+    # a kernel basis is the identity on the free columns, so as the columns
+    # of B it has B[free] = I: the images go to _pushforward_vectors by cell
+    images = {}
+    for A in G[on_x]:
+        R, piv = (Mat(F5, A.tolist()).transpose() * T).rref()
+        free = tuple(c for c in range(5) if c not in piv)
+        images.setdefault(free, []).append(list(zip(*rref_kernel(R, piv))))
+    S_arr = _section_array(s, 5)
+    v = np.concatenate([_pushforward_vectors(S_arr, np.array(Bs, dtype=np.int64), 5, free)
+                        for free, Bs in images.items()])
+    assert len(v) == count_Y(s, 5) == 188
     assert divisible(v, 5).all()
 
 

@@ -470,9 +470,13 @@ def test_evaluate_batch_matches_evaluate(p):
     f = GF(p)
     rng = random.Random(p)
     ring = PolyRing(f, tuple(f"x{i}" for i in range(6)))
+    x = [ring.var(i) for i in range(6)]
+    # x5 occurs in no term of the first sparse one, and every variable in
+    # exactly one term of either
+    sparse = [x[0] ** 2 * x[1] * 3 + x[2] * 5 + x[3] * x[4] ** 3 + 2, x[5] ** 4 * 6]
     polys = [ring.zero(), ring.const(p - 3), _random_poly(ring, rng, 15, 4),
-             _random_poly(ring, rng, 60, 9)]
-    assert polys[-1].degree() == 9
+             _random_poly(ring, rng, 60, 9)] + sparse
+    assert polys[3].degree() == 9
     # residues, p - 1 (the largest products) and representatives off [0, p)
     points = [[f.rand(rng) for _ in range(6)] for _ in range(40)]
     points += [[p - 1] * 6, [0] * 6, [rng.randrange(-3 * p, 3 * p) for _ in range(6)]]

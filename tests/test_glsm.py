@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,15 @@ def test_scan_finds_every_point_of_Y():
     assert okonek_scan(s, q)["found"] == (M - G * (q + 1)) // q ** 2 == 841
 
 
+def test_singular_rows_of_a_cell_without_points():
+    # a Schubert cell with no point of Y(F_p) reaches the Jacobian check as
+    # an empty block
+    S_arr = _section_array(script_matrix(GF(7)), 7)
+    for pivots in itertools.combinations(range(5), 3):
+        empty = np.zeros((0, 5, 3), dtype=np.int64)
+        assert _singular_rows(S_arr, pivots, empty, 7).shape == (0,)
+
+
 def test_scan_reduces_a_rational_section():
     # the script matrix has entries -1, so its reduction mod 13 is not a
     # matrix over GF(7); a GF(p) section is never moved to another prime
@@ -348,6 +358,23 @@ def test_critical_gauge_classes_biject_with_X(monkeypatch):
     s = SectionMatrix(Mat.random(GF(q), 10, 10, rng))
     rep = critical_gauge_class_count(s, q)
     assert rep["agree"] and rep["X_enumerated"] == rep["X_count"], rep
+
+
+def test_critical_gauge_class_count_memory_is_pinned():
+    # the five quartics at the 1,210 points of G(2,5)(F_3) in evaluate_batch.
+    # The bound is the peak of multiplying every term by every variable's
+    # powers, 3,094,208 bytes here; multiplying a variable's gathered rows
+    # by a gathered power array peaked at 3,307,644, and by one power row in
+    # place at 3,026,772
+    s = SectionMatrix(Mat.random(GF(3), 10, 10, random.Random(43)))
+    critical_gauge_class_count(s, 3)         # the model is built and cached
+    tracemalloc.start()
+    try:
+        critical_gauge_class_count(s, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_094_208, peak
 
 
 def test_critical_gauge_class_count_sees_a_wrong_quartic(monkeypatch):

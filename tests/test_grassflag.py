@@ -6,8 +6,8 @@ import pytest
 from flagdual.duality import commutant_space
 from flagdual.exactalg import GF, QQ, Mat, exterior_square
 from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, MatrixSubspace,
-                                SectionMatrix, _generators, _iota_invariant,
-                                dual_coordinates,
+                                SectionMatrix, _generators, _iota_images_inside,
+                                _iota_invariant, dual_coordinates,
                                 flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, pluecker,
@@ -116,6 +116,21 @@ def test_iota_check_sees_a_non_invariant_subspace():
     # the ideal with one basis vector swapped for one of the complement
     ideal, hf = flag_ideal_space(F17), hf_space(F17)
     assert not _iota_invariant(MatrixSubspace(F17, [hf.basis[0]] + ideal.basis[1:]))
+
+
+@pytest.mark.parametrize("field", [F17, F7])
+def test_stacked_invariance_check_matches_per_vector_oracle(field):
+    # every (map, basis vector) verdict of the stacked int64 check against
+    # iota_action and contains, one Mat product and one test at a time, on
+    # both subspaces and on the non-invariant control above
+    ideal, hf = flag_ideal_space(field), hf_space(field)
+    control = MatrixSubspace(field, [hf.basis[0]] + ideal.basis[1:])
+    maps = [Mat.identity(field, 5)] + _generators(field)
+    for space in (ideal, hf, control):
+        oracle = [[space.contains(iota_action(SectionMatrix(K), DualityMap(T)).mat)
+                   for K in space.basis] for T in maps]
+        assert _iota_images_inside(space, maps).tolist() == oracle
+    assert not all(map(all, oracle)) and any(map(any, oracle))
 
 
 @pytest.mark.parametrize("p", [17, 7])

@@ -211,6 +211,25 @@ def test_minors_batch_matches_minors(shape, k):
             assert (out[:, :, b] == _ref_minors2(M[:, :, list(cols)], q)).all()
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_echelon_minors_match_minors_batch(q):
+    # every block of G(2,5)(F_q) and G(3,5)(F_q) and its empty slice: the
+    # Pluecker coordinates, wedge^2 B, and the blocks B +- E of the glsm
+    # Jacobian scan, E a unit matrix off the pivot rows, so that B +- E
+    # keeps B[pivots] = I
+    for k, sizes in ((2, (2,)), (3, (3, 2))):
+        for pivots, B in motivic.grassmannian_chunks(q, k):
+            blocks = [B, B[:0]]
+            if k == 3:
+                for r, c in itertools.product(set(range(5)) - set(pivots), range(3)):
+                    E = np.zeros((5, 3), dtype=np.int64)
+                    E[r, c] = 1
+                    blocks += [(B + E) % q, (B - E) % q]
+            for j, D in itertools.product(sizes, blocks):
+                got, want = motivic.echelon_minors(D, pivots, j, q), motivic.minors_batch(D, j, q)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _ref_count_M_via_g25(S, q):
     S_arr = motivic._section_array(S, q)
     total = 0
@@ -337,11 +356,11 @@ def test_float_forms_match_int64_formulation_at_q7(kind):
         on_x += int((ref == 0).all(axis=1).sum())
     S_arr = motivic._section_array(s, q)
     on_y = 0
-    for _, B in motivic.grassmannian_chunks(q, 3):
+    for pivots, B in motivic.grassmannian_chunks(q, 3):
         pl3 = motivic.minors_batch(B, 3, q)[:, :, 0]
         z = (np.stack(to_dual(pl3.T), axis=1) % q @ S_arr) % q
         ref = np.einsum("na,pa,npa->np", z, _REF_V_SIGN, pl3[:, _REF_V_TRIPLE]) % q
-        assert np.array_equal(motivic._pushforward_vectors(S_arr, B, q) % q, ref)
+        assert np.array_equal(motivic._pushforward_vectors(S_arr, B, q, pivots) % q, ref)
         on_y += int((ref == 0).all(axis=1).sum())
     assert count_X(s, q) == on_x > 0 and count_Y(s, q) == on_y > 0
 
