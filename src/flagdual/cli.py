@@ -35,7 +35,6 @@ class RunConfig:
     """Everything that determines a verification run; equal configs give
     byte-identical reports."""
     seed: int = 0
-    samples: int = 200
     budget: int = MAX_REDUCTIONS     # the certificate's S-pair reduction cap
     qs: tuple = (2, 3)
     section: str | None = None       # path; None = published script matrix
@@ -389,12 +388,12 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
 # verify-paper
 # ---------------------------------------------------------------------------
 
-# Each stage calls the claim's check in the module that owns its maths; they
-# draw from one shared rng in this order, so the seed fixes the whole report.
+# Each stage calls the claim's check in the module that owns its maths.  A
+# stage draws from its own rng, seeded by the run's seed and its name, so an
+# option moves only the stages that read it.
 STAGES = [
     ("spaces", lambda cfg, rng: grassflag.verify_spaces()),
-    ("duality_build",
-     lambda cfg, rng: duality_mod.verify_pushforwards(rng, cfg.samples)),
+    ("duality_build", lambda cfg, rng: duality_mod.verify_pushforwards()),
     ("selfdual_scan",
      lambda cfg, rng: duality_mod.selfdual_scan(load_section(cfg, GF(17)), rng)),
     ("nonbirational", lambda cfg, rng: duality_mod.verify_nonbirational(
@@ -423,8 +422,10 @@ def _raised_at(exc: Exception) -> str:
 def verify_paper(cfg: RunConfig) -> dict:
     """Run every verification stage in order; failures do not stop later
     independent stages.  A failed stage records the exception's message, its
-    type and where in this package it was raised."""
-    rng = random.Random(cfg.seed)
+    type and where in this package it was raised.  Each stage draws from
+    ``random.Random(f"{seed}:{name}")``: a str seed is hashed with SHA-512, so
+    the streams do not depend on PYTHONHASHSEED, and no stage's draws move
+    another's data."""
     s = load_section(cfg, GF(17))
     report = {
         "schema": SCHEMA,
@@ -435,7 +436,7 @@ def verify_paper(cfg: RunConfig) -> dict:
     }
     for name, fn in STAGES:
         try:
-            report["stages"][name] = fn(cfg, rng)
+            report["stages"][name] = fn(cfg, random.Random(f"{cfg.seed}:{name}"))
         except Exception as exc:        # noqa: BLE001 - report, keep going
             report["stages"][name] = {"ok": False, "details": {
                 "error": str(exc), "error_type": type(exc).__name__,
@@ -445,19 +446,16 @@ def verify_paper(cfg: RunConfig) -> dict:
 
 
 @main.command("verify-paper")
-@click.option("--seed", default=0)
-@click.option("--samples", default=200, type=click.IntRange(1, 200),
-              help="random points of the pushforward and gauge checks; "
-                   "only the duality_build stage reads it")
+@click.option("--seed", default=0,
+              help="seeds each stage's own rng, with the stage's name")
 @click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
               help="cap on the S-pair reductions of the certificate's one saturation")
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)
 @report_option
-def verify_paper_cmd(seed, samples, budget, qs, section, report):
+def verify_paper_cmd(seed, budget, qs, section, report):
     """Chain every pipeline on one section matrix; exit 0 iff all pass."""
-    cfg = RunConfig(seed=seed, samples=samples, budget=budget, qs=qs,
-                    section=section)
+    cfg = RunConfig(seed=seed, budget=budget, qs=qs, section=section)
     rep = verify_paper(cfg)
     emit_report(rep, report)
     sys.exit(0 if rep["ok"] else 1)

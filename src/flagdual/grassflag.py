@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import Field, GF, QQ, Mat, exterior_square, minors
+from .exactalg import Field, GF, QQ, Mat, exterior_square
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 TRIPLES = [(i, j, k) for i in range(1, 6)
@@ -60,38 +60,12 @@ def _contract(i: int, t: tuple):
     return (-1) ** t.index(i), tuple(x for x in t if x != i)
 
 
-# ---------------------------------------------------------------------------
-# Pluecker coordinates
-# ---------------------------------------------------------------------------
-
-def pluecker(rep: Mat) -> tuple:
-    """Ordered maximal minors of a 5x2 or 5x3 representative matrix."""
-    if rep.rows != 5 or rep.cols not in (2, 3):
-        raise ValueError("representative must be 5x2 or 5x3")
-    return tuple(rep.field.coerce(row[0]) for row in minors(rep.data, rep.cols))
-
-
 def to_dual(v) -> tuple:
     """D on triple-indexed coordinates: the pair-indexed coordinates in
-    wedge^2 V5*, entry a being D_SIGN[t] v_t with t the complement of pair a."""
+    wedge^2 V5*, entry a being D_SIGN[t] v_t with t the complement of pair a.
+    Applied to the Pluecker vector (the maximal minors) of a G(3,5)
+    representative, it gives the dual coordinates of that point."""
     return tuple(D_SIGN[t] * v[TRIPLE_POS[t]] for t in map(complement_pair, PAIRS))
-
-
-def dual_coordinates(B: Mat) -> tuple:
-    """Coordinates of a G(3,5) representative in wedge^2 V5* (pair-indexed),
-    i.e. D applied to its Pluecker vector."""
-    return tuple(map(B.field.coerce, to_dual(pluecker(B))))
-
-
-# -- deterministic samplers ---------------------------------------------------
-
-def random_grass_point(field: Field, k: int, rng: random.Random) -> Mat:
-    """A full-rank 5 x k representative: ``Mat.random`` draws, redrawn while
-    every Pluecker coordinate is 0."""
-    while True:
-        rep = Mat.random(field, 5, k, rng)
-        if any(pluecker(rep)):
-            return rep
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,12 @@ def test_motivic_commands(runner, tmp_path):
     ["duality", "nonbirational", "--prime", "4"],
     ["duality", "nonbirational", "--prime", "10000000000000000000000013"],  # too large to test
     ["duality", "nonbirational", "--prime", "3"],       # no invariant complement
-    ["verify-paper", "--samples", "0"],                # no samples, no check
     ["duality", "build", "--field", "4"],
     ["duality", "build", "--field", "x"],
     ["duality", "selfdual", "--field", "x"],
     ["duality", "selfdual", "--field", "3"],            # no invariant complement
     ["glsm", "stability", "--field", "4"],
     ["glsm", "stability", "--field", "x"],
-    ["verify-paper", "--samples", "-3"],
-    ["verify-paper", "--samples", "201"],              # above what the stages draw
     ["duality", "selfdual", "--samples", "0"],
     ["glsm", "stability", "--samples", "-3"],
     ["duality", "nonbirational", "--budget", "0"],     # no Groebner step allowed
@@ -305,7 +302,7 @@ def test_verify_paper_q7_report_is_pinned(runner, tmp_path):
     res = runner.invoke(main, ["verify-paper", "--qs", "2,3,5,7", "--report", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5a82cc76fad6f65b1a26e102d0914f08c4131011ff54ff38524acd15e84ee255")
+        "c72a5596f2ecfee9470f19bcee4dc12a2605c438c10933e89ab29437ebe86706")
 
 
 def test_failed_stage_records_type_and_place(monkeypatch):
@@ -338,9 +335,9 @@ def test_failed_stage_records_type_and_place(monkeypatch):
 
 
 def test_verify_paper_redraws_a_singular_section(runner):
-    # seed 4003 is the first from 4001 on whose first generic section has a
+    # seed 4007 is the first from 4001 on whose first generic section has a
     # singular F_7-point, so the glsm stage draws a second one
-    res = runner.invoke(main, ["verify-paper", "--seed", "4003"])
+    res = runner.invoke(main, ["verify-paper", "--seed", "4007"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["stages"]["glsm"]["details"]["okonek_generic"]["draws"] == 2
 
@@ -375,10 +372,35 @@ def test_count_q_above_int64_bound_is_a_usage_error(runner, args):
     assert "the bound of exact float64 counting" in res.output
 
 
-def test_verify_paper_has_no_field_option(runner):
-    res = runner.invoke(main, ["verify-paper", "--field", "17"])
+@pytest.mark.parametrize("args", [["--field", "17"], ["--samples", "5"]])
+def test_verify_paper_has_no_field_option(runner, args):
+    res = runner.invoke(main, ["verify-paper", *args])
     assert res.exit_code == 2, res.output
     assert "No such option" in res.output
+
+
+@pytest.mark.parametrize("cfg, moved", [
+    (RunConfig(qs=(2, 3, 5)), ("config.qs", "stages.l_equivalence_counts.details.q=5.")),
+    (RunConfig(budget=5), ("config.budget", "stages.nonbirational.", "ok")),
+])
+def test_an_option_moves_only_the_stages_that_read_it(cfg, moved):
+    # each stage draws from its own stream: against the golden report, --qs
+    # adds the q = 5 counts and moves no glsm draw, and --budget moves only
+    # the certificate and the verdict
+    spec = importlib.util.spec_from_file_location(
+        "golden_diff", GOLDEN.parents[2] / "scripts" / "golden_diff.py")
+    golden_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_diff)
+    old = golden_diff.leaves(json.loads(GOLDEN.read_text()))
+    new = golden_diff.leaves(json.loads(json.dumps(verify_paper(cfg))))
+    missing = object()
+    changed = {k for k in old.keys() | new.keys() if old.get(k, missing) != new.get(k, missing)}
+
+    def under(key, prefix):
+        return key == prefix or key.startswith(prefix)
+
+    assert all(any(under(k, m) for m in moved) for k in changed), changed
+    assert all(any(under(k, m) for k in changed) for m in moved), changed
 
 
 def test_golden_diff_fails_only_on_changed_or_removed_keys(tmp_path):

@@ -12,10 +12,10 @@ from flagdual.glsm import (GLSMPoint, _complete_basis, _singular_rows,
                            critical_gauge_class_count, critical_member,
                            instability_certificate, model_for, okonek_scan,
                            random_point, semistable, verify_certificate)
-from flagdual.grassflag import (SectionMatrix, pluecker, random_grass_point,
-                                random_hf_section, script_matrix)
+from flagdual.grassflag import SectionMatrix, random_hf_section, script_matrix
 from flagdual.motivic import (_section_array, count_M_via_g25, eval_poly,
                               gauss_binomial, y_points)
+from points import pluecker, random_grass_point
 
 F13 = GF(13)
 F11 = GF(11)

@@ -7,12 +7,10 @@ from flagdual.duality import commutant_space
 from flagdual.exactalg import GF, QQ, Mat, exterior_square
 from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, MatrixSubspace,
                                 SectionMatrix, _generators, _iota_images_inside,
-                                _iota_invariant, dual_coordinates,
-                                flag_equation,
+                                _iota_invariant, flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
-                                iota_action, pluecker,
-                                random_grass_point, random_hf_section,
-                                script_matrix)
+                                iota_action, random_hf_section, script_matrix)
+from points import dual_coordinates, pluecker, random_grass_point
 
 F7 = GF(7)
 F11 = GF(11)

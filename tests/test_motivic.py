@@ -8,16 +8,17 @@ import pytest
 
 from flagdual import motivic
 from flagdual.exactalg import GF, Mat, minors
-from flagdual.duality import pushforward_to_g25, section_of_fiber_point
+from flagdual.duality import pushforward_to_g25
 from flagdual.grassflag import (D_SIGN, PAIR_POS, PAIRS, TRIPLE_POS, TRIPLES,
-                                SectionMatrix, complement_pair, dual_coordinates,
-                                perm_sign, pluecker, random_hf_section, to_dual)
+                                SectionMatrix, complement_pair, perm_sign,
+                                random_hf_section, to_dual)
 from flagdual.motivic import (MotivicClass, count_M_via_g25, count_M_via_g35,
                               count_X, count_Y, degree_check,
                               derive_l_relation, enumerate_grassmannian,
                               eval_poly, fibration_report, gauss_binomial,
                               integral, l_relation_expected, pieri,
                               schubert_mul)
+from points import dual_coordinates, pluecker, section_on_fiber
 
 
 def test_gauss_binomial_values():
@@ -378,7 +379,7 @@ def test_M_count_matches_brute_force_over_gf2():
         for w in itertools.product(range(q), repeat=5):
             if Mat(f, [list(r) + [w[n]] for n, r in enumerate(A.data)]).rank() < 3:
                 continue
-            if f.is_zero(section_of_fiber_point(s, A, list(w))):
+            if f.is_zero(section_on_fiber(s, A, list(w))):
                 hits += 1
     assert hits % (q ** 3 - q ** 2) == 0
     brute = hits // (q ** 3 - q ** 2)
