@@ -5,9 +5,14 @@ Reports carry a schema tag, the exact input matrix, and the convention
 constants (pair order, the sign table of the wedge-identification, the
 pushforward normalization); identical configurations produce byte-identical
 reports.
+
+numpy loads only with the F_q point scans, ``glsm`` and ``motivic``: their
+commands, ``--q``/``--qs`` and two ``verify-paper`` stages import them when
+they run, so the exact-algebra commands start without numpy.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -19,9 +24,7 @@ import click
 
 from . import bwb as bwb_mod
 from . import duality as duality_mod
-from . import glsm as glsm_mod
 from . import grassflag
-from . import motivic as motivic_mod
 from . import mutation as mutation_mod
 from .exactalg import GF, MAX_REDUCTIONS, QQ, Mat, parse_matrix
 from .duality import pushforward_to_g25, pushforward_to_g35
@@ -67,8 +70,9 @@ def load_section(cfg: RunConfig, field) -> SectionMatrix:
     return _read_matrix(cfg.section, field, "'--section'", SectionMatrix)
 
 
-def _glsm_point(m: Mat) -> glsm_mod.GLSMPoint:
+def _glsm_point(m: Mat):
     """The ``--point`` matrix: 5 rows of B, then the row omega."""
+    from . import glsm as glsm_mod
     if m.rows != 6:
         raise ValueError(f"need 6 rows, got {m.rows}")
     return glsm_mod.GLSMPoint(Mat(m.field, m.data[:5]), tuple(m.data[5]))
@@ -93,6 +97,7 @@ def _prime_option(_ctx, _param, value: int) -> int:
 
 def _q_option(_ctx, _param, value) -> int:
     """A prime below the bound under which every count is exact."""
+    from . import motivic as motivic_mod
     q = _gf(value).p
     if q >= motivic_mod.Q_LIMIT:
         raise click.BadParameter(f"{q} is above the bound of exact float64 counting")
@@ -301,6 +306,7 @@ def motivic():
 @click.option("--q", default=3, callback=_q_option)
 @report_option
 def motivic_count(section, q, report):
+    from . import motivic as motivic_mod
     s = load_section(RunConfig(section=section), GF(q))
     rep = motivic_mod.fibration_report(s, q)
     emit_report({"schema": SCHEMA, **rep, "matrix": section_rows(s)}, report)
@@ -309,6 +315,7 @@ def motivic_count(section, q, report):
 
 @motivic.command("degree")
 def motivic_degree():
+    from . import motivic as motivic_mod
     verdict = motivic_mod.degree_verdict()
     click.echo(json.dumps(verdict))
     sys.exit(0 if verdict["ok"] else 1)
@@ -316,6 +323,7 @@ def motivic_degree():
 
 @motivic.command("l-relation")
 def motivic_l_relation():
+    from . import motivic as motivic_mod
     verdict = motivic_mod.l_relation_verdict()
     click.echo(json.dumps(verdict))
     sys.exit(0 if verdict["equals_([X]-[Y])L^2"] else 1)
@@ -354,6 +362,7 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
     --field 13 and --samples 1000 usually draws no unstable point and
     stats.unstable_certified reads 0; --field 3 draws unstable points and
     exercises the certificates."""
+    from . import glsm as glsm_mod
     s = load_section(RunConfig(section=section), field)
     rng = random.Random(seed)
     out = {"schema": SCHEMA, "chamber": chamber, "conventions": conventions_block()}
@@ -390,7 +399,8 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
 
 # Each stage calls the claim's check in the module that owns its maths.  A
 # stage draws from its own rng, seeded by the run's seed and its name, so an
-# option moves only the stages that read it.
+# option moves only the stages that read it.  The two stages that scan F_q
+# points import ``motivic`` and ``glsm``, and with them numpy, when they run.
 STAGES = [
     ("spaces", lambda cfg, rng: grassflag.verify_spaces()),
     ("duality_build", lambda cfg, rng: duality_mod.verify_pushforwards()),
@@ -399,10 +409,12 @@ STAGES = [
     ("nonbirational", lambda cfg, rng: duality_mod.verify_nonbirational(
         load_section(cfg, GF(17)), 17, cfg.budget)),
     ("l_equivalence_counts",
-     lambda cfg, rng: motivic_mod.verify_l_equivalence(cfg.qs, rng)),
+     lambda cfg, rng: importlib.import_module(".motivic", __package__)
+     .verify_l_equivalence(cfg.qs, rng)),
     ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
     ("mutation_replay", lambda cfg, rng: mutation_mod.verify_replay()),
-    ("glsm", lambda cfg, rng: glsm_mod.verify_phases(load_section(cfg, QQ), rng)),
+    ("glsm", lambda cfg, rng: importlib.import_module(".glsm", __package__)
+     .verify_phases(load_section(cfg, QQ), rng)),
 ]
 
 

@@ -13,15 +13,13 @@ Fractions only for its result.  It pivots on the sparsest candidate row, runs
 a forward pass and then a back-substitution; since the RREF of a matrix is
 unique, the pivot order changes its cost, never its result.  ``det`` and
 ``minors`` are the one minor rule (lexicographic k-subsets) for every grid of
-scalars, Poly or numpy arrays.  ``evaluate_batch`` evaluates polynomials over
-GF(p) at many points at once, in int64 numpy arrays; ``Poly.evaluate`` is its
-scalar oracle.  An ideal is the list of its generators: ``groebner_basis`` and
-``saturate`` read the ring from them and refuse a list that mixes rings.
-There is one monomial order, degrevlex: ``saturate`` adjoins the Rabinowitsch
-variable as the last variable, and its basis answers whether the saturation
-is the unit ideal, which no order changes.  Buchberger selects pairs by
-lowest lcm degree, except that a new element whose leading term divides an
-older one's reduces it at once, at its own degree.
+scalars, Poly or numpy arrays.  An ideal is the list of its generators:
+``groebner_basis`` and ``saturate`` read the ring from them and refuse a list
+that mixes rings.  There is one monomial order, degrevlex: ``saturate``
+adjoins the Rabinowitsch variable as the last variable, and its basis answers
+whether the saturation is the unit ideal, which no order changes.  Buchberger
+selects pairs by lowest lcm degree, except that a new element whose leading
+term divides an older one's reduces it at once, at its own degree.
 """
 from __future__ import annotations
 
@@ -33,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -799,43 +795,6 @@ class Poly:
             else:
                 bits.append(str(c))
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def evaluate_batch(polys: Sequence[Poly], points, p: int) -> np.ndarray:
-    """The values mod p of polynomials over one GF(p) ring at a batch of
-    points: an (N, nvars) array of residues -> the (N, len(polys)) int64 array
-    whose column k holds polys[k].  The powers of each variable are built
-    once per batch and shared by every polynomial.  Each polynomial's terms
-    are one (terms, N) array of coefficients, and x_i^d is multiplied only
-    into the terms of exponent d in x_i: those rows are gathered, multiplied
-    by the row of x_i^d and reduced mod p in place, and written back, so no
-    other temporary of their size is made.  Every product is of two
-    residues, so int64 holds every intermediate for p < 2^31."""
-    if p >= 1 << 31:
-        raise ValueError(f"evaluate_batch needs p < 2^31, got {p}")
-    if any(not isinstance(f.ring.field, GF) or f.ring.field.p != p
-           or f.ring is not polys[0].ring for f in polys):
-        raise ValueError(f"evaluate_batch needs polynomials over one GF({p}) ring")
-    points = np.asarray(points, dtype=np.int64) % p
-    exps = [np.array([f.ring.decode(m) for m in f.terms], dtype=np.int64)
-            for f in polys]                                  # (terms, nvars) each
-    top = max((int(e.max()) for e in exps if e.size), default=0)
-    powers = np.ones((top + 1,) + points.T.shape, dtype=np.int64)   # [e, i, n]
-    for e in range(1, top + 1):
-        powers[e] = powers[e - 1] * points.T % p
-    out = np.zeros((len(points), len(polys)), dtype=np.int64)
-    for k, (f, e) in enumerate(zip(polys, exps)):
-        vals = np.repeat(np.array(list(f.terms.values()), dtype=np.int64)[:, None],
-                         len(points), axis=1)                # (terms, N)
-        for i in np.flatnonzero(e.any(axis=0)):
-            for d in set(e[:, i].tolist()) - {0}:
-                rows = np.flatnonzero(e[:, i] == d)
-                picked = vals[rows]
-                picked *= powers[d, i]
-                picked %= p
-                vals[rows] = picked
-        out[:, k] = vals.sum(axis=0) % p
-    return out
 
 
 # ---------------------------------------------------------------------------

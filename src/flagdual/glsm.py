@@ -18,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .exactalg import Field, GF, Mat, evaluate_batch
+from .exactalg import Field, GF, Mat, Poly
 from .duality import pushforward_to_g35
 from .grassflag import SectionMatrix, random_hf_section
 from .motivic import (_pushforward_vectors, _section_array, count_X,
@@ -212,6 +213,43 @@ def okonek_scan(S: SectionMatrix, p: int) -> dict:
         found += len(B)
         singular += int(_singular_rows(S_arr, pivots, B, p).sum())
     return {"prime": p, "found": found, "singular": singular}
+
+
+def evaluate_batch(polys: Sequence[Poly], points, p: int) -> np.ndarray:
+    """The values mod p of polynomials over one GF(p) ring at a batch of
+    points: an (N, nvars) array of residues -> the (N, len(polys)) int64 array
+    whose column k holds polys[k].  The powers of each variable are built
+    once per batch and shared by every polynomial.  Each polynomial's terms
+    are one (terms, N) array of coefficients, and x_i^d is multiplied only
+    into the terms of exponent d in x_i: those rows are gathered, multiplied
+    by the row of x_i^d and reduced mod p in place, and written back, so no
+    other temporary of their size is made.  Every product is of two
+    residues, so int64 holds every intermediate for p < 2^31."""
+    if p >= 1 << 31:
+        raise ValueError(f"evaluate_batch needs p < 2^31, got {p}")
+    if any(not isinstance(f.ring.field, GF) or f.ring.field.p != p
+           or f.ring is not polys[0].ring for f in polys):
+        raise ValueError(f"evaluate_batch needs polynomials over one GF({p}) ring")
+    points = np.asarray(points, dtype=np.int64) % p
+    exps = [np.array([f.ring.decode(m) for m in f.terms], dtype=np.int64)
+            for f in polys]                                  # (terms, nvars) each
+    top = max((int(e.max()) for e in exps if e.size), default=0)
+    powers = np.ones((top + 1,) + points.T.shape, dtype=np.int64)   # [e, i, n]
+    for e in range(1, top + 1):
+        powers[e] = powers[e - 1] * points.T % p
+    out = np.zeros((len(points), len(polys)), dtype=np.int64)
+    for k, (f, e) in enumerate(zip(polys, exps)):
+        vals = np.repeat(np.array(list(f.terms.values()), dtype=np.int64)[:, None],
+                         len(points), axis=1)                # (terms, N)
+        for i in np.flatnonzero(e.any(axis=0)):
+            for d in set(e[:, i].tolist()) - {0}:
+                rows = np.flatnonzero(e[:, i] == d)
+                picked = vals[rows]
+                picked *= powers[d, i]
+                picked %= p
+                vals[rows] = picked
+        out[:, k] = vals.sum(axis=0) % p
+    return out
 
 
 def critical_gauge_class_count(S: SectionMatrix, q: int) -> dict:

@@ -14,8 +14,6 @@ import functools
 import random
 from typing import Sequence
 
-import numpy as np
-
 from .exactalg import Field, GF, QQ, Mat, exterior_square
 
 PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -330,9 +328,9 @@ def _generators(field: GF) -> list:
             + [Mat(field, elementary(0, 0, 3))])
 
 
-def _iota_images_inside(space: MatrixSubspace, maps: Sequence[Mat]) -> np.ndarray:
-    """(len(maps), dim) bool array: entry [i, j] says whether iota_T, T =
-    maps[i], maps basis vector j of ``space`` into ``space``; over GF(p).
+def _iota_images_inside(space: MatrixSubspace, maps: Sequence[Mat]):
+    """(len(maps), dim) bool numpy array: entry [i, j] says whether iota_T,
+    T = maps[i], maps basis vector j of ``space`` into ``space``; over GF(p).
 
     For each map the images M_T^-1 K^T M_T of all the basis matrices K are
     one stacked int64 product, reduced mod p after each factor.  They are
@@ -340,7 +338,9 @@ def _iota_images_inside(space: MatrixSubspace, maps: Sequence[Mat]) -> np.ndarra
     space, the identity on its pivot columns, an image v lies in it iff
     v = v[pivots] R mod p.  Every value is a sum of at most max(10, dim)
     products of two residues: below 25 p^2 for the 25-dimensional ideal, and
-    below 100 p^2 < 2^63 for any subspace."""
+    below 100 p^2 < 2^63 for any subspace.  numpy is imported here so that
+    the exact-algebra commands, which never call this, start without it."""
+    import numpy as np
     p = space.field.p
     Kt = np.array([K.data for K in space.basis], dtype=np.int64).transpose(0, 2, 1)
     rows = np.array(space._rref_cols, dtype=np.int64).T

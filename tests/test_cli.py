@@ -543,3 +543,47 @@ def test_stage_names_match_benchmark_tracer():
                  if isinstance(node, ast.Assign)
                  and getattr(node.targets[0], "id", None) == "STAGE_NAMES")
     assert [n for n, _ in STAGES] == list(names)
+
+
+POINT_SCANS = ("numpy", "flagdual.glsm", "flagdual.motivic")
+
+
+def _point_scans_loaded_after(code: str) -> list:
+    """Which of POINT_SCANS a fresh interpreter holds after running ``code``."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = f"\nimport sys\nprint([m for m in {POINT_SCANS!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code + probe], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args", [
+    None,
+    ["--help"],
+    ["duality", "nonbirational", "--section", "{section}", "--report", "{report}"],
+    ["duality", "selfdual"],
+    ["bwb", "lemma", "--name", "vanishingQO"],
+    ["mutations", "check-collection", "--name", "kuznetsov25"],
+    ["duality", "build", "--out", "{tmp}"],
+], ids=["import", "help", "nonbirational", "selfdual", "bwb-lemma",
+        "check-collection", "build"])
+def test_exact_algebra_commands_run_without_numpy(tmp_path, args):
+    # only the F_q point scans need numpy; None is the bare import of the CLI
+    section, report = tmp_path / "section.txt", tmp_path / "report.json"
+    section.write_text(format_matrix(random_hf_section(QQ, random.Random(3)).mat))
+    code = "from flagdual import cli\n"
+    if args is not None:
+        argv = [a.format(section=section, report=report, tmp=tmp_path) for a in args]
+        code += (f"try:\n    cli.main({argv!r}, standalone_mode=False)\n"
+                 "except SystemExit as exc:\n    assert not exc.code, exc.code\n")
+    assert _point_scans_loaded_after(code) == []
+    if "nonbirational" in (args or []):
+        assert json.loads(report.read_text())["status"] == "certified_empty"
+
+
+def test_verify_paper_loads_the_point_scans():
+    code = "from flagdual.cli import RunConfig, verify_paper\nverify_paper(RunConfig())"
+    assert _point_scans_loaded_after(code) == list(POINT_SCANS)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from flagdual.exactalg import (GF, QQ, BudgetExceeded, Mat,
-                               Poly, PolyRing, evaluate_batch, exterior_square,
+                               Poly, PolyRing, exterior_square,
                                format_matrix, det, groebner_basis, interreduce,
                                is_prime, is_unit_ideal, minors, normal_form,
                                parse_matrix, saturate, spolynomials_reduce_to_zero)
@@ -450,59 +450,6 @@ def test_derivative():
 def test_evaluate():
     p = X ** 2 + Y * 3
     assert p.evaluate([2, 5]) == (4 + 15) % 17
-
-
-def _random_poly(ring, rng, terms, degree):
-    """A sum of ``terms`` random monomials of degree at most ``degree`` with
-    random coefficients, one of them of degree exactly ``degree``."""
-    f = ring.field
-    acc = Poly(ring, {ring.encode([degree] + [0] * (ring.nvars - 1)): f.rand(rng) or 1})
-    for _ in range(terms - 1):
-        exps = [0] * ring.nvars
-        for _ in range(rng.randrange(degree + 1)):
-            exps[rng.randrange(ring.nvars)] += 1
-        acc = acc + Poly(ring, {ring.encode(exps): 1}) * f.rand(rng)
-    return acc
-
-
-@pytest.mark.parametrize("p", [7, 17, 2 ** 31 - 1])
-def test_evaluate_batch_matches_evaluate(p):
-    f = GF(p)
-    rng = random.Random(p)
-    ring = PolyRing(f, tuple(f"x{i}" for i in range(6)))
-    x = [ring.var(i) for i in range(6)]
-    # x5 occurs in no term of the first sparse one, and every variable in
-    # exactly one term of either
-    sparse = [x[0] ** 2 * x[1] * 3 + x[2] * 5 + x[3] * x[4] ** 3 + 2, x[5] ** 4 * 6]
-    polys = [ring.zero(), ring.const(p - 3), _random_poly(ring, rng, 15, 4),
-             _random_poly(ring, rng, 60, 9)] + sparse
-    assert polys[3].degree() == 9
-    # residues, p - 1 (the largest products) and representatives off [0, p)
-    points = [[f.rand(rng) for _ in range(6)] for _ in range(40)]
-    points += [[p - 1] * 6, [0] * 6, [rng.randrange(-3 * p, 3 * p) for _ in range(6)]]
-    got = evaluate_batch(polys, points, p)
-    assert got.shape == (len(points), len(polys))
-    assert got.tolist() == [[g.evaluate(pt) for g in polys] for pt in points]
-    assert not got[:, 0].any() and (got[:, 1] == p - 3).all()
-    # the quintic triple of a generic section, with shared variable powers
-    st = pushforward_to_g35(random_hf_section(f, rng))
-    points = [Mat.random(f, 5, 3, rng).flatten() for _ in range(10)]
-    assert evaluate_batch(st, points, p).tolist() == [
-        [s.evaluate(pt) for s in st] for pt in points]
-
-
-def test_evaluate_batch_is_gf_p_only():
-    x = PolyRing(QQ, ("x",)).var(0)
-    with pytest.raises(ValueError):
-        evaluate_batch([x], [[1]], 7)
-    big = 2 ** 31 + 11
-    assert is_prime(big)
-    with pytest.raises(ValueError):
-        evaluate_batch([PolyRing(GF(big), ("x",)).var(0)], [[1]], big)
-    with pytest.raises(ValueError):     # the ring's prime is not p
-        evaluate_batch([X], [[1, 2]], 7)
-    with pytest.raises(ValueError):     # two rings
-        evaluate_batch([X, PolyRing(F17, ("x", "y")).var(0)], [[1, 2]], 17)
 
 
 def test_groebner_single_var():

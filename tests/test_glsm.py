@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from flagdual import glsm, motivic
-from flagdual.exactalg import GF, QQ, Field, Mat, Poly, PolyRing, det, minors
-from flagdual.duality import QUINTIC_VARS, pushforward_to_g25
+from flagdual.exactalg import (GF, QQ, Field, Mat, Poly, PolyRing, det, is_prime,
+                               minors)
+from flagdual.duality import QUINTIC_VARS, pushforward_to_g25, pushforward_to_g35
 from flagdual.glsm import (GLSMPoint, _complete_basis, _singular_rows,
-                           critical_gauge_class_count, critical_member,
+                           critical_gauge_class_count, critical_member, evaluate_batch,
                            instability_certificate, model_for, okonek_scan,
                            random_point, semistable, verify_certificate)
 from flagdual.grassflag import SectionMatrix, random_hf_section, script_matrix
@@ -19,6 +20,8 @@ from points import pluecker, random_grass_point
 
 F13 = GF(13)
 F11 = GF(11)
+F17 = GF(17)
+X = PolyRing(F17, ("x", "y")).var(0)
 
 
 def unit_cols(field, idx):
@@ -345,6 +348,59 @@ def test_scan_reduces_a_rational_section():
         script_matrix(GF(13)).to_field(GF(7))
     with pytest.raises(ValueError):
         okonek_scan(script_matrix(GF(13)), 7)
+
+
+def _random_poly(ring, rng, terms, degree):
+    """A sum of ``terms`` random monomials of degree at most ``degree`` with
+    random coefficients, one of them of degree exactly ``degree``."""
+    f = ring.field
+    acc = Poly(ring, {ring.encode([degree] + [0] * (ring.nvars - 1)): f.rand(rng) or 1})
+    for _ in range(terms - 1):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randrange(degree + 1)):
+            exps[rng.randrange(ring.nvars)] += 1
+        acc = acc + Poly(ring, {ring.encode(exps): 1}) * f.rand(rng)
+    return acc
+
+
+@pytest.mark.parametrize("p", [7, 17, 2 ** 31 - 1])
+def test_evaluate_batch_matches_evaluate(p):
+    f = GF(p)
+    rng = random.Random(p)
+    ring = PolyRing(f, tuple(f"x{i}" for i in range(6)))
+    x = [ring.var(i) for i in range(6)]
+    # x5 occurs in no term of the first sparse one, and every variable in
+    # exactly one term of either
+    sparse = [x[0] ** 2 * x[1] * 3 + x[2] * 5 + x[3] * x[4] ** 3 + 2, x[5] ** 4 * 6]
+    polys = [ring.zero(), ring.const(p - 3), _random_poly(ring, rng, 15, 4),
+             _random_poly(ring, rng, 60, 9)] + sparse
+    assert polys[3].degree() == 9
+    # residues, p - 1 (the largest products) and representatives off [0, p)
+    points = [[f.rand(rng) for _ in range(6)] for _ in range(40)]
+    points += [[p - 1] * 6, [0] * 6, [rng.randrange(-3 * p, 3 * p) for _ in range(6)]]
+    got = evaluate_batch(polys, points, p)
+    assert got.shape == (len(points), len(polys))
+    assert got.tolist() == [[g.evaluate(pt) for g in polys] for pt in points]
+    assert not got[:, 0].any() and (got[:, 1] == p - 3).all()
+    # the quintic triple of a generic section, with shared variable powers
+    st = pushforward_to_g35(random_hf_section(f, rng))
+    points = [Mat.random(f, 5, 3, rng).flatten() for _ in range(10)]
+    assert evaluate_batch(st, points, p).tolist() == [
+        [s.evaluate(pt) for s in st] for pt in points]
+
+
+def test_evaluate_batch_is_gf_p_only():
+    x = PolyRing(QQ, ("x",)).var(0)
+    with pytest.raises(ValueError):
+        evaluate_batch([x], [[1]], 7)
+    big = 2 ** 31 + 11
+    assert is_prime(big)
+    with pytest.raises(ValueError):
+        evaluate_batch([PolyRing(GF(big), ("x",)).var(0)], [[1]], big)
+    with pytest.raises(ValueError):     # the ring's prime is not p
+        evaluate_batch([X], [[1, 2]], 7)
+    with pytest.raises(ValueError):     # two rings
+        evaluate_batch([X, PolyRing(F17, ("x", "y")).var(0)], [[1, 2]], 17)
 
 
 def test_critical_gauge_classes_biject_with_X(monkeypatch):
