@@ -8,7 +8,8 @@ reports.
 
 numpy loads only with the F_q point scans, ``glsm`` and ``motivic``: their
 commands, ``--q``/``--qs`` and two ``verify-paper`` stages import them when
-they run, so the exact-algebra commands start without numpy.
+they run, so the exact-algebra commands start without numpy.  ``bwb``,
+``mutation`` and ``traceback`` load the same way, where they are used.
 """
 from __future__ import annotations
 
@@ -17,15 +18,12 @@ import json
 import os
 import random
 import sys
-import traceback
 from dataclasses import asdict, dataclass
 
 import click
 
-from . import bwb as bwb_mod
 from . import duality as duality_mod
 from . import grassflag
-from . import mutation as mutation_mod
 from .exactalg import GF, MAX_REDUCTIONS, QQ, Mat, parse_matrix
 from .duality import pushforward_to_g25, pushforward_to_g35
 from .grassflag import D_SIGN, PAIRS, SectionMatrix, script_matrix
@@ -237,6 +235,7 @@ def bwb():
 @click.option("--space", type=click.Choice(["G25", "G35", "F"]), required=True)
 @click.option("--weight", required=True, help='e.g. "2,2|1|0,0"')
 def bwb_cohomology(space, weight):
+    from . import bwb as bwb_mod
     try:
         entries = tuple(int(x) for x in weight.replace("|", ",").split(","))
         bundle = bwb_mod.BundleExpr.from_weight(space, entries)
@@ -252,6 +251,7 @@ def bwb_cohomology(space, weight):
 @click.option("--range", "arange", default="0..7", callback=_range_option)
 def bwb_lemma(name, arange):
     """Print the pass/fail grid of a vanishing lemma over the stated band."""
+    from . import bwb as bwb_mod
     grid = bwb_mod.lemma_grid(name, arange, range(16))
     for a, row in zip(arange, grid):
         click.echo(f"a={a:2d}  " + "".join("." if good else "X" for good in row))
@@ -274,6 +274,7 @@ def mutations():
               callback=_output_path)
 def mutations_replay(log_path):
     """Replay the decomposition transport; emit the certified step log."""
+    from . import mutation as mutation_mod
     rep = mutation_mod.replay_proof()
     if log_path:
         with open(log_path, "w") as fh:
@@ -287,6 +288,7 @@ def mutations_replay(log_path):
 @click.option("--name", type=click.Choice(["kuznetsov25", "kuznetsov35"]),
               required=True)
 def mutations_check(name):
+    from . import mutation as mutation_mod
     rep = mutation_mod.certify_grassmannian_collection(name)
     click.echo(json.dumps(rep, indent=2, sort_keys=True, default=str))
     sys.exit(0 if rep["self_ext_ok"] and rep["orthogonality_ok"] else 1)
@@ -400,7 +402,8 @@ def glsm_stability(section, field, chamber, samples, seed, point_path, report):
 # Each stage calls the claim's check in the module that owns its maths.  A
 # stage draws from its own rng, seeded by the run's seed and its name, so an
 # option moves only the stages that read it.  The two stages that scan F_q
-# points import ``motivic`` and ``glsm``, and with them numpy, when they run.
+# points import ``motivic`` and ``glsm``, and with them numpy, when they run;
+# the ``bwb`` and ``mutation`` stages import their modules the same way.
 STAGES = [
     ("spaces", lambda cfg, rng: grassflag.verify_spaces()),
     ("duality_build", lambda cfg, rng: duality_mod.verify_pushforwards()),
@@ -411,8 +414,10 @@ STAGES = [
     ("l_equivalence_counts",
      lambda cfg, rng: importlib.import_module(".motivic", __package__)
      .verify_l_equivalence(cfg.qs, rng)),
-    ("bwb_lemmas", lambda cfg, rng: bwb_mod.verify_lemmas()),
-    ("mutation_replay", lambda cfg, rng: mutation_mod.verify_replay()),
+    ("bwb_lemmas",
+     lambda cfg, rng: importlib.import_module(".bwb", __package__).verify_lemmas()),
+    ("mutation_replay",
+     lambda cfg, rng: importlib.import_module(".mutation", __package__).verify_replay()),
     ("glsm", lambda cfg, rng: importlib.import_module(".glsm", __package__)
      .verify_phases(load_section(cfg, QQ), rng)),
 ]
@@ -422,6 +427,7 @@ def _raised_at(exc: Exception) -> str:
     """``module.py:line`` of the innermost frame of this package in the
     traceback of exc; the report carries no path, so it stays the same
     wherever the package is installed."""
+    import traceback
     package = os.path.dirname(os.path.abspath(__file__))
     where = None
     for frame, line in traceback.walk_tb(exc.__traceback__):

@@ -25,8 +25,8 @@ The commutant W = W_1 is solved as two blocks.  E(M) = S^T M - M S has
 E(M)^T = -E(M^T): E swaps symmetric and antisymmetric matrices, so W is the
 sum of its symmetric and antisymmetric parts when 2 is invertible
 (characteristic 2 is refused).  The two blocks, 45x55 on symmetric M and
-55x45 on antisymmetric M, are folded from the rows of the full 100x100
-system; their solutions and annihilator rows unfold back to vec(M).  For a
+55x45 on antisymmetric M, are built from S directly, about 20 entries per
+equation; their solutions and annihilator rows unfold back to vec(M).  For a
 nonderogatory S every intertwiner is symmetric (Taussky-Zassenhaus), so a
 generic W is 10-dimensional and the antisymmetric block has no kernel.
 ``commutant_space`` returns the same basis as a solve of the full system.
@@ -40,8 +40,9 @@ from dataclasses import asdict, dataclass, field as dc_field
 from .exactalg import (GF, MAX_REDUCTIONS, QQ, BudgetExceeded, Field, Mat,
                        PolyRing, det, is_unit_ideal, minors, saturate)
 from .grassflag import (D_SIGN, PAIRS, PAIR_POS, TRIPLES, DualityMap,
-                        MatrixSubspace, SectionMatrix, complement_pair,
-                        hf_project, hf_space, iota_action, to_dual)
+                        MatrixSubspace, SectionMatrix, _check_split,
+                        complement_pair, flag_equation, hf_project,
+                        iota_action, to_dual)
 
 QUADRIC_VARS = tuple(f"p{i}{j}" for (i, j) in PAIRS)
 QUINTIC_VARS = tuple(f"b{r}{c}" for r in range(1, 6) for c in range(1, 4))
@@ -107,28 +108,16 @@ def selfdual_test(S: SectionMatrix, f: DualityMap) -> bool:
                          (f.M * S.mat).flatten()]).rank() <= 1
 
 
-def intertwiner_conditions(S: SectionMatrix) -> Mat:
-    """The 100x100 matrix of the linear system S^T M - M S = 0 in vec(M),
-    rows indexed by output entries (i,j), columns by input entries (a,b)."""
-    f = S.field
-    ST = S.mat.transpose()
-    rows = []
-    for i in range(10):
-        for j in range(10):
-            row = [f.zero] * 100
-            for a in range(10):
-                # d/dM_ab of (S^T M)_{ij} = S^T_{ia} delta_{bj}
-                row[10 * a + j] = f.add(row[10 * a + j], ST.data[i][a])
-            for bcol in range(10):
-                row[10 * i + bcol] = f.sub(row[10 * i + bcol], S.mat.data[bcol][j])
-            rows.append(row)
-    return Mat(f, rows)
-
-
 # The unknowns m_ab of a symmetric M (a <= b) and of an antisymmetric M
 # (a < b), row-major.  They also index the equations E_ij of the other block.
 _SYM_PAIRS = tuple((a, b) for a in range(10) for b in range(a, 10))
 _ANTI_PAIRS = tuple((a, b) for a in range(10) for b in range(a + 1, 10))
+# Where entry (x, y) of M lands: the symmetric unknown of {x, y}, and the
+# antisymmetric unknown of {x, y} with the sign of M_xy in it (x != y).
+_SYM_AT = [[_SYM_PAIRS.index((min(x, y), max(x, y))) for y in range(10)]
+           for x in range(10)]
+_ANTI_AT = [[(_ANTI_PAIRS.index((min(x, y), max(x, y))), 1 if x < y else -1)
+             if x != y else None for y in range(10)] for x in range(10)]
 
 
 def _transpose_blocks(S: SectionMatrix):
@@ -139,21 +128,34 @@ def _transpose_blocks(S: SectionMatrix):
     E(M) = S^T M - M S has E(M)^T = -E(M^T), so E maps symmetric M to
     antisymmetric matrices and antisymmetric M to symmetric ones.  Since the
     commutant W is closed under transpose, W = W_sym + W_anti as soon as 2 is
-    invertible, and the two blocks are solved apart.  Each block folds the
-    rows c of ``intertwiner_conditions``: symmetric column (a, b), a < b, is
-    c_ab + c_ba and (a, a) is c_aa; antisymmetric column (a, b) is
-    c_ab - c_ba."""
+    invertible, and the two blocks are solved apart.  Each equation is built
+    from S in 20 accumulations: E_ij = sum_a S_ai M_aj - sum_a M_ia S_aj, and
+    each M_xy is the unknown of {x, y}, with the sign of (x, y) in the
+    antisymmetric block, where M_xx = 0."""
     f = S.field
     if isinstance(f, GF) and f.p == 2:
         raise ValueError("the symmetric/antisymmetric split of S^T M = M S "
                          "needs 2 invertible: characteristic 2 is refused")
-    rows = intertwiner_conditions(S).data
-    sym = [[f.add(c[10 * a + b], c[10 * b + a]) if a < b else c[11 * a]
-            for a, b in _SYM_PAIRS]
-           for c in (rows[10 * i + j] for i, j in _ANTI_PAIRS)]
-    anti = [[f.sub(c[10 * a + b], c[10 * b + a]) for a, b in _ANTI_PAIRS]
-            for c in (rows[10 * i + j] for i, j in _SYM_PAIRS)]
-    return Mat._of(f, sym), Mat._of(f, anti)
+    s = S.mat.data
+    sym = []
+    for i, j in _ANTI_PAIRS:
+        row = [f.zero] * len(_SYM_PAIRS)
+        for a in range(10):
+            row[_SYM_AT[a][j]] += s[a][i]
+            row[_SYM_AT[i][a]] -= s[a][j]
+        sym.append(row)
+    anti = []
+    for i, j in _SYM_PAIRS:
+        row = [f.zero] * len(_ANTI_PAIRS)
+        for a in range(10):
+            if a != j:
+                k, sign = _ANTI_AT[a][j]
+                row[k] += sign * s[a][i]
+            if a != i:
+                k, sign = _ANTI_AT[i][a]
+                row[k] -= sign * s[a][j]
+        anti.append(row)
+    return Mat(f, sym), Mat(f, anti)
 
 
 def _unfold(f: Field, vec, pairs, sign: int, diagonal: int) -> list:
@@ -216,6 +218,19 @@ def charpoly_squarefree(S: SectionMatrix) -> bool:
     n = len(cp) - 1
     dcp = [f.mul(c, f.coerce(n - i)) for i, c in enumerate(cp[:-1])]
     return _poly_gcd_degree(cp, dcp, f) <= 0
+
+
+def hf_member(S: SectionMatrix) -> bool:
+    """S lies in HF, the invariant complement of the flag ideal: tr(S K) = 0
+    for the 25 flag-ideal matrices K = ``flag_equation(e_i, e_j)``, the
+    conditions whose solution space is ``hf_space``.  tr(S K) is the dot of
+    S^T and K flattened.  Characteristic 3 is refused, as by ``hf_space``."""
+    f = S.field
+    _check_split(f)
+    st = S.mat.transpose().flatten()
+    units = [[int(r == i) for r in range(5)] for i in range(5)]
+    return all(f.is_zero(f.dot(st, flag_equation(x, y, f).mat.flatten()))
+               for x in units for y in units)
 
 
 def is_symmetric(m: Mat) -> bool:
@@ -298,7 +313,7 @@ def nonbirational_certificate(S: SectionMatrix, p: int,
     report = CertificateReport(status="budget_exceeded", route=route,
                                dim_commutant=dimW, symmetric=sym,
                                saturation_result="not-computed",
-                               hf_member=hf_space(field).contains(S.mat),
+                               hf_member=hf_member(S),
                                charpoly_squarefree=sqfree)
 
     # symmetric S is self-dual via the identity: immediate counterexample

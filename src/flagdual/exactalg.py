@@ -19,10 +19,14 @@ that mixes rings.  There is one monomial order, degrevlex: ``saturate``
 adjoins the Rabinowitsch variable as the last variable, and its basis answers
 whether the saturation is the unit ideal, which no order changes.  Buchberger
 selects pairs by lowest lcm degree, except that a new element whose leading
-term divides an older one's reduces it at once, at its own degree.
+term divides an older one's reduces it at once, at its own degree.  Its input
+and its output are interreduced, and the linear part of that is one
+``Mat.rref`` of the coefficient matrix; ``_normal_form`` is the one reduction
+routine.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -836,10 +840,14 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
     """Full normal form of fpoly against basis (parallel lists) over GF(p).
 
     Heap-driven: repeatedly cancel the largest reducible monomial by its first
-    divisor in lts; coefficients are ints mod p.  first_divisor memoises that
-    search: m -> index of the first divisor, or -k when lts[:k] holds none (0
-    reads as "search from 0").  Calls that share it may only append to lts,
-    so the first divisor of m among lts[:k] never changes.
+    divisor in lts.  A coefficient is an int that is reduced mod p only when
+    its monomial is popped; one that is 0 mod p then is skipped, and its key
+    stays in the work dict until that pop, so a later update adds to it
+    rather than pushing the monomial again.  Each monomial is popped once:
+    a reduction of m adds only monomials below m.  first_divisor memoises
+    the divisor search: m -> index of the first divisor, or -k when lts[:k]
+    holds none (0 reads as "search from 0").  Calls that share it may only
+    append to lts, so the first divisor of m among lts[:k] never changes.
     """
     ring = fpoly.ring
     p = ring.field.p
@@ -851,8 +859,8 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
     rem: dict = {}
     while heap:
         m = -heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
+        c = work.pop(m) % p
+        if not c:
             continue
         red = first_divisor.get(m, 0)
         if red <= 0:
@@ -871,14 +879,10 @@ def _normal_form(fpoly: Poly, lts: list, lcinvs: list, polys: list,
             old = work.get(key)
             if old is None:
                 if key != m:
-                    work[key] = factor * cg % p
+                    work[key] = factor * cg
                     heapq.heappush(heap, -key)
             else:
-                v = (old + factor * cg) % p
-                if v:
-                    work[key] = v
-                else:
-                    del work[key]
+                work[key] = old + factor * cg
     return Poly._of(ring, rem)
 
 
@@ -896,24 +900,60 @@ def _monic(p: Poly) -> Poly:
     return Poly._of(p.ring, {m: f.mul(c, inv) for m, c in p.terms.items()})
 
 
+def _reducible(g: Poly, lts: list) -> bool:
+    """Whether a leading term in ``lts`` (sorted and distinct, g's own among
+    them) other than g's own divides a term of g.  Divisibility between
+    monomials of one degree is equality, so a term of degree d is looked up
+    among the leading terms and tested only against those of lower degree,
+    which sort first: a packed monomial starts with its degree."""
+    ring = g.ring
+    guards, shift = ring._guards, ring._deg_shift
+    own = g.leading_monomial()
+    members = set(lts)
+    for m in g.terms:
+        if m != own and m in members:
+            return True
+        for lt in itertools.islice(lts, bisect.bisect_left(lts, m >> shift << shift)):
+            if not (lt - m) & guards:
+                return True
+    return False
+
+
 def interreduce(polys: Sequence[Poly]) -> list:
-    """Reduce each polynomial by the others until stable; monic output."""
+    """Reduce each polynomial by the others until stable; monic output,
+    sorted by leading term.
+
+    The linear part is one ``Mat.rref`` of the coefficient matrix, whose
+    columns are the monomials that occur, in decreasing degrevlex order: its
+    nonzero rows are monic, their leading terms are the pivots, and no row
+    has a term at another row's pivot.  A homogeneous input of one degree is
+    then reduced.  A term can still be reducible only when a leading term of
+    lower degree properly divides it, or when it equals a leading term that
+    a later reduction moved; so the reduce-by-the-others loop runs
+    ``normal_form`` only on an element that ``_reducible`` flags, until none
+    is."""
     G = [p for p in polys if p]
-    if G:
-        _prime_field(G[0].ring, "interreduce")
+    if not G:
+        return G
+    ring = G[0].ring
+    _prime_field(ring, "interreduce")
+    monos = sorted({m for g in G for m in g.terms}, reverse=True)
+    rows = [[g.terms.get(m, 0) for m in monos] for g in G]
+    R, pivots = Mat._of(ring.field, rows).rref()
+    G = [Poly._of(ring, {m: c for m, c in zip(monos, row) if c})
+         for row in R.data[:len(pivots)]]
+    lts = [monos[k] for k in reversed(pivots)]
     changed = True
     while changed:
         changed = False
         for i in range(len(G)):
-            if not G[i]:
+            if not G[i] or not _reducible(G[i], lts):
                 continue
-            others = [g for j, g in enumerate(G) if j != i and g]
-            if not others:
-                continue
-            r = normal_form(G[i], others)
+            r = normal_form(G[i], [g for j, g in enumerate(G) if j != i and g])
             if r.terms != G[i].terms:
                 G[i] = r
                 changed = True
+                lts = sorted(g.leading_monomial() for g in G if g)
         G = [g for g in G if g]
     return sorted((_monic(g) for g in G), key=lambda g: g.leading_monomial())
 
@@ -1058,11 +1098,15 @@ def saturate(gens: Sequence[Poly], fpoly: Poly,
     """The reduced Groebner basis of I + (z*f - 1) in R[z], for I generated
     by ``gens`` in R (the Rabinowitsch trick).
 
-    z is adjoined as the last degrevlex variable, and each generator is
-    lifted by decode/encode.  ``is_unit_ideal`` of the result is the verdict
-    I : f^infinity = <1>, that is V(I) contained in V(f): if f^k lies in I,
-    then 1 = (z f)^k + (1 - (z f)^k) lies in I + (z*f - 1), as 1 - (z f)^k
-    is a multiple of 1 - z f; conversely, z = 1/f in a relation for 1,
+    z is adjoined as the last degrevlex variable.  A generator is lifted on
+    its packed monomials: the variable fields stay, z's field above them
+    gets the complement 127 of exponent 0, and the degree moves up one
+    field, ``(m & fields) | 127 << 8n | deg << 8(n + 1)``.
+
+    ``is_unit_ideal`` of the result is the verdict I : f^infinity = <1>,
+    that is V(I) contained in V(f): if f^k lies in I, then
+    1 = (z f)^k + (1 - (z f)^k) lies in I + (z*f - 1), as 1 - (z f)^k is a
+    multiple of 1 - z f; conversely, z = 1/f in a relation for 1,
     cleared of denominators, puts a power of f in I.  Whether an ideal is
     the unit ideal does not depend on the monomial order, and its reduced
     basis is then [1].  The z-free part of a degrevlex basis is not
@@ -1071,9 +1115,10 @@ def saturate(gens: Sequence[Poly], fpoly: Poly,
     """
     ring = _common_ring([*gens, fpoly])
     ext = PolyRing(ring.field, ring.names + ("_z",))
+    fields, shift, z_field = ring._fields, ring._deg_shift, _CMAX << ring._deg_shift
 
     def lift(g: Poly) -> Poly:
-        return Poly._of(ext, {ext.encode(ring.decode(m) + (0,)): c
+        return Poly._of(ext, {(m & fields) | z_field | (m >> shift) << ext._deg_shift: c
                               for m, c in g.terms.items()})
 
     lifted = [lift(g) for g in gens]

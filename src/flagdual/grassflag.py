@@ -176,15 +176,6 @@ class MatrixSubspace:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, m: Mat) -> bool:
-        """The rows R_r (the RREF of the basis, or the basis given to ``_of``)
-        are the identity on their pivot columns pc_r, so v lies in their span
-        iff v = sum_r v[pc_r] R_r: one dot per column."""
-        v = m.flatten()
-        coeffs = [v[pc] for pc in self._pivots]
-        dot = self.field.dot
-        return all(dot(coeffs, col) == x for col, x in zip(self._rref_cols, v))
-
     def sum_rank(self, other: "MatrixSubspace") -> int:
         stacked = Mat(self.field, [m.flatten() for m in self.basis] +
                       [m.flatten() for m in other.basis])

@@ -546,14 +546,16 @@ def test_stage_names_match_benchmark_tracer():
 
 
 POINT_SCANS = ("numpy", "flagdual.glsm", "flagdual.motivic")
+# loaded by their own commands and stages only, like the point scans
+LAZY = ("flagdual.bwb", "flagdual.mutation")
 
 
-def _point_scans_loaded_after(code: str) -> list:
-    """Which of POINT_SCANS a fresh interpreter holds after running ``code``."""
+def _loaded_after(code: str, modules: tuple) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = f"\nimport sys\nprint([m for m in {POINT_SCANS!r} if m in sys.modules])"
+    probe = f"\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
     res = subprocess.run([sys.executable, "-c", code + probe], cwd=root, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -571,7 +573,8 @@ def _point_scans_loaded_after(code: str) -> list:
 ], ids=["import", "help", "nonbirational", "selfdual", "bwb-lemma",
         "check-collection", "build"])
 def test_exact_algebra_commands_run_without_numpy(tmp_path, args):
-    # only the F_q point scans need numpy; None is the bare import of the CLI
+    # only the F_q point scans need numpy; None is the bare import of the CLI,
+    # which, like the certificate, also loads neither bwb nor mutation
     section, report = tmp_path / "section.txt", tmp_path / "report.json"
     section.write_text(format_matrix(random_hf_section(QQ, random.Random(3)).mat))
     code = "from flagdual import cli\n"
@@ -579,11 +582,12 @@ def test_exact_algebra_commands_run_without_numpy(tmp_path, args):
         argv = [a.format(section=section, report=report, tmp=tmp_path) for a in args]
         code += (f"try:\n    cli.main({argv!r}, standalone_mode=False)\n"
                  "except SystemExit as exc:\n    assert not exc.code, exc.code\n")
-    assert _point_scans_loaded_after(code) == []
+    lazy = LAZY if args is None or "nonbirational" in args else ()
+    assert _loaded_after(code, POINT_SCANS + lazy) == []
     if "nonbirational" in (args or []):
         assert json.loads(report.read_text())["status"] == "certified_empty"
 
 
 def test_verify_paper_loads_the_point_scans():
     code = "from flagdual.cli import RunConfig, verify_paper\nverify_paper(RunConfig())"
-    assert _point_scans_loaded_after(code) == list(POINT_SCANS)
+    assert _loaded_after(code, POINT_SCANS + LAZY) == list(POINT_SCANS + LAZY)

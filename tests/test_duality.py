@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 
 from flagdual import duality
-from flagdual.exactalg import (GF, QQ, Mat, Poly, PolyRing, det,
+from flagdual.exactalg import (GF, QQ, GroebnerStats, Mat, Poly, PolyRing, det,
                                exterior_square, groebner_basis, rref_kernel)
 from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
-                              _unknowns, intertwiner_conditions,
-                              is_symmetric, nonbirational_certificate,
+                              _unknowns, hf_member, is_symmetric,
+                              nonbirational_certificate,
                               pushforward_to_g25, pushforward_to_g35,
                               selfdual_test, verify_pushforwards)
 from flagdual.grassflag import (D_SIGN, PAIR_POS, TRIPLES, DualityMap,
                                 SectionMatrix, complement_pair,
-                                flag_ideal_space, hf_project, hf_space, perm_sign,
-                                random_hf_section, script_matrix)
+                                flag_ideal_space, hf_project, hf_space, iota_action,
+                                perm_sign, random_hf_section, script_matrix)
 from flagdual.motivic import (_pushforward_vectors, _quadric_arrays, _section_array,
                               count_Y, divisible, enumerate_grassmannian, minors_batch,
                               y_points)
+from oracles import contains, intertwiner_conditions
 from points import dual_coordinates, pluecker, random_grass_point, section_on_fiber
 
 F11 = GF(11)
@@ -273,7 +274,7 @@ def test_selfdual_symmetric_identity():
     rng = random.Random(73)
     s = random_hf_section(F17, rng)
     sym = SectionMatrix((s.mat + s.mat.transpose()) * F17.inv(2))
-    assert hf_space(F17).contains(sym.mat)
+    assert contains(hf_space(F17), sym.mat)
     ident = DualityMap(Mat.identity(F17, 5))
     assert selfdual_test(sym, ident)
     if not is_symmetric(s.mat):
@@ -486,6 +487,52 @@ def test_certificate_rabinowitsch_fallback_on_a_generic_section():
     assert rep.dim_commutant == 10 and rep.symmetric
     assert not rep.charpoly_squarefree
     assert groebner_basis.last_stats.reductions == 687
+
+
+def test_certificate_runs_the_full_loop_on_a_non_unit_ideal():
+    # the self-dual construction of ROADMAP item 9: S_hf = P + iota_0(P) is
+    # self-dual through T_0 = L L^T, and flag-ideal noise leaves its HF part.
+    # On that part the saturation is proper: the one pinned run that empties
+    # the pair queue and ends with the final interreduce
+    rng = random.Random(7)
+    P = random_hf_section(F17, rng)
+    L = Mat(F17, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
+    f0 = DualityMap(L * L.transpose())
+    s_hf = SectionMatrix(P.mat + iota_action(P, f0).mat)
+    noise = Mat.zero(F17, 10, 10)
+    for k in flag_ideal_space(F17).basis:
+        noise = noise + k * F17.rand(rng)
+    s = hf_project(SectionMatrix(s_hf.mat + noise))
+    assert s == s_hf and selfdual_test(s, f0)
+    rep = nonbirational_certificate(s, 17)
+    assert (rep.status, rep.route, rep.saturation_result) == ("inconclusive", "reduced",
+                                                              "non-unit")
+    assert rep.hf_member
+    assert groebner_basis.last_stats == GroebnerStats(basis_size=15, reductions=1378,
+                                                      max_degree_seen=7)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F17], ids=["QQ", "GF7", "GF17"])
+def test_hf_member_matches_the_hf_space(field):
+    # oracle: membership in the 75-dimensional hf_space, read off its rows;
+    # a flag-ideal term, the raw script matrix and a random matrix leave HF
+    rng = random.Random(71)
+    hf, ideal = hf_space(field), flag_ideal_space(field)
+    members = [random_hf_section(field, rng) for _ in range(3)]
+    members.append(hf_project(script_matrix(field)))
+    others = [SectionMatrix(m.mat + k) for m, k in zip(members, ideal.basis[::8])]
+    others += [script_matrix(field), SectionMatrix(Mat.random(field, 10, 10, rng))]
+    for s in members:
+        assert hf_member(s) and contains(hf, s.mat)
+    for s in others:
+        assert not hf_member(s) and not contains(hf, s.mat)
+
+
+def test_hf_member_refuses_characteristic_3():
+    s = script_matrix(GF(3))
+    for call in (lambda: hf_member(s), lambda: nonbirational_certificate(s, 3)):
+        with pytest.raises(ValueError, match="characteristic 3"):
+            call()
 
 
 def test_certificate_never_reads_the_clock(monkeypatch):

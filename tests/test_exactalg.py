@@ -11,8 +11,9 @@ from flagdual.exactalg import (GF, QQ, BudgetExceeded, Mat,
                                format_matrix, det, groebner_basis, interreduce,
                                is_prime, is_unit_ideal, minors, normal_form,
                                parse_matrix, saturate, spolynomials_reduce_to_zero)
-from flagdual.duality import intertwiner_conditions, pushforward_to_g35
+from flagdual.duality import pushforward_to_g35
 from flagdual.grassflag import random_hf_section, script_matrix
+from oracles import intertwiner_conditions
 
 F17 = GF(17)
 F7 = GF(7)
@@ -604,6 +605,63 @@ def _form(ring, rng, degree):
             exps[v] += 1
         out = out + Poly(ring, {ring.encode(exps): 1}) * f.rand(rng)
     return out
+
+
+def _degree_monomials(ring, degree):
+    """Every monomial of ``degree``, packed, in decreasing degrevlex order."""
+    out = []
+    for vs in itertools.combinations_with_replacement(range(ring.nvars), degree):
+        exps = [0] * ring.nvars
+        for v in vs:
+            exps[v] += 1
+        out.append(ring.encode(exps))
+    return sorted(out, reverse=True)
+
+
+@pytest.mark.parametrize("p", [7, 17])
+def test_interreduce_of_forms_of_one_degree_is_their_rref(p):
+    # oracle: the RREF of the coefficient matrix over every monomial of the
+    # degree, columns in decreasing order; its nonzero rows, by increasing
+    # leading term.  Sparse forms leave some monomials out, and two forms
+    # are combinations of the others, so rows drop out
+    rng = random.Random(61 + p)
+    ring = PolyRing(GF(p), ("x", "y", "w", "v"))
+    monos = _degree_monomials(ring, 3)
+    forms = [_form(ring, rng, 3) for _ in range(3)]
+    forms += [Poly(ring, {m: rng.randrange(1, p) for m in rng.sample(monos, 4)})
+              for _ in range(5)]
+    forms += [forms[0] * 2 + forms[4], forms[1] - forms[6] * 3]
+    R, pivots = Mat(GF(p), [[g.terms.get(m, 0) for m in monos] for g in forms]).rref()
+    expected = [Poly(ring, dict(zip(monos, row))) for row in reversed(R.data[:len(pivots)])]
+    assert len(expected) == 8
+    assert interreduce(forms) == expected
+
+
+@pytest.mark.parametrize("p", [7, 17])
+def test_interreduce_is_reduced_and_keeps_the_ideal(p):
+    # seeded mixed-degree ideals, and quadrics with a Rabinowitsch-like
+    # w*f - 1 as saturate builds: the output is monic, sorted by distinct
+    # leading terms, no term of an element is divisible by another
+    # element's leading term, and input and output reduce to zero modulo
+    # each other's Groebner basis
+    rng = random.Random(67 + p)
+    ring = PolyRing(GF(p), ("x", "y", "w"))
+    cases = [[rand_poly(ring, rng, nterms=4, deg=3) for _ in range(5)] for _ in range(8)]
+    cases += [[_form(ring, rng, 2) for _ in range(2)]
+              + [ring.var(2) * _form(ring, rng, 3) - 1] for _ in range(4)]
+    for gens in cases:
+        out = interreduce(gens)
+        lts = [g.leading_monomial() for g in out]
+        assert lts == sorted(set(lts))
+        for g in out:
+            assert g.leading_coeff() == 1
+            others = [ring.decode(lt) for lt in lts if lt != g.leading_monomial()]
+            for m in g.terms:
+                e = ring.decode(m)
+                assert not any(all(a <= b for a, b in zip(o, e)) for o in others)
+        gens = [g for g in gens if g]
+        assert not any(normal_form(g, groebner_basis(out)) for g in gens)
+        assert not any(normal_form(g, groebner_basis(gens)) for g in out)
 
 
 @pytest.mark.parametrize("p", [7, 17])
