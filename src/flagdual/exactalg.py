@@ -19,7 +19,8 @@ that mixes rings.  There is one monomial order, degrevlex: ``saturate``
 adjoins the Rabinowitsch variable as the last variable, and its basis answers
 whether the saturation is the unit ideal, which no order changes.  Buchberger
 selects pairs by lowest lcm degree, except that a new element whose leading
-term divides an older one's reduces it at once, at its own degree.  Its input
+term divides an older one's reduces it at once: that pair is queued at the
+new element's degree, ahead of every other pair of that degree.  Its input
 and its output are interreduced, and the linear part of that is one
 ``Mat.rref`` of the coefficient matrix; ``_normal_form`` is the one reduction
 routine.
@@ -402,31 +403,34 @@ class Mat:
 
     def charpoly(self):
         """Characteristic polynomial coefficients [1, c1, ..., cn] of xI - A,
-        by the division-free Berkowitz algorithm."""
+        by the division-free Berkowitz algorithm on Python ints.  A QQ matrix
+        is scaled by the lcm D of its denominators, as in ``rref``, and
+        c_k(A) = c_k(D A) / D^k; over GF(p) every dot is reduced mod p."""
         f = self.field
         n = self.rows
         if n != self.cols:
             raise ValueError("charpoly of non-square matrix")
+        p = f.p if isinstance(f, GF) else None
+        d = 1 if p else lcm(*(x.denominator for row in self.data for x in row))
+        data = [[int(x * d) for x in row] for row in self.data]
+        dot = f.dot if p else (lambda a, b: sum(map(operator.mul, a, b)))
         # iteratively build the coefficient vector
-        coeffs = [f.one]
+        coeffs = [1]
         for k in range(1, n + 1):
-            A = [row[:k] for row in self.data[:k]]
             # Toeplitz column: [1, -a_kk, -(R A^0 C), -(R A^1 C), ...]
-            R = A[k - 1][: k - 1]
-            C = [A[i][k - 1] for i in range(k - 1)]
-            entries = [f.one, f.neg(A[k - 1][k - 1])]
-            v = C[:]
-            Ak = [row[: k - 1] for row in A[: k - 1]]
+            R = data[k - 1][: k - 1]
+            entries = [1, -data[k - 1][k - 1]]
+            v = [data[i][k - 1] for i in range(k - 1)]
+            Ak = [row[: k - 1] for row in data[: k - 1]]
             for _ in range(k - 1):
-                entries.append(f.neg(f.dot(R, v)))
-                v = [f.dot(row, v) for row in Ak]
-            new = [f.zero] * (k + 1)
+                entries.append(-dot(R, v))
+                v = [dot(row, v) for row in Ak]
+            new = [0] * (k + 1)
             for i, c in enumerate(coeffs):
-                for j, e in enumerate(entries):
-                    if i + j <= k:
-                        new[i + j] = f.add(new[i + j], f.mul(c, e))
-            coeffs = new
-        return coeffs
+                for j, e in enumerate(entries[: k + 1 - i]):
+                    new[i + j] += c * e
+            coeffs = [c % p for c in new] if p else new
+        return coeffs if p else [Fraction(c, d ** k) for k, c in enumerate(coeffs)]
 
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows}x{self.cols})"
@@ -986,10 +990,16 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     Pair selection: lowest lcm degree first (normal strategy), ties by lcm,
     with one exception: a pair whose lcm is the leading term of its older
     element is a top-reduction of that element by the new one, and is queued
-    at the new element's degree.  On a non-homogeneous input such as z*f - 1
-    this runs the reduction as soon as it is possible, not at deg(z*f).  The
-    pair criteria hold for any selection order, so the order changes the
-    work, never the reduced basis (which is unique) or the unit verdict.
+    at the new element's degree, ahead of every other pair of that degree:
+    the key is (selection degree, not top, lcm, i, j), a total order.  On
+    z*f - 1 this runs the reduction as soon as it is possible.  The pair
+    criteria hold for any selection order, so the order changes the work,
+    never the reduced basis (which is unique) or the unit verdict.
+    Criteria M and F and the product criterion act when a pair is queued;
+    Gebauer-Moeller's chain criterion B_k on (i, j) when it is popped, over
+    every k > j.  Each such k came while (i, j) was queued, and the test
+    reads the leading terms of i, j, k only, so it drops exactly the pairs
+    that a pass over the queue at each new k would, without that pass.
     ``last_stats.max_degree_seen`` is the largest lcm degree of a reduced
     pair, not its queue key.
     Raises BudgetExceeded after more than ``max_reductions`` S-pair
@@ -1005,21 +1015,18 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
     lts: list[int] = []
     lcinvs: list = []
     gterms: list = []
-    pairs: list = []            # heap of (selection degree, lcm, i, j)
+    pairs: list = []            # heap of (selection degree, not top, lcm, i, j)
     first_divisor: dict = {}    # _normal_form's memo; lts only grows
     guards = ring._guards
 
     def add_pairs(k: int):
-        """Gebauer-Moeller update for new element index k, in one pass."""
+        """Queue the pairs (i, k) of new element index k that pass the
+        Gebauer-Moeller criteria M and F and the product criterion."""
         ltk = lts[k]
         lcm_k = [ring.mono_lcm(lt, ltk) for lt in lts[:k]]
-        # prune old pairs (i,j) whose lcm the new leading term divides, unless
-        # it equals lcm(i,k) or lcm(j,k)
-        pairs[:] = [(d, l, i, j) for d, l, i, j in pairs
-                    if (ltk - l) & guards or lcm_k[i] == l or lcm_k[j] == l]
-        heapq.heapify(pairs)
         # criteria M and F: drop (i,k) when an lcm met earlier in (deg, lcm, i)
-        # order divides lcm(i,k); criterion B: drop it when the lts are coprime
+        # order divides lcm(i,k); product criterion: drop it when the lts are
+        # coprime
         met = []
         for d, l, i in sorted((ring.mono_deg(l), l, i) for i, l in enumerate(lcm_k)):
             if any(not (m - l) & guards for m in met):
@@ -1027,9 +1034,10 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
             met.append(l)
             if l != ring.mono_mul(lts[i], ltk):
                 # lcm = LT(g_i): the S-polynomial top-reduces the older g_i
-                # by g_k, so it runs at g_k's degree, not at g_i's
-                heapq.heappush(pairs, (ring.mono_deg(ltk) if l == lts[i] else d,
-                                       l, i, k))
+                # by g_k, so it runs first at g_k's degree, not at g_i's
+                top = l == lts[i]
+                heapq.heappush(pairs, (ring.mono_deg(ltk) if top else d,
+                                       not top, l, i, k))
 
     for g in interreduce(gens):
         G.append(g)
@@ -1042,7 +1050,13 @@ def groebner_basis(gens: Sequence[Poly], max_reductions: int = MAX_REDUCTIONS) -
             return [ring.one()]
 
     while pairs:
-        _, l, i, j = heapq.heappop(pairs)
+        _, _, l, i, j = heapq.heappop(pairs)
+        # chain criterion: a later leading term divides l, and its lcm with
+        # neither LT_i nor LT_j is l
+        if any(not (lt - l) & guards
+               and ring.mono_lcm(lts[i], lt) != l != ring.mono_lcm(lts[j], lt)
+               for lt in itertools.islice(lts, j + 1, None)):
+            continue
         stats.max_degree_seen = max(stats.max_degree_seen, ring.mono_deg(l))
         r = _normal_form(_spolynomial(ring, l, i, j, lts, lcinvs, gterms),
                          lts, lcinvs, gterms, first_divisor)

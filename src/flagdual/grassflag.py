@@ -45,13 +45,6 @@ def complement_pair(t: tuple) -> tuple:
 D_SIGN = {t: perm_sign(t + complement_pair(t)) for t in TRIPLES}
 
 
-def _wedge(a: tuple, b: tuple):
-    if set(a) & set(b):
-        return None
-    merged = a + b
-    return perm_sign(merged), tuple(sorted(merged))
-
-
 def _contract(i: int, t: tuple):
     if i not in t:
         return None
@@ -111,36 +104,31 @@ def flag_equation(xstar: Sequence, y: Sequence, field: Field) -> SectionMatrix:
     wedge alpha wedge y, which vanishes identically on the flag variety.
 
     ``xstar`` and ``y`` are 5-vectors (coordinates in the dual/primal basis).
+    Row q is omega = e*_lm = +-D(e_t); contracting by e*_i, i in t, leaves
+    rest = t - {i}, and rest ^ e_ab ^ e_j is nonzero only on five distinct
+    indices: j is i or in lm, and ab is the complement of rest + (j,); its
+    sign is that of the permutation rest + ab + (j,).  So e*_i (x) e_j has 6
+    entries, each +-1, when i = j and 3 otherwise.
     """
     xstar = [field.coerce(c) for c in xstar]
     y = [field.coerce(c) for c in y]
     data = [[field.zero] * 10 for _ in range(10)]
-    for i in range(1, 6):
-        if field.is_zero(xstar[i - 1]):
-            continue
-        for j in range(1, 6):
-            c_ij = field.mul(xstar[i - 1], y[j - 1])
-            if field.is_zero(c_ij):
+    for q, lm in enumerate(PAIRS):
+        t = complement_pair(lm)
+        for i in t:
+            if field.is_zero(xstar[i - 1]):
                 continue
-            for q, lm in enumerate(PAIRS):
-                t = complement_pair(lm)
-                sgn_d = D_SIGN[t]
-                con = _contract(i, t)
-                if con is None:
+            s1, rest = _contract(i, t)
+            for j in (i, *lm):
+                c_ij = field.mul(xstar[i - 1], y[j - 1])
+                if field.is_zero(c_ij):
                     continue
-                s1, rest = con
-                for p, ab in enumerate(PAIRS):
-                    w1 = _wedge(rest, ab)
-                    if w1 is None:
-                        continue
-                    s2, four = w1
-                    w2 = _wedge(four, (j,))
-                    if w2 is None:
-                        continue
-                    s3, _ = w2
-                    val = sgn_d * s1 * s2 * s3
-                    data[q][p] = field.add(data[q][p], field.mul(c_ij, field.coerce(val)))
-    return SectionMatrix(Mat(field, data))
+                ab = complement_pair(rest + (j,))
+                if D_SIGN[t] * s1 * perm_sign(rest + ab + (j,)) < 0:
+                    c_ij = field.neg(c_ij)
+                p = PAIR_POS[ab]
+                data[q][p] = field.add(data[q][p], c_ij)
+    return SectionMatrix(Mat._of(field, data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Direct oracles of the tests for the package's fast paths: the full
 100x100 system of S^T M = M S, which the commutant solves in two transpose
-blocks, and membership in a matrix subspace read off its reduced rows, which
-``hf_member`` decides by the 25 trace conditions."""
-from flagdual.exactalg import Mat
-from flagdual.grassflag import MatrixSubspace, SectionMatrix
+blocks, membership in a matrix subspace read off its reduced rows, which
+``hf_member`` decides by the 25 trace conditions, and the flag equation
+evaluated at every (row, column) pair, of which ``flag_equation`` visits only
+the nonzero entries."""
+from typing import Sequence
+
+from flagdual.exactalg import Field, Mat
+from flagdual.grassflag import (D_SIGN, PAIRS, MatrixSubspace, SectionMatrix, _contract,
+                                complement_pair, perm_sign)
 
 
 def intertwiner_conditions(S: SectionMatrix) -> Mat:
@@ -33,3 +38,44 @@ def contains(space: MatrixSubspace, m: Mat) -> bool:
     coeffs = [v[pc] for pc in space._pivots]
     dot = space.field.dot
     return all(dot(coeffs, col) == x for col, x in zip(space._rref_cols, v))
+
+
+def _wedge(a: tuple, b: tuple):
+    if set(a) & set(b):
+        return None
+    merged = a + b
+    return perm_sign(merged), tuple(sorted(merged))
+
+
+def flag_equation_at_every_pair(xstar: Sequence, y: Sequence, field: Field) -> SectionMatrix:
+    """``flag_equation`` by trying every row pair q and column pair p: the
+    wedge (contraction of e*_lm's dual by e*_i) ^ e_ab ^ e_j, for each i, j."""
+    xstar = [field.coerce(c) for c in xstar]
+    y = [field.coerce(c) for c in y]
+    data = [[field.zero] * 10 for _ in range(10)]
+    for i in range(1, 6):
+        if field.is_zero(xstar[i - 1]):
+            continue
+        for j in range(1, 6):
+            c_ij = field.mul(xstar[i - 1], y[j - 1])
+            if field.is_zero(c_ij):
+                continue
+            for q, lm in enumerate(PAIRS):
+                t = complement_pair(lm)
+                sgn_d = D_SIGN[t]
+                con = _contract(i, t)
+                if con is None:
+                    continue
+                s1, rest = con
+                for p, ab in enumerate(PAIRS):
+                    w1 = _wedge(rest, ab)
+                    if w1 is None:
+                        continue
+                    s2, four = w1
+                    w2 = _wedge(four, (j,))
+                    if w2 is None:
+                        continue
+                    s3, _ = w2
+                    val = sgn_d * s1 * s2 * s3
+                    data[q][p] = field.add(data[q][p], field.mul(c_ij, field.coerce(val)))
+    return SectionMatrix(Mat(field, data))

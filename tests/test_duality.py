@@ -8,7 +8,8 @@ import pytest
 
 from flagdual import duality
 from flagdual.exactalg import (GF, QQ, GroebnerStats, Mat, Poly, PolyRing, det,
-                               exterior_square, groebner_basis, rref_kernel)
+                               exterior_square, groebner_basis, normal_form, rref_kernel,
+                               saturate, spolynomials_reduce_to_zero)
 from flagdual.duality import (QUINTIC_VARS, charpoly_squarefree, commutant_space,
                               _unknowns, hf_member, is_symmetric,
                               nonbirational_certificate,
@@ -438,10 +439,11 @@ def test_certificate_script_matrix():
     assert rep.dim_commutant == 28
     assert not rep.hf_member
     # pins the strength of the pair criteria and the selection rule: a weaker
-    # M, F or B criterion, or plain lcm-degree order for a pair whose lcm is
-    # an older leading term, still gives a correct basis, but after more
-    # S-pair reductions
-    assert groebner_basis.last_stats.reductions == 2415
+    # M, F, chain or product criterion, or a pair whose lcm is an older
+    # leading term queued behind the other pairs of its selection degree
+    # (the key without its "not top" field: 2415), still gives a correct
+    # basis, but after more S-pair reductions
+    assert groebner_basis.last_stats.reductions == 483
 
 
 def test_certificate_never_certifies_a_self_dual_section():
@@ -473,10 +475,11 @@ def test_certificate_random_hf():
     assert rep.status == "certified_empty"
     assert rep.route == "reduced"
     assert rep.dim_commutant == 10 and rep.symmetric
-    # with the 2415 pin above: the memoised divisor search keeps the reducer;
-    # z*det - 1 is reduced as soon as a cubic's leading term divides its own,
-    # and that reduction gives 1 (all 242 pairs before it are of degree 3)
-    assert groebner_basis.last_stats.reductions == 243
+    # with the 483 pin above: the memoised divisor search keeps the reducer;
+    # each new cubic whose leading term divides the z element's is followed
+    # at once by that top-reduction, ahead of the other cubic pairs, and the
+    # 45th reduction gives 1 (behind them it would be the 243rd)
+    assert groebner_basis.last_stats.reductions == 45
 
 
 def test_certificate_rabinowitsch_fallback_on_a_generic_section():
@@ -486,14 +489,12 @@ def test_certificate_rabinowitsch_fallback_on_a_generic_section():
     assert (rep.status, rep.route) == ("certified_empty", "rabinowitsch")
     assert rep.dim_commutant == 10 and rep.symmetric
     assert not rep.charpoly_squarefree
-    assert groebner_basis.last_stats.reductions == 687
+    assert groebner_basis.last_stats.reductions == 139
 
 
-def test_certificate_runs_the_full_loop_on_a_non_unit_ideal():
+def _self_dual_hf_section():
     # the self-dual construction of ROADMAP item 9: S_hf = P + iota_0(P) is
-    # self-dual through T_0 = L L^T, and flag-ideal noise leaves its HF part.
-    # On that part the saturation is proper: the one pinned run that empties
-    # the pair queue and ends with the final interreduce
+    # self-dual through T_0 = L L^T, and flag-ideal noise leaves its HF part
     rng = random.Random(7)
     P = random_hf_section(F17, rng)
     L = Mat(F17, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
@@ -504,12 +505,43 @@ def test_certificate_runs_the_full_loop_on_a_non_unit_ideal():
         noise = noise + k * F17.rand(rng)
     s = hf_project(SectionMatrix(s_hf.mat + noise))
     assert s == s_hf and selfdual_test(s, f0)
-    rep = nonbirational_certificate(s, 17)
+    return s
+
+
+def test_certificate_runs_the_full_loop_on_a_non_unit_ideal():
+    # on the HF part the saturation is proper: the one pinned run that
+    # empties the pair queue and ends with the final interreduce
+    rep = nonbirational_certificate(_self_dual_hf_section(), 17)
     assert (rep.status, rep.route, rep.saturation_result) == ("inconclusive", "reduced",
                                                               "non-unit")
     assert rep.hf_member
-    assert groebner_basis.last_stats == GroebnerStats(basis_size=15, reductions=1378,
+    assert groebner_basis.last_stats == GroebnerStats(basis_size=15, reductions=1386,
                                                       max_degree_seen=7)
+
+
+def test_certificate_non_unit_basis_is_a_groebner_basis(monkeypatch):
+    # the pairs that the chain criterion skips when they are popped leave a
+    # Groebner basis: every S-pair of its 15 elements reduces to 0, and so
+    # does every generator of I + (z det - 1), lifted to R[z]
+    seen = []
+
+    def recording(gens, fpoly, max_reductions):
+        basis = saturate(gens, fpoly, max_reductions)
+        seen.append((gens, fpoly, basis))
+        return basis
+
+    monkeypatch.setattr(duality, "saturate", recording)
+    assert nonbirational_certificate(_self_dual_hf_section(), 17).saturation_result == "non-unit"
+    (gens, fpoly, basis), = seen
+    assert len(basis) == 15 and spolynomials_reduce_to_zero(basis)
+    ext = basis[0].ring
+
+    def lift(g):
+        return Poly(ext, {ext.encode(g.ring.decode(m) + (0,)): c for m, c in g.terms.items()})
+
+    z = ext.var(ext.nvars - 1)
+    for g in [*map(lift, gens), z * lift(fpoly) - ext.one()]:
+        assert not normal_form(g, basis)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), F17], ids=["QQ", "GF7", "GF17"])
@@ -542,4 +574,4 @@ def test_certificate_never_reads_the_clock(monkeypatch):
     monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
     rep = nonbirational_certificate(random_hf_section(F17, random.Random(101)), 17)
     assert (rep.status, rep.route) == ("certified_empty", "reduced")
-    assert groebner_basis.last_stats.reductions == 243
+    assert groebner_basis.last_stats.reductions == 45

@@ -341,6 +341,23 @@ def test_charpoly_companion():
     assert C.charpoly() == [Fraction(1), Fraction(0), Fraction(-2), Fraction(-5)]
 
 
+@pytest.mark.parametrize("field", [QQ, F7, F17], ids=["QQ", "GF7", "GF17"])
+def test_charpoly_matches_sympy(field):
+    # over GF(p) the oracle is the integer charpoly of the representatives,
+    # reduced mod p; sections and sparse or dense matrices of sizes 1 to 10
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    rng = random.Random(61)
+    mats = [random_hf_section(field, rng).mat, script_matrix(field).mat]
+    mats += [Mat.random(field, n, n, rng) for n in (1, 2, 5, 8)]
+    mats.append(Mat(field, [[field.rand(rng) if rng.random() < 0.3 else 0 for _ in range(6)]
+                            for _ in range(6)]))
+    for m in mats:
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in m.data]).charpoly(lam).all_coeffs()
+        assert m.charpoly() == [field.coerce(Fraction(int(c.p), int(c.q))) for c in oracle]
+
+
 def test_matrix_file_roundtrip():
     rng = random.Random(19)
     m = Mat.random(QQ, 3, 4, rng)
@@ -483,6 +500,24 @@ def test_groebner_stats_read_the_lcm_degree_of_a_lowered_pair():
     assert is_unit_ideal(saturate([X * X, X * Y + Y * Y], X * Y ** 4))
     stats = groebner_basis.last_stats
     assert (stats.reductions, stats.max_degree_seen) == (2, 6)
+
+
+def test_groebner_pops_a_top_reduction_ahead_of_its_degree():
+    # degrevlex x > y > z > t on the interreduced input, sorted by leading
+    # term: g0 = xz - z^2, g1 = xy, g2 = x^2, g3 = yz^2t - 1.  Queued: the
+    # cubic pairs (g0, g1), (g0, g2), (g1, g2), lcms xyz < x^2z < x^2y, and
+    # (g0, g3) at degree 5; the criteria drop (g1, g3) and (g2, g3).
+    # 1. (g0, g1): y g0 - z g1 = -yz^2, irreducible: g4 = yz^2.  Its leading
+    #    term divides LT(g3), so (g3, g4) is queued at degree 3, ahead of the
+    #    older (g0, g2) and (g1, g2) though its lcm yz^2t is larger.
+    # 2. (g3, g4): g3 - t g4 = -1, the unit ideal.
+    # Queued behind them by lcm, it would run after (g0, g2), which gives
+    # z^3, and (g1, g2), which is 0: 4 reductions.
+    R4 = PolyRing(F7, ("x", "y", "z", "t"))
+    x, y, z, t = R4.gens()
+    assert groebner_basis([x * y, x * z - z * z, x * x, y * z * z * t - 1]) == [R4.one()]
+    stats = groebner_basis.last_stats
+    assert (stats.reductions, stats.max_degree_seen) == (2, 4)
 
 
 def test_groebner_hand_example():

@@ -10,7 +10,7 @@ from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, MatrixSubspace,
                                 _iota_invariant, flag_equation,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, random_hf_section, script_matrix)
-from oracles import contains
+from oracles import contains, flag_equation_at_every_pair
 from points import dual_coordinates, pluecker, random_grass_point
 
 F7 = GF(7)
@@ -72,6 +72,26 @@ def test_flag_equations_detect_nonincidence():
         assert A.augment(B).rank() > 3      # col(A) is not in col(B)
         assert any(not F11.is_zero(s.evaluate(pluecker(A), dual_coordinates(B)))
                    for s in eqs)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F17], ids=["QQ", "GF7", "GF17"])
+def test_flag_equation_matches_the_every_pair_oracle(field):
+    # the 25 unit pairs carry 6 entries when i = j and 3 otherwise, all +-1
+    e = [[int(r == i) for r in range(5)] for i in range(5)]
+    nonzero = 0
+    for i, j in itertools.product(range(5), repeat=2):
+        s = flag_equation(e[i], e[j], field)
+        assert s == flag_equation_at_every_pair(e[i], e[j], field)
+        entries = [x for x in s.mat.flatten() if not field.is_zero(x)]
+        assert len(entries) == (6 if i == j else 3)
+        assert all(x in (field.one, field.neg(field.one)) for x in entries)
+        nonzero += len(entries)
+    assert nonzero == 90
+    rng = random.Random(59)
+    for _ in range(6):
+        xstar = [field.rand(rng) for _ in range(5)]
+        y = [field.rand(rng) for _ in range(5)]
+        assert flag_equation(xstar, y, field) == flag_equation_at_every_pair(xstar, y, field)
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F11, F17])
