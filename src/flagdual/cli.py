@@ -36,7 +36,7 @@ class RunConfig:
     """Everything that determines a verification run; equal configs give
     byte-identical reports."""
     seed: int = 0
-    budget: int = MAX_REDUCTIONS     # the certificate's S-pair reduction cap
+    budget: int = MAX_REDUCTIONS     # S-pair reduction cap of each certificate saturation
     qs: tuple = (2, 3)
     section: str | None = None       # path; None = published script matrix
 
@@ -183,21 +183,17 @@ def duality_build(section, field, out):
 @duality.command("selfdual")
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--field", default="17", callback=_field_option)
-@click.option("--samples", default=100, type=click.IntRange(min=1))
-@click.option("--seed", default=0)
 @report_option
-def duality_selfdual(section, field, samples, seed, report):
-    """Scan random duality maps for S^T M_f = lambda M_f S: evidence, not proof,
-    as a map hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.
-    The exact statement, for lambda = 1 only, is ``duality nonbirational``."""
+def duality_selfdual(section, field, report):
+    """Check the self-duality test on its controls S +- iota_0(S), self-dual
+    for lambda = +-1 through T_0 = L L^T.  Whether any map identifies X_S with
+    Y_S, ``duality nonbirational`` decides."""
     s = load_section(RunConfig(section=section), field)
     try:
-        scan = duality_mod.selfdual_scan(s, random.Random(seed), samples)
+        scan = duality_mod.selfdual_scan(s)
     except ValueError as exc:         # characteristic 2 or 3: no invariant complement
         raise click.BadParameter(str(exc), param_hint="'--field'") from None
-    rep = {"schema": SCHEMA, **scan["details"], "samples": samples,
-           "all_non_selfdual": scan["details"]["selfdual_hits"] == 0,
-           "matrix": section_rows(s),
+    rep = {"schema": SCHEMA, **scan["details"], "matrix": section_rows(s),
            "conventions": conventions_block()}
     emit_report(rep, report)
     sys.exit(0 if scan["ok"] else 1)
@@ -207,7 +203,8 @@ def duality_selfdual(section, field, samples, seed, report):
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--prime", default=17, callback=_prime_option)
 @click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
-              help="cap on the S-pair reductions of the certificate's one saturation")
+              help="cap on the S-pair reductions of each of the certificate's "
+                   "saturations, one per lambda")
 @report_option
 def duality_nonbirational(section, prime, budget, report):
     """Emptiness certificate for the linear-isomorphism equation."""
@@ -344,55 +341,27 @@ def glsm():
 @click.option("--section", type=click.Path(exists=True), default=None)
 @click.option("--field", default="13", callback=_field_option)
 @click.option("--chamber", type=click.Choice(["plus", "minus"]), default="minus")
-@click.option("--samples", default=1000, type=click.IntRange(min=1))
-@click.option("--seed", default=7)
-@click.option("--point", "point_path", type=click.Path(exists=True), default=None,
+@click.option("--point", "point_path", type=click.Path(exists=True), required=True,
               help="file with 5 rows of B then one row omega")
 @report_option
-def glsm_stability(section, field, chamber, samples, seed, point_path, report):
-    """Semistability, instability certificates and criticality in one chamber.
+def glsm_stability(section, field, chamber, point_path, report):
+    """Semistability, an instability certificate or criticality of one point.
 
-    With --point, report whether that point (B, omega) is semistable; if so,
-    whether it is critical, i.e. dW = 0 for W = omega . shat(B); if not, a
-    checked instability certificate.  Otherwise draw --samples random points:
-    stats.critical counts the critical points among the semistable ones with
-    rank B = 2 in the minus chamber (the points over X), and is 0 in the
-    plus chamber.  stats.unstable_certified counts the unstable samples whose
-    certificate checks; every certificate built for an unstable point checks,
-    so it always equals samples - stats.semistable.  A uniform point over
-    GF(q) is unstable with probability about q^-3, so a run at the default
-    --field 13 and --samples 1000 usually draws no unstable point and
-    stats.unstable_certified reads 0; --field 3 draws unstable points and
-    exercises the certificates."""
+    Report whether the --point (B, omega) is semistable in the chamber; if
+    so, whether it is critical, i.e. dW = 0 for W = omega . shat(B); if not,
+    its instability certificate, checked by valuation bookkeeping."""
     from . import glsm as glsm_mod
     s = load_section(RunConfig(section=section), field)
-    rng = random.Random(seed)
-    out = {"schema": SCHEMA, "chamber": chamber, "conventions": conventions_block()}
-    if point_path:
-        pt = _read_matrix(point_path, field, "'--point'", _glsm_point)
-        ss = glsm_mod.semistable(pt, chamber)
-        out["point"] = {"semistable": ss}
-        if ss:
-            out["point"]["critical"] = glsm_mod.critical_member(pt, s, chamber)
-        else:
-            cert = glsm_mod.instability_certificate(pt, chamber)
-            out["point"]["instability"] = glsm_mod.verify_certificate(pt, cert, chamber)
-        emit_report(out, report)
-        return
-    out.update(samples=samples, seed=seed)
-    stats = {"semistable": 0, "critical": 0, "unstable_certified": 0}
-    for _ in range(samples):
-        pt = glsm_mod.random_point(field, rng)
-        if glsm_mod.semistable(pt, chamber):
-            stats["semistable"] += 1
-            if chamber == "minus" and pt.B.rank() == 2:
-                stats["critical"] += glsm_mod.critical_member(pt, s, chamber)
-        else:
-            cert = glsm_mod.instability_certificate(pt, chamber)
-            if glsm_mod.verify_certificate(pt, cert, chamber)["valid"]:
-                stats["unstable_certified"] += 1
-    out["stats"] = stats
-    emit_report(out, report)
+    pt = _read_matrix(point_path, field, "'--point'", _glsm_point)
+    ss = glsm_mod.semistable(pt, chamber)
+    point = {"semistable": ss}
+    if ss:
+        point["critical"] = glsm_mod.critical_member(pt, s, chamber)
+    else:
+        cert = glsm_mod.instability_certificate(pt, chamber)
+        point["instability"] = glsm_mod.verify_certificate(pt, cert, chamber)
+    emit_report({"schema": SCHEMA, "chamber": chamber, "point": point,
+                 "conventions": conventions_block()}, report)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +377,7 @@ STAGES = [
     ("spaces", lambda cfg, rng: grassflag.verify_spaces()),
     ("duality_build", lambda cfg, rng: duality_mod.verify_pushforwards()),
     ("selfdual_scan",
-     lambda cfg, rng: duality_mod.selfdual_scan(load_section(cfg, GF(17)), rng)),
+     lambda cfg, rng: duality_mod.selfdual_scan(load_section(cfg, GF(17)))),
     ("nonbirational", lambda cfg, rng: duality_mod.verify_nonbirational(
         load_section(cfg, GF(17)), 17, cfg.budget)),
     ("l_equivalence_counts",
@@ -467,7 +436,8 @@ def verify_paper(cfg: RunConfig) -> dict:
 @click.option("--seed", default=0,
               help="seeds each stage's own rng, with the stage's name")
 @click.option("--budget", default=MAX_REDUCTIONS, type=click.IntRange(min=1),
-              help="cap on the S-pair reductions of the certificate's one saturation")
+              help="cap on the S-pair reductions of each of the certificate's "
+                   "saturations, one per lambda")
 @click.option("--qs", default="2,3", callback=_prime_list_option)
 @click.option("--section", type=click.Path(exists=True), default=None)
 @report_option

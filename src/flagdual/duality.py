@@ -17,24 +17,25 @@ B (g shat(Bg) - det(g)^2 shat(B)) = 0.  B has rank 3 on a dense open set, so
 shat(Bg) = det(g)^2 g^-1 shat(B) as polynomials.
 
 A map f makes the pair self-dual when iota_f(S) is a multiple of S, since
-X_{lambda S} = X_S.  The scan over random maps is evidence, not proof: a map
-hits only when M_f lies in some W_lambda = {M : S^T M = lambda M S}.  The exact
-statement is the certificate, which covers lambda = 1 only.
+X_{lambda S} = X_S: M_f lies in W_lambda = {M : S^T M = lambda M S} for some
+lambda, with S its HF part, as flag-ideal terms change neither X_S nor Y_S.
+The certificate decides that for every lambda the charpoly allows, whenever
+those are +-1, so the self-duality scan draws no maps.
 
-The commutant W = W_1 is solved as two blocks.  E(M) = S^T M - M S has
-E(M)^T = -E(M^T): E swaps symmetric and antisymmetric matrices, so W is the
-sum of its symmetric and antisymmetric parts when 2 is invertible
-(characteristic 2 is refused).  The two blocks, 45x55 on symmetric M and
-55x45 on antisymmetric M, are built from S directly, about 20 entries per
-equation; their solutions and annihilator rows unfold back to vec(M).  For a
-nonderogatory S every intertwiner is symmetric (Taussky-Zassenhaus), so a
-generic W is 10-dimensional and the antisymmetric block has no kernel.
-``commutant_space`` returns the same basis as a solve of the full system.
+W_lambda, lambda = +-1, is solved as two blocks.  E(M) = S^T M - lambda M S
+has E(M)^T = -lambda E(M^T): E keeps symmetric and antisymmetric M apart, so
+W_lambda is the sum of its symmetric and antisymmetric parts when 2 is
+invertible (characteristic 2 is refused).  The blocks are built from S
+directly, about 20 entries per equation; their solutions and annihilator
+rows unfold back to vec(M).  For a nonderogatory S every intertwiner in W_1
+is symmetric (Taussky-Zassenhaus), so a generic W_1 is 10-dimensional and
+the antisymmetric block has no kernel.  ``commutant_space`` returns the same
+basis of W_1 as a solve of the full system.
 """
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .exactalg import (GF, MAX_REDUCTIONS, QQ, BudgetExceeded, Field, Mat,
@@ -120,32 +121,34 @@ _ANTI_AT = [[(_ANTI_PAIRS.index((min(x, y), max(x, y))), 1 if x < y else -1)
              if x != y else None for y in range(10)] for x in range(10)]
 
 
-def _transpose_blocks(S: SectionMatrix):
-    """S^T M = M S on symmetric M (45 equations E_ij, i < j, in the 55
-    unknowns m_ab, a <= b) and on antisymmetric M (55 equations E_ij, i <= j,
-    in the 45 unknowns m_ab, a < b).
-
-    E(M) = S^T M - M S has E(M)^T = -E(M^T), so E maps symmetric M to
-    antisymmetric matrices and antisymmetric M to symmetric ones.  Since the
-    commutant W is closed under transpose, W = W_sym + W_anti as soon as 2 is
-    invertible, and the two blocks are solved apart.  Each equation is built
-    from S in 20 accumulations: E_ij = sum_a S_ai M_aj - sum_a M_ia S_aj, and
-    each M_xy is the unknown of {x, y}, with the sign of (x, y) in the
-    antisymmetric block, where M_xx = 0."""
-    f = S.field
+def _check_transpose_split(f: Field):
     if isinstance(f, GF) and f.p == 2:
         raise ValueError("the symmetric/antisymmetric split of S^T M = M S "
                          "needs 2 invertible: characteristic 2 is refused")
+
+
+def _transpose_blocks(S: SectionMatrix, lam: int = 1):
+    """S^T M = lam M S, lam = +-1, on symmetric M (55 unknowns m_ab, a <= b)
+    and on antisymmetric M (45 unknowns m_ab, a < b).  E(M) = S^T M - lam M S
+    has E(M)^T = -lam E(M^T), so for lam = 1 the symmetric block has the 45
+    equations E_ij, i < j, and the antisymmetric block the 55 with i <= j;
+    for lam = -1 the two index sets trade places.  Each equation is built
+    from S in 20 accumulations: E_ij = sum_a S_ai M_aj - lam sum_a M_ia S_aj,
+    and each M_xy is the unknown of {x, y}, with the sign of (x, y) in the
+    antisymmetric block, where M_xx = 0."""
+    f = S.field
+    _check_transpose_split(f)
+    sym_eqs, anti_eqs = (_ANTI_PAIRS, _SYM_PAIRS) if lam == 1 else (_SYM_PAIRS, _ANTI_PAIRS)
     s = S.mat.data
     sym = []
-    for i, j in _ANTI_PAIRS:
+    for i, j in sym_eqs:
         row = [f.zero] * len(_SYM_PAIRS)
         for a in range(10):
             row[_SYM_AT[a][j]] += s[a][i]
-            row[_SYM_AT[i][a]] -= s[a][j]
+            row[_SYM_AT[i][a]] -= lam * s[a][j]
         sym.append(row)
     anti = []
-    for i, j in _SYM_PAIRS:
+    for i, j in anti_eqs:
         row = [f.zero] * len(_ANTI_PAIRS)
         for a in range(10):
             if a != j:
@@ -153,7 +156,7 @@ def _transpose_blocks(S: SectionMatrix):
                 row[k] += sign * s[a][i]
             if a != i:
                 k, sign = _ANTI_AT[i][a]
-                row[k] -= sign * s[a][j]
+                row[k] -= lam * sign * s[a][j]
         anti.append(row)
     return Mat(f, sym), Mat(f, anti)
 
@@ -220,6 +223,17 @@ def charpoly_squarefree(S: SectionMatrix) -> bool:
     return _poly_gcd_degree(cp, dcp, f) <= 0
 
 
+def charpoly_period(cp) -> int:
+    """d = gcd{k >= 1 : c_k != 0} for the charpoly coefficients
+    [1, c_1, ..., c_n] of S; 0 when every c_k is 0 (x^n).
+
+    If S^T M = lambda M S with M invertible, then S^T is similar to lambda S,
+    and chi_{S^T} = chi_S.  chi_{lambda S}(x) = sum_k lambda^k c_k x^{n-k}, so
+    lambda^k c_k = c_k for every k: lambda^k = 1 wherever c_k != 0, that is
+    lambda^d = 1.  d = 0 puts no condition on lambda."""
+    return math.gcd(*(k for k, c in enumerate(cp) if k and c))
+
+
 def hf_member(S: SectionMatrix) -> bool:
     """S lies in HF, the invariant complement of the flag ideal: tr(S K) = 0
     for the 25 flag-ideal matrices K = ``flag_equation(e_i, e_j)``, the
@@ -244,8 +258,10 @@ class CertificateReport:
     dim_commutant: int
     symmetric: bool                  # every commutant basis matrix symmetric
     saturation_result: str           # "unit" | "non-unit" | "not-computed"
-    hf_member: bool = False
+    hf_member: bool = False          # the input was already in HF
     charpoly_squarefree: bool = False
+    lambdas: list = dc_field(default_factory=list)     # the lambda the verdict covers
+    lambda_minus_1: dict | None = None     # the four facts of the lambda = -1 system
     counterexample: list | None = None
     notes: list = dc_field(default_factory=list)
 
@@ -253,10 +269,10 @@ class CertificateReport:
         return asdict(self)
 
 
-def _commutant_facts(S: SectionMatrix):
-    """From one reduction of each transpose block of S^T M = M S
-    (``_transpose_blocks``): the commutant's dimension (the sum of the two
-    kernel dimensions), whether every commutant matrix is symmetric (the
+def _commutant_facts(S: SectionMatrix, lam: int = 1):
+    """From one reduction of each transpose block of S^T M = lam M S
+    (``_transpose_blocks``): the dimension of W_lam (the sum of the two
+    kernel dimensions), whether every matrix in it is symmetric (the
     antisymmetric block has no kernel), and the annihilator rows in vec(M)
     coordinates.  These unfold the nonzero RREF rows of the blocks: a
     symmetric-block row r puts r_ab at (a, b) and (b, a) and 2 r_aa at
@@ -266,7 +282,7 @@ def _commutant_facts(S: SectionMatrix):
     echelon basis of the certificate's generators, and hence its Groebner
     run, is that of the full system.  Characteristic 2 is refused."""
     f = S.field
-    (Rs, ps), (Ra, pa) = (block.rref() for block in _transpose_blocks(S))
+    (Rs, ps), (Ra, pa) = (block.rref() for block in _transpose_blocks(S, lam))
     dim = 100 - len(ps) - len(pa)
     ann = ([_unfold(f, r, _SYM_PAIRS, 1, 2) for r in Rs.data[:len(ps)]]
            + [_unfold(f, r, _ANTI_PAIRS, -1, 1) for r in Ra.data[:len(pa)]])
@@ -286,59 +302,79 @@ def _unknowns(field: Field, route: str):
     return ring, [[ring.var(5 * i + j) for j in range(5)] for i in range(5)]
 
 
+def _system(S: SectionMatrix, lam: int, sqfree: bool):
+    """The report facts of S^T M = lam M S, unsaturated, and its annihilator rows."""
+    dim, sym, ann = _commutant_facts(S, lam)
+    route = "reduced" if sqfree and dim == 10 and sym else "rabinowitsch"
+    return {"route": route, "dim_commutant": dim, "symmetric": sym,
+            "saturation_result": "not-computed"}, ann
+
+
 def nonbirational_certificate(S: SectionMatrix, p: int,
                               max_reductions: int = MAX_REDUCTIONS) -> CertificateReport:
-    """Certify that S^T M = M S has no solution M = wedge^2 T with det T != 0
-    over GF(p), i.e. that the pair (X, Y) admits no linear isomorphism.
+    """Certify over GF(p) that no linear isomorphism f_T, M = wedge^2 T with
+    det T != 0, maps X_S onto Y_S: that S^T M = lambda M S has no solution on
+    the HF part of S (``hf_project``), which alone defines X_S and Y_S.
 
-    The ideal of the annihilator rows of the linear system, applied to the
-    entries of wedge^2 T, is saturated by det T (Rabinowitsch); the unit
-    ideal certifies emptiness.  One route, fixed by the commutant, picks the
-    unknowns:
+    A symmetric HF part has T = identity for a counterexample.  Otherwise
+    lambda^d = 1 (``charpoly_period``).  Transposition maps W_lambda to
+    W_{1/lambda}, so the transpose split holds for lambda = +-1 only: any d
+    but 1 and 2 is ``inconclusive``, with nothing saturated.  For each lambda
+    covered, the ideal of the annihilator rows of its system at the entries
+    of wedge^2 T is saturated by det T (Rabinowitsch), each saturation capped
+    at ``max_reductions`` S-pair reductions.  Its route picks the unknowns:
 
-      * ``reduced``  - T symmetric, 15 variables; valid when the commutant is
-        10-dimensional and entirely symmetric (then any solution wedge^2 T is
-        symmetric, forcing T symmetric) and the charpoly is squarefree.
+      * ``reduced``  - T symmetric, 15 variables; valid when W_lambda is
+        10-dimensional and entirely symmetric (then any solution wedge^2 T
+        is symmetric, forcing T symmetric) and the charpoly is squarefree.
       * ``rabinowitsch`` - T general, 25 variables, otherwise.
 
-    The commutant dimension/symmetry facts are always reported.
-    ``budget_exceeded``: the saturation took more than ``max_reductions``
-    S-pair reductions; ``route`` names the route that ran out.
-    """
+    ``certified_empty``: every saturation is the unit ideal; ``inconclusive``:
+    one is proper; ``budget_exceeded``: none is, and one ran out.  The top
+    level has the facts of lambda = 1, ``lambda_minus_1`` those of -1.
+    Characteristic 2 is refused before the projection."""
     field = GF(p)
+    _check_transpose_split(field)
     S = S.to_field(field)
-    dimW, sym, ann = _commutant_facts(S)
+    member = hf_member(S)
+    S = hf_project(S)
     sqfree = charpoly_squarefree(S)
-    route = "reduced" if sqfree and dimW == 10 and sym else "rabinowitsch"
-    report = CertificateReport(status="budget_exceeded", route=route,
-                               dim_commutant=dimW, symmetric=sym,
-                               saturation_result="not-computed",
-                               hf_member=hf_member(S),
+    facts, ann = _system(S, 1, sqfree)
+    report = CertificateReport(status="inconclusive", **facts, hf_member=member,
                                charpoly_squarefree=sqfree)
-
-    # symmetric S is self-dual via the identity: immediate counterexample
     if is_symmetric(S.mat):
-        report.status = "counterexample"
-        report.route = "symmetric-shortcut"
-        report.saturation_result = "non-unit"
-        report.counterexample = [[int(1) if i == j else 0 for j in range(5)] for i in range(5)]
-        report.notes.append("S is symmetric; T = identity solves S^T M = M S")
+        report.status, report.route = "counterexample", "symmetric-shortcut"
+        report.saturation_result, report.lambdas = "non-unit", [1]
+        report.counterexample = [[int(i == j) for j in range(5)] for i in range(5)]
+        report.notes.append("the HF part of S is symmetric; T = identity solves "
+                            "S^T M = M S")
         return report
-
-    ring, grid = _unknowns(field, route)
-    wedge = [x for row in minors(grid, 2) for x in row]
-    gens = [sum((w * c for c, w in zip(row, wedge) if not field.is_zero(c)), ring.zero())
-            for row in ann]
-    try:
-        sat = saturate(gens, det(grid), max_reductions)
-    except BudgetExceeded as exc:
-        report.notes.append(f"{exc}; commutant facts stand")
+    d = charpoly_period(S.mat.charpoly())
+    if d not in (1, 2):
+        report.notes.append(f"the charpoly of the HF part gives d = {d}: lambda = +-1 "
+                            "does not cover every lambda with lambda^d = 1")
         return report
-    unit = is_unit_ideal(sat)
-    report.saturation_result = "unit" if unit else "non-unit"
-    report.status = "certified_empty" if unit else "inconclusive"
-    if not unit:
-        report.notes.append("saturation is proper: solutions off det=0 may exist")
+    report.lambdas = [1, -1][:d]
+    systems = [(facts, ann)] + [_system(S, lam, sqfree) for lam in report.lambdas[1:]]
+    for lam, (facts, ann) in zip(report.lambdas, systems):
+        ring, grid = _unknowns(field, facts["route"])
+        wedge = [x for row in minors(grid, 2) for x in row]
+        gens = [sum((w * c for c, w in zip(row, wedge) if not field.is_zero(c)), ring.zero())
+                for row in ann]
+        try:
+            unit = is_unit_ideal(saturate(gens, det(grid), max_reductions))
+        except BudgetExceeded as exc:
+            report.notes.append(f"lambda = {lam}: {exc}; commutant facts stand")
+            continue
+        facts["saturation_result"] = "unit" if unit else "non-unit"
+        if not unit:
+            report.notes.append(f"lambda = {lam}: saturation is proper: solutions "
+                                "off det=0 may exist")
+    results = [facts["saturation_result"] for facts, _ in systems]
+    report.saturation_result = results[0]
+    report.lambda_minus_1 = systems[1][0] if d == 2 else None
+    if "non-unit" not in results:
+        report.status = "budget_exceeded" if "not-computed" in results else "certified_empty"
     return report
 
 
@@ -368,25 +404,19 @@ def verify_pushforwards() -> dict:
     return {"ok": ok, "details": {"contraction_identity_proved_on_unit_basis": ok}}
 
 
-def selfdual_scan(S: SectionMatrix, rng: random.Random, samples: int = 100) -> dict:
-    """No random duality map makes the invariant-complement part of S
-    self-dual.  Two controls must hit: S +- iota_0(S), self-dual (lambda = +-1)
-    through the fixed T_0 = L L^T, L the identity plus ones below the diagonal
-    (det T_0 = 1 over every field; no rng draw).
-
-    Evidence, not proof: a random map hits only when wedge^2 T lies in some
-    W_lambda = {M : S^T M = lambda M S}; the exact statement is the
-    ``nonbirational`` certificate."""
+def selfdual_scan(S: SectionMatrix) -> dict:
+    """The self-duality test hits its two controls on the HF part of S:
+    S +- iota_0(S), self-dual (lambda = +-1) through the fixed T_0 = L L^T, L
+    the identity plus ones below the diagonal (det T_0 = 1 over every field).
+    Draws nothing: whether some map hits S itself, the ``nonbirational``
+    certificate decides (module docstring)."""
     S = hf_project(S)
-    hits = sum(1 for _ in range(samples)
-               if selfdual_test(S, DualityMap.random(S.field, rng)))
     L = Mat(S.field, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
     f0 = DualityMap(L * L.transpose())
     image = iota_action(S, f0).mat
     controls = all(selfdual_test(SectionMatrix(S.mat + image * sign), f0)
                    for sign in (1, -1))
-    return {"ok": hits == 0 and controls,
-            "details": {"selfdual_hits": hits, "controls_hit": controls}}
+    return {"ok": controls, "details": {"controls_hit": controls}}
 
 
 def verify_nonbirational(S: SectionMatrix, p: int, max_reductions: int) -> dict:

@@ -266,13 +266,6 @@ class Mat:
         return cls._of(field, [[field.rand(rng) for _ in range(cols)]
                                for _ in range(rows)])
 
-    @classmethod
-    def random_invertible(cls, field, n, rng):
-        while True:
-            m = cls.random(field, n, n, rng)
-            if m.rank() == n:
-                return m
-
     # -- basics -------------------------------------------------------------
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field

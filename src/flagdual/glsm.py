@@ -171,13 +171,8 @@ def critical_member(pt: GLSMPoint, S: SectionMatrix, chamber: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# samplers and scans
+# scans
 # ---------------------------------------------------------------------------
-
-def random_point(field: Field, rng: random.Random) -> GLSMPoint:
-    return GLSMPoint(Mat.random(field, 5, 3, rng),
-                     tuple(field.rand(rng) for _ in range(3)))
-
 
 def _singular_rows(S_arr, pivots, B, p: int) -> np.ndarray:
     """Which points of a block of Y(F_p) with pivot rows ``pivots`` have a

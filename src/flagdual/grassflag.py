@@ -256,10 +256,6 @@ class DualityMap:
     def M_inv(self) -> Mat:
         return self.M.inverse()
 
-    @classmethod
-    def random(cls, field: Field, rng: random.Random) -> "DualityMap":
-        return cls(Mat.random_invertible(field, 5, rng))
-
 
 def iota_action(s: SectionMatrix, f: DualityMap) -> SectionMatrix:
     """The induced action on sections: S -> M_f^{-1} S^T M_f."""

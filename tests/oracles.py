@@ -11,8 +11,8 @@ from flagdual.grassflag import (D_SIGN, PAIRS, MatrixSubspace, SectionMatrix, _c
                                 complement_pair, perm_sign)
 
 
-def intertwiner_conditions(S: SectionMatrix) -> Mat:
-    """The 100x100 matrix of the linear system S^T M - M S = 0 in vec(M),
+def intertwiner_conditions(S: SectionMatrix, lam: int = 1) -> Mat:
+    """The 100x100 matrix of the linear system S^T M - lam M S = 0 in vec(M),
     rows indexed by output entries (i,j), columns by input entries (a,b)."""
     f = S.field
     ST = S.mat.transpose()
@@ -24,7 +24,8 @@ def intertwiner_conditions(S: SectionMatrix) -> Mat:
                 # d/dM_ab of (S^T M)_{ij} = S^T_{ia} delta_{bj}
                 row[10 * a + j] = f.add(row[10 * a + j], ST.data[i][a])
             for bcol in range(10):
-                row[10 * i + bcol] = f.sub(row[10 * i + bcol], S.mat.data[bcol][j])
+                row[10 * i + bcol] = f.sub(row[10 * i + bcol],
+                                           f.mul(lam, S.mat.data[bcol][j]))
             rows.append(row)
     return Mat(f, rows)
 

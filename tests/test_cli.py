@@ -17,7 +17,8 @@ from flagdual import bwb, cli
 from flagdual.cli import STAGES, RunConfig, main, verify_paper
 from flagdual.exactalg import GF, QQ, Mat, format_matrix
 from flagdual.glsm import okonek_scan
-from flagdual.grassflag import flag_ideal_space, random_hf_section, script_matrix
+from flagdual.grassflag import (DualityMap, flag_ideal_space, iota_action, random_hf_section,
+                                script_matrix)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_script_matrix.json"
 
@@ -63,9 +64,30 @@ def test_duality_nonbirational(runner, tmp_path):
 
 
 def test_duality_selfdual(runner):
-    res = runner.invoke(main, ["duality", "selfdual", "--samples", "20"])
+    res = runner.invoke(main, ["duality", "selfdual"])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["all_non_selfdual"]
+    rep = json.loads(res.output)
+    assert rep["controls_hit"] and not {"samples", "selfdual_hits"} & set(rep)
+
+
+@pytest.mark.parametrize("args", [
+    ["duality", "selfdual", "--samples", "5"],
+    ["duality", "selfdual", "--seed", "3"],
+    ["glsm", "stability", "--samples", "5"],
+    ["glsm", "stability", "--seed", "3"],
+], ids=["selfdual-samples", "selfdual-seed", "stability-samples", "stability-seed"])
+def test_removed_sampling_options_are_usage_errors(runner, args):
+    # the certificate decides what the random maps sampled, and the glsm
+    # sampling mode reported a count that only a defect could move
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
+
+
+def test_glsm_stability_needs_a_point(runner):
+    res = runner.invoke(main, ["glsm", "stability"])
+    assert res.exit_code == 2, res.output
+    assert "Missing option '--point'" in res.output
 
 
 def test_bwb_cohomology(runner):
@@ -157,8 +179,8 @@ def test_motivic_commands(runner, tmp_path):
     ["duality", "selfdual", "--field", "3"],            # no invariant complement
     ["glsm", "stability", "--field", "4"],
     ["glsm", "stability", "--field", "x"],
-    ["duality", "selfdual", "--samples", "0"],
-    ["glsm", "stability", "--samples", "-3"],
+    ["duality", "selfdual", "--field", "4"],
+    ["glsm", "stability", "--field", "1"],
     ["duality", "nonbirational", "--budget", "0"],     # no Groebner step allowed
     ["duality", "nonbirational", "--budget", "-1"],
     ["verify-paper", "--budget", "0"],
@@ -190,22 +212,15 @@ def test_bad_section_file_is_a_usage_error(runner, tmp_path, text, command):
     assert "Invalid value for '--section'" in res.output
 
 
-def test_glsm_stability_sampling(runner, tmp_path):
-    out = tmp_path / "glsm.json"
-    res = runner.invoke(main, ["glsm", "stability", "--chamber", "minus",
-                               "--samples", "50", "--seed", "7",
-                               "--report", str(out)])
-    assert res.exit_code == 0, res.output
-    rep = json.loads(out.read_text())
-    assert rep["stats"]["semistable"] > 0
+def _point_file(path, rows) -> str:
+    path.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
+    return str(path)
 
 
 def test_glsm_stability_point_input(runner, tmp_path):
-    pt = tmp_path / "point.mat"
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    pt.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
-    res = runner.invoke(main, ["glsm", "stability", "--chamber", "minus",
-                               "--point", str(pt)])
+    pt = _point_file(tmp_path / "point.mat",
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    res = runner.invoke(main, ["glsm", "stability", "--chamber", "minus", "--point", pt])
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert rep["point"]["semistable"] is False      # omega = 0
@@ -216,50 +231,50 @@ def test_glsm_stability_point_input(runner, tmp_path):
 def test_glsm_stability_point_at_a_singular_point_of_Y(runner, tmp_path, chamber):
     # B is the first point of Y(F_7) of the script matrix whose Jacobian
     # has rank < 3, and omega lies in its left kernel: dW = 0 in both chambers
-    pt = tmp_path / "point.mat"
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]]
-    pt.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
+    pt = _point_file(tmp_path / "point.mat",
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]])
     res = runner.invoke(main, ["glsm", "stability", "--field", "7", "--chamber", chamber,
-                               "--point", str(pt)])
+                               "--point", pt])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["point"] == {"semistable": True, "critical": True}
 
 
 def test_glsm_stability_echoes_only_the_options_it_ran(runner, tmp_path):
-    # --samples and --seed drive the sampling run only, not a --point run
-    pt = tmp_path / "point.mat"
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]]
-    pt.write_text("\n".join(" ".join(str(x) for x in r) for r in rows) + "\n")
-    args = ["glsm", "stability", "--field", "7", "--samples", "20", "--seed", "3"]
-    point = json.loads(runner.invoke(main, args + ["--point", str(pt)]).output)
-    sampled = json.loads(runner.invoke(main, args).output)
-    assert "point" in point and not {"samples", "seed"} & set(point)
-    assert "stats" in sampled and (sampled["samples"], sampled["seed"]) == (20, 3)
+    # a --point run reports the chamber it ran in and that point, no more
+    pt = _point_file(tmp_path / "point.mat",
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    res = runner.invoke(main, ["glsm", "stability", "--field", "7", "--point", pt])
+    assert res.exit_code == 0, res.output
+    assert sorted(json.loads(res.output)) == ["chamber", "conventions", "point", "schema"]
 
 
 def test_glsm_stability_help_describes_the_command(runner):
     res = runner.invoke(main, ["glsm", "stability", "--help"])
     assert res.exit_code == 0
-    assert "dW = 0" in res.output and "stats.critical" in res.output
-    # the sampling path's certificates run only on a small field
     text = " ".join(res.output.split())
-    assert "probability about q^-3" in text and "--field 3 draws unstable points" in text
+    assert "dW = 0" in text and "instability certificate" in text
+    assert "--samples" not in text and "--seed" not in text
 
 
 @pytest.mark.parametrize("chamber", ["plus", "minus"])
 @pytest.mark.parametrize("field", ["13", "3"])
-def test_glsm_stability_certifies_every_unstable_sample(runner, chamber, field):
-    # the identity the help states; over GF(13) a random point is unstable
-    # with probability about 13^-3, so GF(3) is what draws unstable ones
-    res = runner.invoke(main, ["glsm", "stability", "--field", field,
-                               "--chamber", chamber, "--samples", "300"])
-    assert res.exit_code == 0, res.output
-    rep = json.loads(res.output)
-    stats = rep["stats"]
-    assert stats["unstable_certified"] == rep["samples"] - stats["semistable"]
-    assert stats["unstable_certified"] > 0 or field == "13"
-    help_text = runner.invoke(main, ["glsm", "stability", "--help"]).output
-    assert "stats.unstable_certified" in help_text
+def test_glsm_stability_certifies_every_unstable_sample(runner, tmp_path, chamber, field):
+    # unstable points of both strata of the chamber, in the given field:
+    # each gets a certificate that checks.  rank2 has column 3 = column 1 +
+    # column 2 over every field
+    rank2 = [[1, 0, 1], [0, 1, 1], [2, 1, 3], [0, 0, 0], [1, 2, 3]]
+    points = {"plus": [rank2 + [[1, 1, 1]], [[0, 0, 0]] * 5 + [[1, 0, 2]]],
+              "minus": [rank2 + [[0, 0, 0]],
+                        [[0, 1, 0], [0, 0, 1], [0, 2, 1], [0, 0, 0], [0, 1, 1]]
+                        + [[0, 2, 1]]]}[chamber]
+    for k, rows in enumerate(points):
+        pt = _point_file(tmp_path / f"point{k}.mat", rows)
+        res = runner.invoke(main, ["glsm", "stability", "--field", field,
+                                   "--chamber", chamber, "--point", pt])
+        assert res.exit_code == 0, res.output
+        point = json.loads(res.output)["point"]
+        assert point["semistable"] is False
+        assert point["instability"]["valid"], point
 
 
 @pytest.mark.parametrize("text", [
@@ -302,7 +317,7 @@ def test_verify_paper_q7_report_is_pinned(runner, tmp_path):
     res = runner.invoke(main, ["verify-paper", "--qs", "2,3,5,7", "--report", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c72a5596f2ecfee9470f19bcee4dc12a2605c438c10933e89ab29437ebe86706")
+        "883c4cb652cf6f87a456188adff4a24fe817307dc580b5e7743db128182b8ba7")
 
 
 def test_failed_stage_records_type_and_place(monkeypatch):
@@ -430,8 +445,8 @@ def test_golden_config_is_the_run_config():
 
 
 def test_budget_ignores_environment(runner, monkeypatch):
-    # --budget alone caps the certificate's one saturation; running out keeps
-    # the route that ran out and the commutant facts
+    # --budget alone caps each of the certificate's saturations; running out
+    # keeps the route that ran out and the commutant facts
     monkeypatch.setenv("FLAGDUAL_BUDGET", "1000000000")
     res = runner.invoke(main, ["duality", "nonbirational", "--budget", "5"])
     assert res.exit_code == 1, res.output
@@ -439,7 +454,41 @@ def test_budget_ignores_environment(runner, monkeypatch):
     assert rep["status"] == "budget_exceeded"
     assert rep["route"] == "rabinowitsch"
     assert rep["saturation_result"] == "not-computed"
-    assert rep["dim_commutant"] == 28
+    assert rep["dim_commutant"] == 14
+    assert rep["lambda_minus_1"]["saturation_result"] == "not-computed"
+
+
+@pytest.mark.parametrize("budget, status, code", [
+    ("19", "budget_exceeded", 1), ("20", "certified_empty", 0)])
+def test_budget_caps_each_saturation(runner, budget, status, code):
+    # the script matrix's lambda = 1 saturation takes 15 reductions and its
+    # lambda = -1 one 20: a cap of 19 stops only the second
+    res = runner.invoke(main, ["duality", "nonbirational", "--budget", budget])
+    assert res.exit_code == code, res.output
+    rep = json.loads(res.output)
+    assert (rep["status"], rep["saturation_result"], rep["lambdas"]) == (status, "unit",
+                                                                         [1, -1])
+    assert rep["lambda_minus_1"]["saturation_result"] == (
+        "unit" if code == 0 else "not-computed")
+
+
+def test_certificate_of_a_self_dual_section_with_flag_ideal_terms(runner, tmp_path):
+    # S_hf = P + iota_0(P) is self-dual, and the flag-ideal terms added to
+    # it change neither X_S nor Y_S: the certificate must not certify it
+    f = GF(17)
+    rng = random.Random(7)
+    P = random_hf_section(f, rng)
+    L = Mat(f, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
+    s_hf = P.mat + iota_action(P, DualityMap(L * L.transpose())).mat
+    noise = Mat.zero(f, 10, 10)
+    for k in flag_ideal_space(f).basis:
+        noise = noise + k * f.rand(rng)
+    path = tmp_path / "S.mat"
+    path.write_text(format_matrix(s_hf + noise))
+    res = runner.invoke(main, ["duality", "nonbirational", "--section", str(path)])
+    assert res.exit_code == 1, res.output
+    rep = json.loads(res.output)
+    assert rep["status"] == "inconclusive" and "certified_empty" not in res.output
 
 
 @pytest.mark.parametrize("command", [
@@ -476,16 +525,19 @@ def test_build_into_a_file_is_a_usage_error(runner, tmp_path):
 
 def test_selfdual_stage_scans_given_section(tmp_path):
     # a section in the flag ideal projects to zero, which every duality map
-    # identifies with itself; the published one no random map hits, and both
-    # of its controls S +- iota_0(S) hit through their own map
+    # identifies with itself: the certificate finds that at once, and the
+    # self-duality test still hits both controls S +- iota_0(S)
     ideal = flag_ideal_space(GF(17))
     path = tmp_path / "ideal.txt"
     path.write_text(format_matrix(ideal.basis[3] + ideal.basis[11]))
-    stage = dict(STAGES)["selfdual_scan"]
-    rep = stage(RunConfig(section=str(path)), random.Random(0))
-    assert rep == {"ok": False, "details": {"selfdual_hits": 100, "controls_hit": True}}
-    rep = stage(RunConfig(), random.Random(0))
-    assert rep == {"ok": True, "details": {"selfdual_hits": 0, "controls_hit": True}}
+    stages = dict(STAGES)
+    cfg = RunConfig(section=str(path))
+    rep = stages["nonbirational"](cfg, random.Random(0))
+    assert not rep["ok"] and rep["details"]["status"] == "counterexample"
+    assert rep["details"]["route"] == "symmetric-shortcut"
+    for cfg in (cfg, RunConfig()):
+        assert stages["selfdual_scan"](cfg, random.Random(0)) == {
+            "ok": True, "details": {"controls_hit": True}}
 
 
 def test_benchmark_tracer_hooks_resolve():
@@ -531,7 +583,7 @@ def test_benchmark_generic_pass_passes_its_checks(tmp_path):
     assert [name for name, ok in found if not ok] == [], res.stderr
     # the same commutant basis, in the same order, and the same certificate
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "2620326568202f7ab6e343f98f24ee2fc6a2219a4e0a404f09c130a5c42ac069")
+        "6fe9617111a13259890dfda78ea9a1f26183e6cf5a74196beefdac169a485628")
 
 
 def test_stage_names_match_benchmark_tracer():

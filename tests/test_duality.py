@@ -23,7 +23,8 @@ from flagdual.motivic import (_pushforward_vectors, _quadric_arrays, _section_ar
                               count_Y, divisible, enumerate_grassmannian, minors_batch,
                               y_points)
 from oracles import contains, intertwiner_conditions
-from points import dual_coordinates, pluecker, random_grass_point, section_on_fiber
+from points import (dual_coordinates, pluecker, random_duality_map, random_grass_point,
+                    random_invertible, section_on_fiber)
 
 F11 = GF(11)
 F13 = GF(13)
@@ -147,7 +148,7 @@ def test_gauge_covariance():
     st = pushforward_to_g35(s)
     for _ in range(100):
         B = Mat.random(F13, 5, 3, rng)
-        g = Mat.random_invertible(F13, 3, rng)
+        g = random_invertible(F13, 3, rng)
         gi = g.inverse()
         lhs = values(st, (B * gi).flatten())
         d = F13.coerce(det(g.data))
@@ -318,7 +319,7 @@ def test_script_not_selfdual_for_random_maps():
     rng = random.Random(79)
     s = hf_project(script_matrix(F17))
     for _ in range(100):
-        f = DualityMap.random(F17, rng)
+        f = random_duality_map(F17, rng)
         assert not selfdual_test(s, f)
 
 
@@ -403,6 +404,25 @@ def test_transpose_blocks_solve_the_full_system(name, dims):
     assert Mat(f, ann).rref() == (Mat(f, R.data[:len(pivots)]), pivots)
 
 
+@pytest.mark.parametrize("name, dims", [
+    ("generic-qq", (0, 0)), ("generic-mod-17", (0, 0)), ("script", (15, 13)),
+    ("script-hf", (7, 7)), ("identity", (0, 0)), ("random-gf17", (1, 0)),
+])
+def test_lambda_minus_one_blocks_solve_the_full_system(name, dims):
+    # S^T M = -M S: E(M) = S^T M + M S keeps symmetric and antisymmetric M
+    # apart, so the blocks are 55x55 and 45x45; oracle: the full system
+    s = _SPLIT_SECTIONS[name]()
+    f = s.field
+    full = intertwiner_conditions(s, -1)
+    sym, anti = duality._transpose_blocks(s, -1)
+    assert (sym.rows, sym.cols, anti.rows, anti.cols) == (55, 55, 45, 45)
+    assert (len(sym.kernel()), len(anti.kernel())) == dims
+    dim, symmetric, ann = duality._commutant_facts(s, -1)
+    assert (dim, symmetric) == (sum(dims), dims[1] == 0)
+    R, pivots = full.rref()
+    assert Mat(f, ann).rref() == (Mat(f, R.data[:len(pivots)]), pivots)
+
+
 def test_transpose_split_refuses_characteristic_2():
     s = script_matrix(GF(2))
     for call in (lambda: commutant_space(s), lambda: nonbirational_certificate(s, 2)):
@@ -431,22 +451,66 @@ def test_certificate_symmetric_counterexample():
     assert rep.status == "counterexample"
 
 
-def test_certificate_script_matrix():
+def _recorded_saturations(monkeypatch):
+    """The GroebnerStats of each saturation the certificate runs, in order;
+    a saturation that runs out of its cap records its stats too."""
+    seen = []
+
+    def recording(gens, fpoly, max_reductions):
+        try:
+            return saturate(gens, fpoly, max_reductions)
+        finally:
+            seen.append(groebner_basis.last_stats)
+
+    monkeypatch.setattr(duality, "saturate", recording)
+    return seen
+
+
+def test_certificate_script_matrix(monkeypatch):
+    # on the HF part of the script matrix, chi = x^10 + 4x^8 + 14x^6 + 15x^2
+    # gives d = 2, and both lambda = +-1 saturate to the unit ideal
+    seen = _recorded_saturations(monkeypatch)
     rep = nonbirational_certificate(script_matrix(F17), 17)
     assert rep.status == "certified_empty"
-    assert rep.route == "rabinowitsch"
-    assert rep.saturation_result == "unit"
-    assert rep.dim_commutant == 28
+    assert rep.lambdas == [1, -1]
+    assert (rep.route, rep.dim_commutant, rep.symmetric, rep.saturation_result) == (
+        "rabinowitsch", 14, False, "unit")
+    assert rep.lambda_minus_1 == {"route": "rabinowitsch", "dim_commutant": 14,
+                                  "symmetric": False, "saturation_result": "unit"}
     assert not rep.hf_member
-    # pins the strength of the pair criteria and the selection rule: a weaker
-    # M, F, chain or product criterion, or a pair whose lcm is an older
-    # leading term queued behind the other pairs of its selection degree
-    # (the key without its "not top" field: 2415), still gives a correct
-    # basis, but after more S-pair reductions
-    assert groebner_basis.last_stats.reductions == 483
+    # pins the strength of the pair criteria and the selection rule, per
+    # lambda: a weaker M, F, chain or product criterion, or a pair whose lcm
+    # is an older leading term queued behind the other pairs of its
+    # selection degree, still gives a correct basis, but after more S-pair
+    # reductions
+    assert [stats.reductions for stats in seen] == [15, 20]
 
 
-def test_certificate_never_certifies_a_self_dual_section():
+@pytest.mark.parametrize("coeffs, d", [
+    ([1, 3, 0, 5], 1),
+    ([1, 0, 4, 0, 14, 0, 0, 0, 15, 0, 0], 2),       # the script matrix's HF part
+    ([1, 0, 0, 0, 2, 0, 0, 0, 7], 4),
+    ([1] + [0] * 10, 0),                             # x^10: every lambda allowed
+], ids=["d1", "d2", "d4", "x10"])
+def test_charpoly_period(coeffs, d):
+    assert duality.charpoly_period(coeffs) == d
+
+
+def test_certificate_does_not_cover_other_periods(monkeypatch):
+    # a nilpotent, non-symmetric HF part: chi = x^10 puts no condition on
+    # lambda, so no saturation runs and the verdict is not certified
+    seen = _recorded_saturations(monkeypatch)
+    s = SectionMatrix(Mat(F17, [[int(j == i + 1) for j in range(10)] for i in range(10)]))
+    s = hf_project(s)
+    assert s.mat.charpoly() == [1] + [0] * 10 and not is_symmetric(s.mat)
+    rep = nonbirational_certificate(s, 17)
+    assert (rep.status, rep.saturation_result, rep.lambdas) == ("inconclusive",
+                                                               "not-computed", [])
+    assert any("d = 0" in note for note in rep.notes)
+    assert seen == []
+
+
+def test_certificate_never_certifies_a_self_dual_section(monkeypatch):
     # S = (wedge^2 T)^-1 K with T, K symmetric: S^T wedge^2 T = K = wedge^2 T S,
     # so T solves the equation and the saturation is not the unit ideal
     rng = random.Random(3)
@@ -462,10 +526,14 @@ def test_certificate_never_certifies_a_self_dual_section():
     s = SectionMatrix(M.inverse() * symmetric(10))
     assert not is_symmetric(s.mat)
     assert s.mat.transpose() * M == M * s.mat
+    seen = _recorded_saturations(monkeypatch)
     rep = nonbirational_certificate(s, 17)
+    # the HF part keeps the solution: iota_T preserves HF and the flag ideal
+    assert not rep.hf_member and rep.lambdas == [1]
     assert rep.route == "reduced"
     assert rep.saturation_result == "non-unit"
     assert rep.status == "inconclusive"
+    assert [stats.reductions for stats in seen] == [1387]
 
 
 def test_certificate_random_hf():
@@ -475,10 +543,11 @@ def test_certificate_random_hf():
     assert rep.status == "certified_empty"
     assert rep.route == "reduced"
     assert rep.dim_commutant == 10 and rep.symmetric
-    # with the 483 pin above: the memoised divisor search keeps the reducer;
-    # each new cubic whose leading term divides the z element's is followed
-    # at once by that top-reduction, ahead of the other cubic pairs, and the
-    # 45th reduction gives 1 (behind them it would be the 243rd)
+    assert rep.lambdas == [1] and rep.lambda_minus_1 is None
+    # with the script pins above: the memoised divisor search keeps the
+    # reducer; each new cubic whose leading term divides the z element's is
+    # followed at once by that top-reduction, ahead of the other cubic pairs,
+    # and the 45th reduction gives 1 (behind them it would be the 243rd)
     assert groebner_basis.last_stats.reductions == 45
 
 
@@ -492,9 +561,10 @@ def test_certificate_rabinowitsch_fallback_on_a_generic_section():
     assert groebner_basis.last_stats.reductions == 139
 
 
-def _self_dual_hf_section():
-    # the self-dual construction of ROADMAP item 9: S_hf = P + iota_0(P) is
-    # self-dual through T_0 = L L^T, and flag-ideal noise leaves its HF part
+def _self_dual_section():
+    # a self-dual section with flag-ideal terms: S_hf = P + iota_0(P) is
+    # self-dual through T_0 = L L^T, and S = S_hf + flag-ideal noise has
+    # S_hf for its HF part; returns (S, S_hf)
     rng = random.Random(7)
     P = random_hf_section(F17, rng)
     L = Mat(F17, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
@@ -503,20 +573,48 @@ def _self_dual_hf_section():
     noise = Mat.zero(F17, 10, 10)
     for k in flag_ideal_space(F17).basis:
         noise = noise + k * F17.rand(rng)
-    s = hf_project(SectionMatrix(s_hf.mat + noise))
-    assert s == s_hf and selfdual_test(s, f0)
-    return s
+    s = SectionMatrix(s_hf.mat + noise)
+    assert hf_project(s) == s_hf and selfdual_test(s_hf, f0)
+    return s, s_hf
 
 
 def test_certificate_runs_the_full_loop_on_a_non_unit_ideal():
     # on the HF part the saturation is proper: the one pinned run that
     # empties the pair queue and ends with the final interreduce
-    rep = nonbirational_certificate(_self_dual_hf_section(), 17)
+    rep = nonbirational_certificate(_self_dual_section()[1], 17)
     assert (rep.status, rep.route, rep.saturation_result) == ("inconclusive", "reduced",
                                                               "non-unit")
-    assert rep.hf_member
+    assert rep.hf_member and rep.lambdas == [1]
     assert groebner_basis.last_stats == GroebnerStats(basis_size=15, reductions=1386,
                                                       max_degree_seen=7)
+
+
+def test_certificate_judges_the_threefolds_not_the_matrix():
+    # the flag-ideal noise changes neither X_S nor Y_S, so the matrix with it
+    # gets the verdict of its HF part, after the same saturation
+    rep = nonbirational_certificate(_self_dual_section()[0], 17)
+    assert (rep.status, rep.route, rep.saturation_result) == ("inconclusive", "reduced",
+                                                              "non-unit")
+    assert not rep.hf_member
+    assert groebner_basis.last_stats.reductions == 1386
+
+
+def test_certificate_covers_lambda_minus_one(monkeypatch):
+    # the lambda = -1 construction of test_selfdual_up_to_sign over GF(17):
+    # lambda = 1 is empty, and lambda = -1, where f_T is a solution, is not;
+    # its proper saturation takes 5,564 reductions, so a cap of 500 stops it
+    L = Mat(F17, [[int(i - j in (0, 1)) for j in range(5)] for i in range(5)])
+    f = DualityMap(L * L.transpose())
+    R = Mat.random(F17, 10, 10, random.Random(0))
+    s = hf_project(SectionMatrix(f.M_inv * (R - R.transpose())))
+    assert s.mat.transpose() * f.M == f.M * s.mat * (-1)
+    seen = _recorded_saturations(monkeypatch)
+    rep = nonbirational_certificate(s, 17, max_reductions=500)
+    assert rep.status == "budget_exceeded"
+    assert (rep.lambdas, rep.saturation_result) == ([1, -1], "unit")
+    assert rep.lambda_minus_1 == {"route": "rabinowitsch", "dim_commutant": 10,
+                                  "symmetric": False, "saturation_result": "not-computed"}
+    assert seen[0].reductions == 43
 
 
 def test_certificate_non_unit_basis_is_a_groebner_basis(monkeypatch):
@@ -531,7 +629,8 @@ def test_certificate_non_unit_basis_is_a_groebner_basis(monkeypatch):
         return basis
 
     monkeypatch.setattr(duality, "saturate", recording)
-    assert nonbirational_certificate(_self_dual_hf_section(), 17).saturation_result == "non-unit"
+    s_hf = _self_dual_section()[1]
+    assert nonbirational_certificate(s_hf, 17).saturation_result == "non-unit"
     (gens, fpoly, basis), = seen
     assert len(basis) == 15 and spolynomials_reduce_to_zero(basis)
     ext = basis[0].ring

@@ -14,6 +14,7 @@ from flagdual.exactalg import (GF, QQ, BudgetExceeded, Mat,
 from flagdual.duality import pushforward_to_g35
 from flagdual.grassflag import random_hf_section, script_matrix
 from oracles import intertwiner_conditions
+from points import random_invertible
 
 F17 = GF(17)
 F7 = GF(7)
@@ -68,7 +69,7 @@ def test_mat_results_have_canonical_entries(field):
     # the operations that skip coercion must still return canonical entries;
     # the rank-deficient rref has zero rows, which must be field.zero too
     rng = random.Random(3)
-    a = Mat.random_invertible(field, 4, rng)
+    a = random_invertible(field, 4, rng)
     b = Mat.random(field, 4, 4, rng)
     deficient = Mat(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
     R, pivots = deficient.rref()
@@ -297,7 +298,7 @@ def test_exterior_square_multiplicative(field):
 def test_det_wedge_power():
     rng = random.Random(17)
     for _ in range(25):
-        T = Mat.random_invertible(F17, 5, rng)
+        T = random_invertible(F17, 5, rng)
         d = _sympy_det(T)
         assert d != 0
         assert _sympy_det(exterior_square(T)) == pow(d, 4, 17)

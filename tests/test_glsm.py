@@ -12,11 +12,11 @@ from flagdual.duality import QUINTIC_VARS, pushforward_to_g25, pushforward_to_g3
 from flagdual.glsm import (GLSMPoint, _complete_basis, _singular_rows,
                            critical_gauge_class_count, critical_member, evaluate_batch,
                            instability_certificate, model_for, okonek_scan,
-                           random_point, semistable, verify_certificate)
+                           semistable, verify_certificate)
 from flagdual.grassflag import SectionMatrix, random_hf_section, script_matrix
 from flagdual.motivic import (_section_array, count_M_via_g25, eval_poly,
                               gauss_binomial, y_points)
-from points import pluecker, random_grass_point
+from points import pluecker, random_grass_point, random_invertible, random_point
 
 F13 = GF(13)
 F11 = GF(11)
@@ -112,7 +112,7 @@ def test_superpotential_gauge_invariant():
     for _ in range(100):
         pt = GLSMPoint(Mat.random(F13, 5, 3, rng),
                        tuple(F13.rand(rng) for _ in range(3)))
-        g = Mat.random_invertible(F13, 3, rng)
+        g = random_invertible(F13, 3, rng)
         assert superpotential(gauge_transform(pt, g), s) == superpotential(pt, s)
 
 
@@ -131,7 +131,7 @@ def test_semistability_gauge_invariant():
     for _ in range(200):
         pt = GLSMPoint(Mat.random(F13, 5, 3, rng),
                        tuple(F13.rand(rng) for _ in range(3)))
-        g = Mat.random_invertible(F13, 3, rng)
+        g = random_invertible(F13, 3, rng)
         for chamber in ("plus", "minus"):
             assert semistable(pt, chamber) == semistable(gauge_transform(pt, g), chamber)
 
@@ -206,7 +206,7 @@ def test_critical_member_gauge_invariant():
         span = random_grass_point(F11, 2, rng)
         pt = rank2_point_over(span, F11, rng)
         val = critical_member(pt, s, "minus")
-        g = Mat.random_invertible(F11, 3, rng)
+        g = random_invertible(F11, 3, rng)
         moved = gauge_transform(pt, g)
         assert critical_member(moved, s, "minus") == val
 

@@ -11,7 +11,7 @@ from flagdual.grassflag import (PAIRS, TRIPLES, DualityMap, MatrixSubspace,
                                 flag_ideal_space, hf_project, hf_space,
                                 iota_action, random_hf_section, script_matrix)
 from oracles import contains, flag_equation_at_every_pair
-from points import dual_coordinates, pluecker, random_grass_point
+from points import dual_coordinates, pluecker, random_grass_point, random_invertible
 
 F7 = GF(7)
 F11 = GF(11)
@@ -179,7 +179,7 @@ def test_iota_of_transpose_is_conjugation():
     rng = random.Random(29)
     s = random_hf_section(F17, rng)
     ident = DualityMap(Mat.identity(F17, 5))
-    for T in _generators(F17) + [Mat.random_invertible(F17, 5, rng)]:
+    for T in _generators(F17) + [random_invertible(F17, 5, rng)]:
         dm = DualityMap(T)
         M = exterior_square(T)
         assert iota_action(iota_action(s, ident), dm).mat == M.inverse() * s.mat * M
